@@ -127,6 +127,8 @@ class CsiRecord:
         csi = np.asarray(self.csi, dtype=complex)
         if csi.ndim != 1 or csi.size == 0:
             raise ValueError("csi must be a non-empty 1-D complex vector")
+        if not np.isfinite(csi).all():
+            raise ValueError("csi must be finite")
         object.__setattr__(self, "csi", csi)
 
 

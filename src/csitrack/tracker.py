@@ -1,22 +1,23 @@
 """End-to-end motion tracking over synchronized CSI streams.
 
-Maintains a sliding window of recent packets per AP, re-estimates each AP's
-paths from its window, projects consecutive packet pairs onto the same
-PathSet, fuses the per-AP offset-cancelled rows into one displacement per
-packet and integrates the result from the origin. Samples whose displacement
-is unobservable carry the previous position forward with a quality flag, so
-the trajectory keeps a uniform timebase for evaluation.
+Maintains a sliding window of recent packets per AP (a
+:class:`~csitrack.aod.PacketWindow`), re-estimates each AP's paths from its
+window, projects consecutive packet pairs onto the same PathSet, fuses the
+per-AP offset-cancelled rows into one displacement per packet and integrates
+the result from the origin. Samples whose displacement is unobservable carry
+the previous position forward with a quality flag, so the trajectory keeps a
+uniform timebase for evaluation.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aod import AodConfig, estimate_paths
+from .aod import AodConfig, PacketWindow, estimate_paths
 from .core import CsiRecord, ArrayGeometry, Displacement, PathSet, Trajectory, circular_distance
 from .displacement import (
     A_CONDITION_LIMIT,
@@ -110,11 +111,12 @@ class Tracker:
         self._row_builder = (
             displacement_rows if self.config.mode == "full" else same_clock_rows
         )
-        self._buffers = {ap: deque() for ap in self.ap_ids}
+        self._windows = {ap: PacketWindow(ap, geometry.num_antennas) for ap in self.ap_ids}
         self._paths = {ap: None for ap in self.ap_ids}
         self._since_estimate = {ap: 0 for ap in self.ap_ids}
         self._previous = {}
         self._previous_index = None
+        self._previous_time = None
         self._started = False
         self._position = np.asarray(self.config.origin, dtype=float)
         self._positions = []
@@ -125,21 +127,19 @@ class Tracker:
     # -- stream maintenance -------------------------------------------------
 
     def _push(self, ap_id, record, now):
-        buffer = self._buffers[ap_id]
-        buffer.append(record)
-        horizon = now - self.config.aod.window_seconds
-        while buffer and buffer[0].timestamp < horizon:
-            buffer.popleft()
+        window = self._windows[ap_id]
+        window.append(record.csi, record.timestamp)
+        window.expire(now - self.config.aod.window_seconds)
         self._since_estimate[ap_id] += 1
 
     def _update_paths(self, ap_id):
-        buffer = self._buffers[ap_id]
-        if len(buffer) < self.config.aod.min_packets:
+        window = self._windows[ap_id]
+        if len(window) < self.config.aod.min_packets:
             return
         stale = self._paths[ap_id] is None
         if not stale and self._since_estimate[ap_id] < self.config.stride:
             return
-        estimated = estimate_paths(buffer, self.geometry, self.config.aod)
+        estimated = estimate_paths(window, self.geometry, self.config.aod)
         previous = self._paths[ap_id]
         if previous is not None:
             estimated = path_continuity(previous, estimated)
@@ -151,16 +151,24 @@ class Tracker:
     def ingest(self, records) -> Displacement | None:
         """Push one packet's records (mapping ap_id -> CsiRecord).
 
+        Each group must carry a higher packet index and a later timestamp
+        (the latest of its records) than the group before it, else
+        :class:`StreamOrderError`; nothing of a rejected group is kept.
         Returns the accepted displacement, or None during warm-up and on
         dead-reckoned samples.
         """
         if not records:
             raise ValueError("records must not be empty")
         for ap_id, record in records.items():
-            if ap_id not in self._buffers:
+            if ap_id not in self._windows:
                 raise ValueError(f"unknown AP id {ap_id!r}")
             if record.ap_id != ap_id:
                 raise ValueError(f"record for {record.ap_id!r} filed under {ap_id!r}")
+            if record.csi.size != self.geometry.num_antennas:
+                raise ValueError(
+                    f"record for {ap_id!r} holds {record.csi.size} CSI entries, "
+                    f"the array has {self.geometry.num_antennas} antennas"
+                )
         indices = {r.packet_index for r in records.values()}
         if len(indices) != 1:
             raise StreamOrderError(f"group mixes packet indices {sorted(indices)}")
@@ -170,6 +178,10 @@ class Tracker:
                 f"packet {packet_index} after {self._previous_index}"
             )
         now = max(r.timestamp for r in records.values())
+        if self._previous_time is not None and now <= self._previous_time:
+            raise StreamOrderError(
+                f"packet {packet_index} at t={now!r} does not follow t={self._previous_time!r}"
+            )
 
         for ap_id, record in records.items():
             self._push(ap_id, record, now)
@@ -178,9 +190,9 @@ class Tracker:
 
         displacement = None
         if not self._started:
-            active = [ap for ap in self.ap_ids if self._buffers[ap]]
+            active = [ap for ap in self.ap_ids if self._windows[ap]]
             if active and all(
-                len(self._buffers[ap]) >= self.config.aod.min_packets for ap in active
+                len(self._windows[ap]) >= self.config.aod.min_packets for ap in active
             ):
                 self._started = True
                 self._emit(now, "ok")
@@ -189,6 +201,7 @@ class Tracker:
 
         self._previous = dict(records)
         self._previous_index = packet_index
+        self._previous_time = now
         return displacement
 
     def _pair_update(self, records, now):

@@ -1,12 +1,16 @@
 """MUSIC window concatenation, spectrum and path estimation."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import default_geometry
+from conftest import AP_IDS, default_geometry
 
 from csitrack.aod import (
     AodConfig,
+    PacketWindow,
     angle_grid,
     concat_window,
     estimate_paths,
@@ -14,6 +18,7 @@ from csitrack.aod import (
 )
 from csitrack.core import CsiRecord, circular_distance, steering_matrix, steering_vector
 from csitrack.errors import WindowUnderfullError
+from csitrack.tracker import Tracker, TrackerConfig
 
 
 def make_records(X, ap_id="ap0", interval=0.006):
@@ -67,6 +72,89 @@ class TestConcatWindow:
         records = [CsiRecord("ap0", 0, 0.0, np.ones(3))]
         with pytest.raises(WindowUnderfullError):
             concat_window(records, min_packets=20)
+
+
+class TestPacketWindow:
+    def test_growth_and_compaction_keep_rows_and_earlier_views(self):
+        X = synth_window(default_geometry(), [0.8, 2.1], 300, seed=3)
+        window = PacketWindow("ap0", 3)
+        views = []
+        for p in range(300):
+            window.append(X[:, p], 0.006 * p)
+            window.expire(0.006 * (p - 39))  # keeps the last 40 packets
+            views.append((p, window.matrix))
+        # 64 -> 128 rows by growth, then compaction each time the 128 rows fill
+        np.testing.assert_array_equal(window.matrix, X[:, 260:])
+        np.testing.assert_array_equal(window.timestamps, 0.006 * np.arange(260, 300))
+        for p, view in views:
+            np.testing.assert_array_equal(view, X[:, max(p - 39, 0):p + 1])
+        assert window.matrix.flags.f_contiguous
+        assert not window.matrix.flags.writeable
+
+    def test_estimate_paths_reads_a_window_like_its_records(self):
+        geometry = default_geometry()
+        X = synth_window(geometry, [0.8, 2.1], 60, seed=4, snr_db=25)
+        records = make_records(X)
+        window = PacketWindow("ap0", 3)
+        for record in records:
+            window.append(record.csi, record.timestamp)
+        config = AodConfig()
+        from_window = estimate_paths(window, geometry, config)
+        from_records = estimate_paths(records, geometry, config)
+        assert from_window.ap_id == "ap0"
+        np.testing.assert_array_equal(from_window.aods, from_records.aods)
+        with pytest.raises(WindowUnderfullError):
+            estimate_paths(PacketWindow("ap0", 3), geometry, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        packets=st.integers(1, 300),
+        window_packets=st.integers(3, 150),
+        drop=st.floats(0.0, 0.6),
+    )
+    def test_tracker_window_matches_a_deque_of_records(self, seed, packets, window_packets, drop):
+        """The tracker's windows hold exactly what a deque of records under
+        the expiry rule (pop from the front while the timestamp is before
+        now - window_seconds) holds, across the horizon and the buffer's
+        growth and compaction points, and estimate the same paths."""
+        rng = np.random.default_rng(seed)
+        geometry = default_geometry()
+        interval = 2.0**-7  # binary fractions: a timestamp can equal the horizon exactly
+        aod = AodConfig(window_seconds=window_packets * interval, min_packets=3)
+        # a stride this long estimates each AP's paths only once, when it warms up
+        tracker = Tracker(geometry, AP_IDS, TrackerConfig(aod=aod, stride=10**6))
+        reference = {ap: deque() for ap in AP_IDS}
+        time = 0.0
+        for p in range(packets):
+            time += interval * rng.choice([1, 1, 1, 2, 7])
+            present = [ap for ap in AP_IDS if rng.random() >= drop] or [AP_IDS[p % 4]]
+            group = {
+                ap: CsiRecord(ap, p, time - 0.5 * interval * rng.integers(0, 2),
+                              rng.normal(size=3) + 1j * rng.normal(size=3))
+                for ap in present
+            }
+            tracker.ingest(group)
+            now = max(r.timestamp for r in group.values())
+            for ap, record in group.items():
+                records = reference[ap]
+                records.append(record)
+                while records and records[0].timestamp < now - aod.window_seconds:
+                    records.popleft()
+            for ap in AP_IDS:
+                window, records = tracker._windows[ap], reference[ap]
+                assert len(window) == len(records)
+                if records:
+                    np.testing.assert_array_equal(window.matrix, concat_window(records))
+                    np.testing.assert_array_equal(window.timestamps,
+                                                  [r.timestamp for r in records])
+                if len(records) >= aod.min_packets and (p % 37 == 0 or p == packets - 1):
+                    expected = estimate_paths(records, geometry, aod)
+                    actual = estimate_paths(window, geometry, aod)
+                    np.testing.assert_array_equal(actual.aods, expected.aods)
+                    np.testing.assert_array_equal(actual.steering_matrix,
+                                                  expected.steering_matrix)
+                    assert actual.degenerate == expected.degenerate
 
 
 class TestMusicSpectrum:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csitrack.cli import EXIT_CONFIG, EXIT_PARSE, indoor_4ap_preset, main
+from csitrack.cli import EXIT_CONFIG, EXIT_PARSE, EXIT_STREAM, indoor_4ap_preset, main
 from csitrack.io import load_config, read_trace, read_trajectory
 
 
@@ -107,6 +107,38 @@ class TestTrackEvaluate:
         bad.write_text("not a trace\n")
         out = tmp_path / "out.txt"
         assert run(["track", "--trace", bad, "--out", out]) == EXIT_PARSE
+
+    def rewrite_trace(self, demo_dir, tmp_path, change):
+        """Copy the demo trace with ``change(fields)`` applied to the body
+        lines of packet 30; returns the new path and the first such line."""
+        lines = (demo_dir / "trace.txt").read_text().splitlines()
+        first = None
+        for number, line in enumerate(lines, start=1):
+            fields = line.split()
+            if not line.startswith("#") and fields[1] == "30":
+                change(fields)
+                lines[number - 1] = " ".join(fields)
+                first = first or number
+        path = tmp_path / "edited.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return path, first
+
+    def test_non_finite_csi_is_parse_error_at_its_line(self, demo_dir, tmp_path, capsys):
+        def poison(fields):
+            fields[3] = "nan"
+
+        path, first = self.rewrite_trace(demo_dir, tmp_path, poison)
+        assert run(["track", "--trace", path, "--out", tmp_path / "out.txt"]) == EXIT_PARSE
+        assert f"line {first}:" in capsys.readouterr().err
+
+    def test_backwards_timestamp_is_stream_error(self, demo_dir, tmp_path, capsys):
+        def rewind(fields):
+            fields[2] = "0.1"  # packet 30 is due at 0.18 s, after packet 29 at 0.174 s
+
+        path, _ = self.rewrite_trace(demo_dir, tmp_path, rewind)
+        assert run(["track", "--trace", path, "--out", tmp_path / "out.txt"]) == EXIT_STREAM
+        assert "packet 30" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
 
     def test_missing_config_sim_section(self, demo_dir, tmp_path, capsys):
         config = load_config(demo_dir / "config.json")

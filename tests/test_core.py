@@ -126,6 +126,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             CsiRecord("ap0", 0, 0.0, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), complex(-np.inf, 1.0)])
+    def test_csi_record_rejects_non_finite_csi(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CsiRecord("ap0", 0, 0.0, np.array([1.0, bad, 1j]))
+
     def test_displacement_requires_finite_2vector(self):
         with pytest.raises(ValueError):
             Displacement([1.0, np.nan])

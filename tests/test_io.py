@@ -69,6 +69,18 @@ class TestTraceRoundTrip:
             read_trace(path)
         assert info.value.line_number == len(text)
 
+    def test_non_finite_csi_reports_line_number(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        write_trace(path, small_trace())
+        lines = path.read_text().splitlines()
+        fields = lines[-3].split()
+        fields[4] = "nan"  # the imaginary part of antenna 0
+        lines[-3] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceParseError, match="finite") as info:
+            read_trace(path)
+        assert info.value.line_number == len(lines) - 2
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "trace.txt"
         write_trace(path, small_trace())

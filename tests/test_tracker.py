@@ -5,8 +5,9 @@ import pytest
 
 from conftest import AP_IDS, default_geometry, make_sim_config
 
+from csitrack import aod
 from csitrack.aod import AodConfig
-from csitrack.core import CsiRecord, PathSet, steering_matrix
+from csitrack.core import ArrayGeometry, CsiRecord, PathSet, steering_matrix
 from csitrack.errors import StreamOrderError
 from csitrack.io import pair_streams
 from csitrack.simulator import (
@@ -155,6 +156,30 @@ class TestTrackerBasics:
         assert align(strided, truth).errors.max() < 1e-3
 
 
+class TestGridSteeringCache:
+    def test_built_once_per_geometry_and_grid_step(self, monkeypatch):
+        aod._build_grid_steering.cache_clear()
+        built = []
+        original = aod.steering_matrix
+
+        def counting(geometry, thetas):
+            if np.size(thetas) > 100:  # a grid, not a refinement stencil
+                built.append(np.size(thetas))
+            return original(geometry, thetas)
+
+        monkeypatch.setattr(aod, "steering_matrix", counting)
+        streams = simulate_trajectory(make_sim_config(38), stationary_waypoints(0.6))
+        for _ in range(2):  # equal geometries, two trackers, many ingest calls each
+            tracker, _ = run_tracker(streams, geometry=default_geometry())
+        assert len(tracker.flags) > 50 and len(built) == 1
+        run_tracker(streams, geometry=ArrayGeometry.circular(3, spacing=0.027))
+        assert len(built) == 2
+        coarse = TrackerConfig(aod=AodConfig(grid_step=np.radians(1.0)))
+        run_tracker(streams, coarse)
+        run_tracker(streams, coarse)
+        assert built == [720, 720, 360]
+
+
 class TestStreamValidation:
     def records_at(self, index, timestamp=None):
         timestamp = index * 0.006 if timestamp is None else timestamp
@@ -169,6 +194,26 @@ class TestStreamValidation:
         tracker.ingest(self.records_at(1))
         with pytest.raises(StreamOrderError):
             tracker.ingest(self.records_at(1))
+
+    @pytest.mark.parametrize("timestamp", [0.006, 0.003])
+    def test_repeated_or_backwards_timestamp_raises(self, timestamp):
+        tracker = Tracker(default_geometry(), AP_IDS)
+        tracker.ingest(self.records_at(0))
+        tracker.ingest(self.records_at(1))
+        with pytest.raises(StreamOrderError, match="packet 2"):
+            tracker.ingest(self.records_at(2, timestamp))
+        assert all(len(tracker._windows[ap]) == 2 for ap in AP_IDS)
+        tracker.ingest(self.records_at(2))  # the rejected group left no trace
+        assert all(len(tracker._windows[ap]) == 3 for ap in AP_IDS)
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_csi_length_must_match_the_array(self, size):
+        tracker = Tracker(default_geometry(), AP_IDS)
+        group = self.records_at(0)
+        group[AP_IDS[2]] = CsiRecord(AP_IDS[2], 0, 0.0, np.ones(size, dtype=complex))
+        with pytest.raises(ValueError, match=f"'{AP_IDS[2]}' holds {size} CSI entries.* 3 antennas"):
+            tracker.ingest(group)
+        assert all(len(tracker._windows[ap]) == 0 for ap in AP_IDS)
 
     def test_mixed_packet_indices_in_group_raise(self):
         tracker = Tracker(default_geometry(), AP_IDS)
