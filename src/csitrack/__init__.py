@@ -21,16 +21,11 @@ from .core import (
     wrap_angle,
 )
 from .displacement import (
-    AttenuationChange,
     PathWeights,
     attenuation_change,
     displacement_rows,
     estimate_displacement,
-    geometry_matrix,
-    offset_free_phases,
     path_weights,
-    same_clock_rows,
-    select_reference,
 )
 from .errors import (
     ConfigError,

@@ -155,20 +155,14 @@ def music_spectrum(X: np.ndarray, geometry: ArrayGeometry, grid,
 
 
 @functools.lru_cache(maxsize=16)
-def _build_grid_steering(positions: bytes, wavelength: float, step: float):
-    geometry = ArrayGeometry(np.frombuffer(positions).reshape(-1, 2), wavelength)
+def _build_grid_steering(geometry: ArrayGeometry, step: float):
+    """The angle grid and its M x K steering matrix, built once per
+    (geometry, step) and shared read-only between calls."""
     grid = angle_grid(step)
     steering = steering_matrix(geometry, grid)
     grid.flags.writeable = False
     steering.flags.writeable = False
     return grid, steering
-
-
-def _grid_steering(geometry: ArrayGeometry, step: float):
-    """The angle grid and its M x K steering matrix, built once per
-    (geometry, step) and shared read-only between calls."""
-    return _build_grid_steering(geometry.antenna_positions.tobytes(),
-                                 float(geometry.wavelength), float(step))
 
 
 def _cyclic_minima(values: np.ndarray) -> np.ndarray:
@@ -227,7 +221,7 @@ def estimate_paths(window, geometry: ArrayGeometry, config: AodConfig) -> PathSe
         X = concat_window(records, config.min_packets)
         ap_id = records[0].ap_id
     subspace = noise_subspace(X, config.num_paths)
-    grid, grid_matrix = _grid_steering(geometry, config.grid_step)
+    grid, grid_matrix = _build_grid_steering(geometry, config.grid_step)
     power = _null_power(subspace, grid_matrix)
     minima = _cyclic_minima(power)
     degenerate = minima.size < config.num_paths

@@ -142,10 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_run_config(path) -> trace_io.RunConfig:
-    return trace_io.load_config(path)
-
-
 def _make_waypoints(args, packet_interval):
     if args.waypoints and args.motion:
         raise ConfigError("give either --waypoints or --motion, not both")
@@ -161,28 +157,24 @@ def _make_waypoints(args, packet_interval):
                             packet_interval=packet_interval, seed=seed)
 
 
+def _write_streams(path, streams, sim: SimConfig, ap_ids) -> None:
+    records = [r for group in trace_io.pair_streams(streams) for r in group.records.values()]
+    header = trace_io.TraceHeader(sim.geometry, ap_ids, sim.packet_interval)
+    trace_io.write_trace(path, trace_io.TraceFile(header, records))
+
+
 def cmd_simulate(args) -> int:
     if args.config:
-        config = _load_run_config(args.config)
+        config = trace_io.load_config(args.config)
     else:
         config = PRESETS[args.preset](args.seed if args.seed is not None else 1234)
     if config.sim is None:
         raise ConfigError("sim: config has no simulation section")
     sim = config.sim
     if args.seed is not None and args.seed != sim.rng_seed:
-        sim = SimConfig(
-            geometry=sim.geometry, channel=sim.channel, offsets=sim.offsets,
-            packet_interval=sim.packet_interval, snr_db=sim.snr_db,
-            quantize=sim.quantize, rng_seed=args.seed,
-            amplitude_drift_std=sim.amplitude_drift_std,
-        )
+        sim = dataclasses.replace(sim, rng_seed=args.seed)
     waypoints = _make_waypoints(args, sim.packet_interval)
-    streams = simulate_trajectory(sim, waypoints)
-    records = []
-    for group in trace_io.pair_streams(streams):
-        records.extend(group.records.values())
-    header = trace_io.TraceHeader(sim.geometry, config.ap_ids, sim.packet_interval)
-    trace_io.write_trace(args.out, trace_io.TraceFile(header, records))
+    _write_streams(args.out, simulate_trajectory(sim, waypoints), sim, config.ap_ids)
     if args.truth:
         trace_io.write_trajectory(args.truth, resample_waypoints(waypoints, sim.packet_interval))
     print(f"seed {sim.rng_seed}")
@@ -200,7 +192,7 @@ def cmd_track(args) -> int:
     trace = trace_io.read_trace(args.trace)
     tracker_config = TrackerConfig()
     if args.config:
-        tracker_config = _load_run_config(args.config).tracker
+        tracker_config = trace_io.load_config(args.config).tracker
     if args.mode:
         tracker_config = dataclasses.replace(tracker_config, mode=args.mode)
     tracker = _run_tracker(trace, tracker_config)
@@ -233,7 +225,7 @@ def _ablate_same_clock(args) -> int:
         raise ConfigError("--truth is required for assume-same-clock ablation")
     trace = trace_io.read_trace(args.trace)
     truth = trace_io.read_trajectory(args.truth)
-    base = _load_run_config(args.config).tracker if args.config else TrackerConfig()
+    base = trace_io.load_config(args.config).tracker if args.config else TrackerConfig()
     results = {}
     for mode in ("full", "assume-same-clock"):
         tracker = _run_tracker(trace, dataclasses.replace(base, mode=mode))
@@ -268,7 +260,7 @@ def _direct_aods(config: trace_io.RunConfig) -> dict:
 def _ablate_single_packet(args) -> int:
     if not args.config:
         raise ConfigError("--config is required for single-packet-aod ablation")
-    config = _load_run_config(args.config)
+    config = trace_io.load_config(args.config)
     truth_aods = _direct_aods(config)
     trace = trace_io.read_trace(args.trace)
     streams = trace_io.records_by_ap(trace)
@@ -325,11 +317,7 @@ def cmd_demo(args) -> int:
     trace_io.save_config(outdir / "config.json", config)
     waypoints = square_waypoints(side=0.1, speed=0.05)
     streams = simulate_trajectory(config.sim, waypoints)
-    records = []
-    for group in trace_io.pair_streams(streams):
-        records.extend(group.records.values())
-    header = trace_io.TraceHeader(config.geometry, config.ap_ids, config.sim.packet_interval)
-    trace_io.write_trace(outdir / "trace.txt", trace_io.TraceFile(header, records))
+    _write_streams(outdir / "trace.txt", streams, config.sim, config.ap_ids)
     truth = resample_waypoints(waypoints, config.sim.packet_interval)
     trace_io.write_trajectory(outdir / "truth.txt", truth)
 

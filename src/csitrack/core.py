@@ -33,21 +33,22 @@ def circular_distance(a, b):
     return np.abs(wrap_angle(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayGeometry:
     """Planar transmit-antenna layout plus the carrier wavelength.
 
-    ``antenna_positions`` is an (M, 2) array of coordinates in the
+    ``antenna_positions`` is a read-only (M, 2) array of coordinates in the
     transmitter's local frame. A linear layout leaves the usual theta vs.
     -theta ambiguity; configurations that need full-plane angles should use a
-    non-collinear (e.g. circular) layout.
+    non-collinear (e.g. circular) layout. Geometries compare and hash by
+    value: equal positions (bit for bit) and wavelength.
     """
 
     antenna_positions: np.ndarray
     wavelength: float = DEFAULT_WAVELENGTH
 
     def __post_init__(self):
-        positions = np.asarray(self.antenna_positions, dtype=float)
+        positions = np.array(self.antenna_positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError("antenna_positions must be an (M, 2) array")
         if positions.shape[0] < 2:
@@ -63,7 +64,18 @@ class ArrayGeometry:
             raise ValueError("antenna positions must be pairwise distinct")
         if not (np.isfinite(self.wavelength) and self.wavelength > 0):
             raise ValueError("wavelength must be positive and finite")
+        positions.flags.writeable = False
         object.__setattr__(self, "antenna_positions", positions)
+
+    def _key(self):
+        positions = self.antenna_positions
+        return positions.shape, positions.tobytes(), float(self.wavelength)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, ArrayGeometry) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def num_antennas(self) -> int:
@@ -114,7 +126,7 @@ def direction_unit_vector(theta: float) -> np.ndarray:
     return np.array([np.cos(theta), np.sin(theta)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CsiRecord:
     """One packet's CSI at one AP: a complex entry per transmit antenna."""
 

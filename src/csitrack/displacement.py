@@ -6,21 +6,22 @@ displacement phase -2*pi*(r_k . delta)/lambda plus a packet-wide clock term
 common to all paths. Dividing each path's ratio by a reference path's ratio
 cancels the clock term exactly; the remaining phases are linear in the
 displacement and are solved by least squares, stacking rows from all APs.
+
+The tracker factors each AP's steering matrix once per path-set estimate
+(:func:`factor_steering`), projects each packet once (:func:`project`) and
+builds the rows of every AP in one pass (:func:`displacement_rows`);
+:func:`path_weights` and :func:`attenuation_change` are the same math for a
+single packet pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Displacement, PathSet, TWO_PI
-from .errors import (
-    DegenerateGeometryError,
-    InsufficientPathsError,
-    UnobservableDisplacementError,
-    WeakPathError,
-)
+from .errors import DegenerateGeometryError, UnobservableDisplacementError, WeakPathError
 
 #: Condition-number gate for the steering matrix (rejects near-collinear AoDs).
 A_CONDITION_LIMIT = 1e6
@@ -52,23 +53,49 @@ class AttenuationChange:
     ap_id: str
     diagonal: np.ndarray
 
-    def __post_init__(self):
-        diagonal = np.asarray(self.diagonal, dtype=complex)
-        if not np.all(np.isfinite(diagonal.view(float))):
-            raise ValueError("diagonal entries must be finite")
-        object.__setattr__(self, "diagonal", diagonal)
+
+def factor_steering(matrix: np.ndarray):
+    """Pseudo-inverse (..., L, M) and 2-norm condition number of one M x L
+    steering matrix or a stack of them, both from one SVD."""
+    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    with np.errstate(divide="ignore"):
+        cond = s[..., 0] / s[..., -1]
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
+    pinv = (np.conj(np.swapaxes(vh, -1, -2)) * inverse[..., None, :]) @ np.conj(
+        np.swapaxes(u, -1, -2))
+    return pinv, cond
+
+
+def project(pinv: np.ndarray, csi: np.ndarray) -> np.ndarray:
+    """Weights (..., L) of CSI (..., M) over the paths whose pseudo-inverse is
+    ``pinv``; one batched product, so equal inputs give bit-equal weights
+    wherever they sit in a batch."""
+    return (pinv @ csi[..., None])[..., 0]
+
+
+def _ratio(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """D_k = w2_k * conj(w1_k) / |w1_k|^2, element-wise.
+
+    Spelled out in real arithmetic: numpy's fused complex multiply leaves a
+    rounding residue in Im(w * conj(w)), which must vanish exactly when the
+    weights are identical (a stationary target must integrate to zero).
+    """
+    ratio = np.empty(second.shape, dtype=complex)
+    ratio.real = second.real * first.real + second.imag * first.imag
+    ratio.imag = second.imag * first.real - second.real * first.imag
+    ratio /= np.abs(first) ** 2
+    return ratio
 
 
 def path_weights(csi: np.ndarray, paths: PathSet, packet_index: int = -1,
                  cond_limit: float = A_CONDITION_LIMIT) -> PathWeights:
     """Least-squares combination weights of ``csi`` over the steering matrix."""
-    matrix = paths.steering_matrix
-    if np.linalg.cond(matrix) >= cond_limit:
+    pinv, cond = factor_steering(paths.steering_matrix)
+    if cond >= cond_limit:
         raise DegenerateGeometryError(
             f"steering matrix condition number exceeds {cond_limit:g}"
         )
-    weights, *_ = np.linalg.lstsq(matrix, np.asarray(csi, dtype=complex), rcond=None)
-    return PathWeights(paths.ap_id, packet_index, weights)
+    return PathWeights(paths.ap_id, packet_index, project(pinv, np.asarray(csi, dtype=complex)))
 
 
 def attenuation_change(first: PathWeights, second: PathWeights,
@@ -81,108 +108,52 @@ def attenuation_change(first: PathWeights, second: PathWeights,
     w2 = second.weights
     if w1.shape != w2.shape:
         raise ValueError("weight vectors must have equal length")
-    threshold = weak_rtol * np.linalg.norm(w1)
-    weak = np.abs(w1) <= threshold
+    weak = np.abs(w1) <= weak_rtol * np.linalg.norm(w1)
     if np.any(weak):
         raise WeakPathError(f"vanishing weight for path(s) {np.nonzero(weak)[0].tolist()}")
-    # spelled out in real arithmetic: numpy's fused complex multiply leaves a
-    # rounding residue in Im(w * conj(w)), which must vanish exactly when the
-    # weights are identical (a stationary target must integrate to zero)
-    numerator = (
-        w2.real * w1.real + w2.imag * w1.imag
-        + 1j * (w2.imag * w1.real - w2.real * w1.imag)
-    )
-    return AttenuationChange(first.ap_id, numerator / np.abs(w1) ** 2)
+    return AttenuationChange(first.ap_id, _ratio(w1, w2))
 
 
-def select_reference(first: PathWeights, second: PathWeights) -> int:
-    """Reference path index: the one strongest in both packets.
+def displacement_rows(first: np.ndarray, second: np.ndarray, directions: np.ndarray,
+                      wavelength: float, weak_rtol: float = WEAK_PATH_RTOL,
+                      same_clock: bool = False):
+    """Offset-cancelled rows (R, s) of A APs at once, and the APs left out.
 
-    Dividing by the strongest path minimizes phase-noise amplification in the
-    offset-cancelling ratios.
+    ``first`` and ``second`` are the (A, L) weights of two packets on each
+    AP's paths; ``directions`` holds the (A, L, 2) unit vectors [cos(theta),
+    sin(theta)] of the path AoDs. A path weaker than ``weak_rtol`` times the
+    norm of its AP's first weights, in either packet, is dropped (a transient
+    fade, not a fault). Each AP divides every kept path's attenuation ratio
+    by that of its reference path, the kept path strongest in both packets,
+    which cancels the clock phase and minimizes its noise amplification; row
+    k is (-2*pi/lambda) * (direction_k - direction_ref). No unwrapping is
+    applied: per-packet displacements stay well below lambda/2, so these
+    differential phases cannot wrap.
+
+    ``same_clock`` is the ablation that ignores the clock offset: each kept
+    path contributes phase(D_kk) directly against (-2*pi/lambda) *
+    direction_k, so any packet-to-packet clock phase leaks into every row.
+
+    Returns R (N, 2) and s (N,) in AP-then-path order, and a boolean (A,)
+    mask of the APs left with fewer usable paths than the rows need (two, or
+    one with ``same_clock``), which contribute nothing.
     """
-    strength = np.minimum(np.abs(first.weights), np.abs(second.weights))
-    return int(np.argmax(strength))
-
-
-def offset_free_phases(change: AttenuationChange, ref: int) -> np.ndarray:
-    """Phases of D_kk / D_ref for the non-reference paths, each in (-pi, pi].
-
-    The packet-wide clock phase is common to every diagonal entry, so it
-    cancels exactly in the ratios. No unwrapping is applied: per-packet
-    displacements stay well below lambda/2, so these differential phases
-    cannot wrap under the tracking assumption.
-    """
-    diagonal = change.diagonal
-    if diagonal.size < 2:
-        raise InsufficientPathsError("offset cancellation needs at least two paths")
-    others = np.arange(diagonal.size) != ref
-    return np.angle(diagonal[others] / diagonal[ref])
-
-
-def geometry_matrix(paths: PathSet, ref: int) -> np.ndarray:
-    """Rows mapping displacement to offset-free phases.
-
-    Row k is (-2*pi/lambda) * [cos(theta_k) - cos(theta_ref),
-    sin(theta_k) - sin(theta_ref)] for each non-reference path, matching the
-    ordering of :func:`offset_free_phases`.
-    """
-    aods = paths.aods
-    if aods.size < 2:
-        raise InsufficientPathsError("geometry rows need at least two paths")
-    others = np.arange(aods.size) != ref
-    rows = np.column_stack([
-        np.cos(aods[others]) - np.cos(aods[ref]),
-        np.sin(aods[others]) - np.sin(aods[ref]),
-    ])
-    return (-TWO_PI / paths.wavelength) * rows
-
-
-def _usable_subset(paths: PathSet, first: PathWeights, second: PathWeights,
-                   weak_rtol: float):
-    """Drop transiently-faded paths instead of failing the whole update."""
-    threshold = weak_rtol * np.linalg.norm(first.weights)
-    keep = np.minimum(np.abs(first.weights), np.abs(second.weights)) > threshold
-    idx = np.nonzero(keep)[0]
-    sub_paths = replace(
-        paths, aods=paths.aods[idx], steering_matrix=paths.steering_matrix[:, idx]
-    )
-    sub_first = replace(first, weights=first.weights[idx])
-    sub_second = replace(second, weights=second.weights[idx])
-    return sub_paths, sub_first, sub_second
-
-
-def displacement_rows(paths: PathSet, first: PathWeights, second: PathWeights,
-                      weak_rtol: float = WEAK_PATH_RTOL):
-    """One AP's offset-cancelled contribution (R, s) to the stacked solve."""
-    sub_paths, sub_first, sub_second = _usable_subset(paths, first, second, weak_rtol)
-    if sub_paths.num_paths < 2:
-        raise InsufficientPathsError(
-            f"AP {paths.ap_id!r}: {sub_paths.num_paths} usable path(s), need 2"
-        )
-    ref = select_reference(sub_first, sub_second)
-    change = attenuation_change(sub_first, sub_second, weak_rtol)
-    phases = offset_free_phases(change, ref)
-    rows = geometry_matrix(sub_paths, ref)
-    return rows, phases
-
-
-def same_clock_rows(paths: PathSet, first: PathWeights, second: PathWeights,
-                    weak_rtol: float = WEAK_PATH_RTOL):
-    """Ablation rows that ignore the clock offset entirely.
-
-    Each usable path contributes phase(D_kk) directly as
-    (-2*pi/lambda) * r_k . delta, with no reference-path differencing. Any
-    packet-to-packet clock phase leaks straight into every row.
-    """
-    sub_paths, sub_first, sub_second = _usable_subset(paths, first, second, weak_rtol)
-    if sub_paths.num_paths < 1:
-        raise InsufficientPathsError(f"AP {paths.ap_id!r}: no usable paths")
-    change = attenuation_change(sub_first, sub_second, weak_rtol)
-    phases = np.angle(change.diagonal)
-    aods = sub_paths.aods
-    rows = (-TWO_PI / sub_paths.wavelength) * np.column_stack([np.cos(aods), np.sin(aods)])
-    return rows, phases
+    magnitude = np.abs(first)
+    strength = np.minimum(magnitude, np.abs(second))
+    keep = strength > weak_rtol * np.hypot.reduce(magnitude, axis=-1, keepdims=True)
+    short = keep.sum(axis=-1) < (1 if same_clock else 2)
+    keep[short] = False
+    change = np.ones(first.shape, dtype=complex)
+    change[keep] = _ratio(first[keep], second[keep])
+    scale = -TWO_PI / wavelength
+    if same_clock:
+        return scale * directions[keep], np.angle(change[keep]), short
+    ref = (strength * keep).argmax(axis=-1)  # kept paths are all stronger than 0
+    keep[np.arange(ref.size), ref] = False
+    aps, paths = np.nonzero(keep)
+    refs = ref[aps]
+    rows = scale * (directions[aps, paths] - directions[aps, refs])
+    return rows, np.angle(change[aps, paths] / change[aps, refs]), short
 
 
 def estimate_displacement(per_ap_rows, cond_limit: float = R_CONDITION_LIMIT) -> Displacement:
@@ -191,6 +162,7 @@ def estimate_displacement(per_ap_rows, cond_limit: float = R_CONDITION_LIMIT) ->
     ``per_ap_rows`` is a sequence of (R, s) pairs, concatenated vertically
     across APs. Raises UnobservableDisplacementError when the stack has fewer
     than two rows or is too close to rank one to pin down both components.
+    One SVD gives both the condition gate and the solution.
     """
     per_ap_rows = list(per_ap_rows)
     if not per_ap_rows:
@@ -201,10 +173,9 @@ def estimate_displacement(per_ap_rows, cond_limit: float = R_CONDITION_LIMIT) ->
         raise UnobservableDisplacementError(
             "one equation cannot determine a 2D displacement"
         )
-    singular_values = np.linalg.svd(stacked_rows, compute_uv=False)
-    if singular_values[1] == 0 or singular_values[0] / singular_values[1] >= cond_limit:
+    u, s, vh = np.linalg.svd(stacked_rows, full_matrices=False)
+    if s[1] == 0 or s[0] / s[1] >= cond_limit:
         raise UnobservableDisplacementError(
             f"stacked geometry condition number exceeds {cond_limit:g}"
         )
-    delta, *_ = np.linalg.lstsq(stacked_rows, stacked_phases, rcond=None)
-    return Displacement(delta)
+    return Displacement(vh.T @ ((u.T @ stacked_phases) / s))

@@ -22,6 +22,7 @@ delimited tables. Run configs are JSON.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -115,24 +116,30 @@ def write_trace(path, trace: TraceFile) -> None:
 
 
 def read_trace(path) -> TraceFile:
+    """Parse a trace file line by line; errors name the 1-based line."""
     with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines:
+        lines = enumerate((line.rstrip("\n") for line in handle), start=1)
+        return _parse_trace(lines)
+
+
+def _parse_trace(lines) -> TraceFile:
+    _, first = next(lines, (1, None))
+    if first is None:
         raise TraceParseError("empty trace file", 1)
-    magic = lines[0].split()
+    magic = first.split()
     if len(magic) != 2 or magic[0] != TRACE_MAGIC:
         raise TraceParseError("missing trace magic line", 1)
     if magic[1] != TRACE_VERSION:
         raise TraceVersionError(f"unsupported trace version {magic[1]!r}", 1)
 
     meta = {}
-    body_start = None
-    for number, line in enumerate(lines[1:], start=2):
+    body = ()
+    for number, line in lines:
         if line.startswith("#"):
             key, _, rest = line[1:].partition(" ")
             meta[key] = (rest, number)
         else:
-            body_start = number
+            body = itertools.chain([(number, line)], lines)
             break
     for key in ("antennas", "wavelength", "packet_interval", "geometry", "aps"):
         if key not in meta:
@@ -155,26 +162,25 @@ def read_trace(path) -> TraceFile:
 
     records = []
     expected_fields = 3 + 2 * num_antennas
-    if body_start is not None:
-        for number, line in enumerate(lines[body_start - 1:], start=body_start):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != expected_fields:
-                raise TraceParseError(
-                    f"expected {expected_fields} fields, found {len(parts)}", number
-                )
-            try:
-                values = [float(v) for v in parts[2:]]
-                record = CsiRecord(
-                    ap_id=parts[0],
-                    packet_index=int(parts[1]),
-                    timestamp=values[0],
-                    csi=np.array(values[1::2]) + 1j * np.array(values[2::2]),
-                )
-            except ValueError as exc:
-                raise TraceParseError(str(exc), number) from None
-            records.append(record)
+    for number, line in body:
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != expected_fields:
+            raise TraceParseError(
+                f"expected {expected_fields} fields, found {len(parts)}", number
+            )
+        try:
+            values = [float(v) for v in parts[2:]]
+            record = CsiRecord(
+                ap_id=parts[0],
+                packet_index=int(parts[1]),
+                timestamp=values[0],
+                csi=np.array(values[1::2]) + 1j * np.array(values[2::2]),
+            )
+        except ValueError as exc:
+            raise TraceParseError(str(exc), number) from None
+        records.append(record)
     try:
         return TraceFile(header, records)
     except ValueError as exc:
@@ -189,7 +195,7 @@ def records_by_ap(trace: TraceFile) -> dict:
     return streams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PacketGroup:
     """Records sharing one packet index, with absentee APs marked."""
 

@@ -3,7 +3,8 @@
 Maintains a sliding window of recent packets per AP (a
 :class:`~csitrack.aod.PacketWindow`), re-estimates each AP's paths from its
 window, projects consecutive packet pairs onto the same PathSet, fuses the
-per-AP offset-cancelled rows into one displacement per packet and integrates
+per-AP offset-cancelled rows into one displacement per packet (one array
+kernel for all APs, see :mod:`csitrack.displacement`) and integrates
 the result from the origin. Samples whose displacement is unobservable carry
 the previous position forward with a quality flag, so the trajectory keeps a
 uniform timebase for evaluation.
@@ -25,15 +26,14 @@ from .displacement import (
     WEAK_PATH_RTOL,
     displacement_rows,
     estimate_displacement,
-    path_weights,
-    same_clock_rows,
+    factor_steering,
+    project,
 )
 from .errors import (
     DegenerateGeometryError,
     InsufficientPathsError,
     StreamOrderError,
     UnobservableDisplacementError,
-    WeakPathError,
 )
 
 MODES = ("full", "assume-same-clock")
@@ -64,21 +64,21 @@ def path_continuity(previous: PathSet, current: PathSet) -> PathSet:
     """Permute ``current`` so each path keeps the identity it had before.
 
     Minimizes the total circular angular distance to the previous AoDs by
-    exhaustive assignment (path counts are small), so the attenuation-change
-    diagonal stays aligned across re-estimated windows.
+    exhaustive assignment over one L x L distance matrix (path counts are
+    small), so the attenuation-change diagonal stays aligned across
+    re-estimated windows. Returns ``current`` itself when no reordering wins.
     """
     if previous.ap_id != current.ap_id:
         raise ValueError("path sets belong to different APs")
     if previous.num_paths != current.num_paths:
         raise ValueError("path sets have different path counts")
-    best_perm = None
-    best_cost = np.inf
-    for perm in itertools.permutations(range(current.num_paths)):
-        perm = np.array(perm)
-        cost = np.sum(circular_distance(previous.aods, current.aods[perm]))
-        if cost < best_cost:
-            best_cost = cost
-            best_perm = perm
+    distance = circular_distance(previous.aods[:, None], current.aods[None, :])
+    paths = list(range(current.num_paths))
+    perms = list(itertools.permutations(paths))  # the identity first
+    best = distance[paths, perms].sum(axis=1).argmin()  # the first of equal costs
+    if best == 0:
+        return current
+    best_perm = list(perms[best])
     return PathSet(
         ap_id=current.ap_id,
         aods=current.aods[best_perm],
@@ -108,13 +108,19 @@ class Tracker:
         aod = self.config.aod
         if not aod.num_paths <= geometry.num_antennas - 1:
             raise ValueError("num_paths must be <= num_antennas - 1")
-        self._row_builder = (
-            displacement_rows if self.config.mode == "full" else same_clock_rows
-        )
         self._windows = {ap: PacketWindow(ap, geometry.num_antennas) for ap in self.ap_ids}
         self._paths = {ap: None for ap in self.ap_ids}
         self._since_estimate = {ap: 0 for ap in self.ap_ids}
-        self._previous = {}
+        # row a of each per-AP array below belongs to ap_ids[a]
+        num_aps, num_paths, num_antennas = len(self.ap_ids), aod.num_paths, geometry.num_antennas
+        self._slots = {ap: slot for slot, ap in enumerate(self.ap_ids)}
+        self._pinv = np.zeros((num_aps, num_paths, num_antennas), dtype=complex)
+        self._directions = np.zeros((num_aps, num_paths, 2))  # [cos, sin] of each AoD
+        self._has_paths = np.zeros(num_aps, dtype=bool)
+        self._usable = np.zeros(num_aps, dtype=bool)  # steering condition gate passed
+        self._previous_csi = np.zeros((num_aps, num_antennas), dtype=complex)
+        self._previous_present = np.zeros(num_aps, dtype=bool)
+        self._weights = np.zeros((num_aps, num_paths), dtype=complex)  # the previous packet's
         self._previous_index = None
         self._previous_time = None
         self._started = False
@@ -132,19 +138,27 @@ class Tracker:
         window.expire(now - self.config.aod.window_seconds)
         self._since_estimate[ap_id] += 1
 
-    def _update_paths(self, ap_id):
+    def _update_paths(self, ap_id) -> bool:
+        """Re-estimate the AP's paths if due and factor their steering matrix;
+        True when the path set changed."""
         window = self._windows[ap_id]
         if len(window) < self.config.aod.min_packets:
-            return
+            return False
         stale = self._paths[ap_id] is None
         if not stale and self._since_estimate[ap_id] < self.config.stride:
-            return
+            return False
         estimated = estimate_paths(window, self.geometry, self.config.aod)
         previous = self._paths[ap_id]
         if previous is not None:
             estimated = path_continuity(previous, estimated)
         self._paths[ap_id] = estimated
         self._since_estimate[ap_id] = 0
+        slot = self._slots[ap_id]
+        self._pinv[slot], cond = factor_steering(estimated.steering_matrix)
+        self._usable[slot] = cond < self.config.steering_condition_limit
+        self._directions[slot] = np.column_stack([np.cos(estimated.aods), np.sin(estimated.aods)])
+        self._has_paths[slot] = True
+        return True
 
     # -- per-packet update ----------------------------------------------------
 
@@ -183,10 +197,17 @@ class Tracker:
                 f"packet {packet_index} at t={now!r} does not follow t={self._previous_time!r}"
             )
 
+        present = np.zeros(len(self.ap_ids), dtype=bool)
+        csi = np.zeros(self._previous_csi.shape, dtype=complex)
         for ap_id, record in records.items():
+            slot = self._slots[ap_id]
+            present[slot] = True
+            csi[slot] = record.csi
             self._push(ap_id, record, now)
-        for ap_id in self.ap_ids:
-            self._update_paths(ap_id)
+        changed = np.array([self._update_paths(ap_id) for ap_id in self.ap_ids])
+        # project this packet once; the next packet reuses these weights for
+        # every AP whose paths do not change in between
+        weights = project(self._pinv, csi)
 
         displacement = None
         if not self._started:
@@ -197,34 +218,35 @@ class Tracker:
                 self._started = True
                 self._emit(now, "ok")
         else:
-            displacement = self._pair_update(records, now)
+            displacement = self._pair_update(present, changed, weights, now)
 
-        self._previous = dict(records)
+        self._weights = weights
+        self._previous_csi = csi
+        self._previous_present = present
         self._previous_index = packet_index
         self._previous_time = now
         return displacement
 
-    def _pair_update(self, records, now):
-        per_ap_rows = []
-        for ap_id in self.ap_ids:
-            previous = self._previous.get(ap_id)
-            current = records.get(ap_id)
-            paths = self._paths[ap_id]
-            if previous is None or current is None or paths is None:
-                continue
-            try:
-                w1 = path_weights(previous.csi, paths, previous.packet_index,
-                                  self.config.steering_condition_limit)
-                w2 = path_weights(current.csi, paths, current.packet_index,
-                                  self.config.steering_condition_limit)
-                per_ap_rows.append(
-                    self._row_builder(paths, w1, w2, self.config.weak_path_rtol)
-                )
-            except (DegenerateGeometryError, WeakPathError, InsufficientPathsError) as exc:
-                self.exclusions[type(exc).__name__] += 1
+    def _pair_update(self, present, changed, weights, now):
+        """Solve every AP's rows together; the previous packet is re-projected
+        only where the paths changed since it was projected."""
+        if changed.any():
+            self._weights[changed] = project(self._pinv[changed], self._previous_csi[changed])
+        pairs = present & self._previous_present & self._has_paths
+        active = pairs & self._usable
+        rows, phases, short = displacement_rows(
+            self._weights[active], weights[active], self._directions[active],
+            self.geometry.wavelength, self.config.weak_path_rtol,
+            same_clock=self.config.mode == "assume-same-clock",
+        )
+        for error, mask in ((DegenerateGeometryError, pairs & ~self._usable),
+                            (InsufficientPathsError, short)):
+            count = np.count_nonzero(mask)
+            if count:
+                self.exclusions[error.__name__] += count
         try:
             displacement = estimate_displacement(
-                per_ap_rows, self.config.stacked_condition_limit
+                [(rows, phases)], self.config.stacked_condition_limit
             )
         except UnobservableDisplacementError:
             self._emit(now, "dead-reckoned")

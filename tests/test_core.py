@@ -121,6 +121,39 @@ class TestGeometryValidation:
                 assert np.linalg.norm(positions[i] - positions[j]) == pytest.approx(0.026)
 
 
+class TestGeometryEquality:
+    def test_equal_geometries_compare_and_hash_equal(self):
+        a = ArrayGeometry.circular(3)
+        b = ArrayGeometry(a.antenna_positions.copy(), a.wavelength)
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("other", [
+        ArrayGeometry.circular(3, spacing=0.027),
+        ArrayGeometry.circular(3, wavelength=0.05),
+        ArrayGeometry.circular(4),
+        ArrayGeometry.linear(3),
+    ])
+    def test_unequal_geometries_differ(self, other):
+        geometry = ArrayGeometry.circular(3)
+        assert geometry != other and not geometry == other
+        assert len({geometry, other}) == 2
+
+    def test_not_equal_to_other_types(self):
+        geometry = ArrayGeometry.circular(3)
+        assert geometry != geometry.antenna_positions.tolist()
+        assert geometry != "circular"
+
+    def test_positions_are_a_read_only_copy(self):
+        positions = np.array([[0.0, 0.0], [0.03, 0.0]])
+        geometry = ArrayGeometry(positions)
+        positions[1, 0] = 0.05  # the caller's array stays theirs
+        assert geometry.antenna_positions[1, 0] == 0.03
+        with pytest.raises(ValueError):
+            geometry.antenna_positions[1, 0] = 0.05
+
+
 class TestDomainTypes:
     def test_csi_record_requires_vector(self):
         with pytest.raises(ValueError):

@@ -1,31 +1,42 @@
-"""Displacement recovery: weights, attenuation ratios, stacked least squares."""
+"""Displacement recovery: weights, attenuation ratios, the row kernel,
+stacked least squares."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import optimize
 
-from conftest import default_geometry, make_sim_config
+from conftest import AP_IDS, default_geometry, make_sim_config, random_offsets
 
-from csitrack.core import PathSet, steering_matrix
+from csitrack import tracker as tracker_module
+from csitrack.core import ArrayGeometry, CsiRecord, PathSet, steering_matrix
 from csitrack.displacement import (
-    AttenuationChange,
     PathWeights,
     attenuation_change,
     displacement_rows,
     estimate_displacement,
-    geometry_matrix,
-    offset_free_phases,
+    factor_steering,
     path_weights,
-    same_clock_rows,
-    select_reference,
+    project,
 )
 from csitrack.errors import (
     DegenerateGeometryError,
-    InsufficientPathsError,
     UnobservableDisplacementError,
     WeakPathError,
 )
-from csitrack.simulator import channel_at, simulate_trajectory, stationary_waypoints
+from csitrack.io import pair_streams
+from csitrack.simulator import (
+    ChannelSpec,
+    PropagationPath,
+    SimConfig,
+    random_waypoints,
+    simulate_trajectory,
+    stationary_waypoints,
+)
+from csitrack.tracker import Tracker, TrackerConfig
 
 
 def make_path_set(aods, geometry=None, ap_id="ap0"):
@@ -42,6 +53,23 @@ def pair_weights_for_displacement(path_set, gains, delta, nu=(0.0, 0.0)):
     w1 = gains * np.exp(1j * nu[0])
     w2 = gains * motion * np.exp(1j * nu[1])
     return (PathWeights(path_set.ap_id, 0, w1), PathWeights(path_set.ap_id, 1, w2))
+
+
+def kernel(triples, same_clock=False):
+    """The row kernel over (path_set, first, second) triples, one per AP."""
+    aods = np.stack([path_set.aods for path_set, _, _ in triples])
+    first = np.stack([np.asarray(getattr(w, "weights", w), complex) for _, w, _ in triples])
+    second = np.stack([np.asarray(getattr(w, "weights", w), complex) for _, _, w in triples])
+    directions = np.stack([np.cos(aods), np.sin(aods)], axis=-1)
+    return displacement_rows(first, second, directions, triples[0][0].wavelength,
+                             same_clock=same_clock)
+
+
+def ap_rows(path_set, first, second, same_clock=False):
+    """One AP's (R, s) from the kernel; the AP must not be left out."""
+    rows, phases, short = kernel([(path_set, first, second)], same_clock)
+    assert not short.any()
+    return rows, phases
 
 
 class TestPathWeights:
@@ -150,19 +178,26 @@ class TestAttenuationChange:
 
 class TestOffsetFreePhases:
     def test_pure_offset_change_cancels_to_zero(self):
-        change = AttenuationChange("ap0", 0.8 * np.exp(2.5j) * np.ones(3))
-        np.testing.assert_allclose(offset_free_phases(change, 0), 0.0, atol=1e-12)
+        path_set = make_path_set([0.3, 1.4, 2.9])
+        first = np.ones(3, dtype=complex)
+        _, phases = ap_rows(path_set, first, 0.8 * np.exp(2.5j) * first)
+        np.testing.assert_allclose(phases, 0.0, atol=1e-12)
 
     def test_common_phase_cancels_exactly(self):
+        path_set = make_path_set([0.4, 2.0])
         for phi in (0.0, 1.0, -2.5, 3.1):
             diag = np.exp(1j * np.array([phi + 0.1, phi - 0.2]))
-            change = AttenuationChange("ap0", diag)
-            np.testing.assert_allclose(offset_free_phases(change, 0), [-0.3], atol=1e-12)
+            first = np.array([2.0, 1.0])  # path 0 is the reference
+            _, phases = ap_rows(path_set, first, diag * first)
+            np.testing.assert_allclose(phases, [-0.3], atol=1e-12)
 
     def test_single_path_insufficient(self):
-        change = AttenuationChange("ap0", np.array([1.0 + 0j]))
-        with pytest.raises(InsufficientPathsError):
-            offset_free_phases(change, 0)
+        path_set = make_path_set([0.4])
+        rows, phases, short = kernel([(path_set, np.ones(1), np.ones(1))])
+        assert short.tolist() == [True] and rows.shape == (0, 2) and phases.shape == (0,)
+        # the same-clock ablation needs only one path
+        rows, phases, short = kernel([(path_set, np.ones(1), np.ones(1))], same_clock=True)
+        assert short.tolist() == [False] and rows.shape == (1, 2)
 
     def test_simulated_pair_matches_direction_difference(self):
         geometry = default_geometry()
@@ -170,8 +205,7 @@ class TestOffsetFreePhases:
         gains = np.array([1.0, 0.8 * np.exp(0.5j)])
         delta = np.array([0.8e-3, -1.1e-3])
         w1, w2 = pair_weights_for_displacement(path_set, gains, delta, nu=(0.3, 4.1))
-        change = attenuation_change(w1, w2)
-        phases = offset_free_phases(change, 0)
+        _, phases = ap_rows(path_set, w1, w2)
         aods = path_set.aods
         expected = (-2 * np.pi / geometry.wavelength) * (
             (np.cos(aods[1]) - np.cos(aods[0])) * delta[0]
@@ -183,7 +217,8 @@ class TestOffsetFreePhases:
 class TestGeometryMatrix:
     def test_opposite_directions_row(self):
         path_set = make_path_set([0.0, np.pi])
-        rows = geometry_matrix(path_set, 0)
+        strong_first = np.array([2.0, 1.0])  # path 0 is the reference
+        rows, _ = ap_rows(path_set, strong_first, strong_first)
         np.testing.assert_allclose(
             rows, [[(-2 * np.pi / 0.06) * -2.0, 0.0]], atol=1e-9
         )
@@ -191,15 +226,15 @@ class TestGeometryMatrix:
     def test_equal_aods_give_zero_row(self):
         geometry = default_geometry()
         path_set = PathSet("ap0", [1.3, 1.3], steering_matrix(geometry, [1.3, 1.3]))
-        np.testing.assert_allclose(geometry_matrix(path_set, 0), 0.0, atol=1e-12)
+        rows, _ = ap_rows(path_set, np.ones(2), np.ones(2))
+        np.testing.assert_allclose(rows, 0.0, atol=1e-12)
 
     def test_consistent_with_offset_free_phases_on_sim_pair(self):
         path_set = make_path_set([0.4, 2.0])
         gains = np.array([0.9, 1.1 * np.exp(1j)])
         delta = np.array([1.5e-3, 0.7e-3])
         w1, w2 = pair_weights_for_displacement(path_set, gains, delta, nu=(1.0, 2.0))
-        phases = offset_free_phases(attenuation_change(w1, w2), 0)
-        rows = geometry_matrix(path_set, 0)
+        rows, phases = ap_rows(path_set, w1, w2)
         np.testing.assert_allclose(rows @ delta, phases, atol=1e-12)
 
 
@@ -215,7 +250,7 @@ class TestEstimateDisplacement:
             gains = np.array([1.0, 0.8]) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
             nu = (rng.uniform(0, 700), rng.uniform(0, 700)) if nu_by_ap is None else nu_by_ap[i]
             w1, w2 = pair_weights_for_displacement(path_set, gains, delta, nu)
-            pairs.append(displacement_rows(path_set, w1, w2))
+            pairs.append(ap_rows(path_set, w1, w2))
         return pairs
 
     def test_zero_phases_give_zero_displacement(self):
@@ -249,13 +284,24 @@ class TestEstimateDisplacement:
     def test_no_rows_unobservable(self):
         with pytest.raises(UnobservableDisplacementError):
             estimate_displacement([])
+        with pytest.raises(UnobservableDisplacementError):
+            estimate_displacement([(np.zeros((0, 2)), np.zeros(0))])
+
+    def test_matches_lstsq_on_random_stacks(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            rows = rng.normal(size=(rng.integers(2, 12), 2)) * 100
+            phases = rng.normal(size=rows.shape[0])
+            expected, *_ = np.linalg.lstsq(rows, phases, rcond=None)
+            np.testing.assert_allclose(estimate_displacement([(rows, phases)]).delta,
+                                       expected, rtol=1e-12, atol=1e-15)
 
 
 class TestSameClockRows:
     def test_matches_full_method_without_offset(self):
         truth = np.array([0.9e-3, 1.4e-3])
         rng = np.random.default_rng(3)
-        full_pairs, clock_pairs = [], []
+        triples = []
         for i in range(4):
             aods = np.sort(rng.uniform(0, 2 * np.pi, 2))
             while abs(aods[1] - aods[0]) < 0.8:
@@ -263,16 +309,18 @@ class TestSameClockRows:
             path_set = make_path_set(aods, ap_id=f"ap{i}")
             gains = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
             w1, w2 = pair_weights_for_displacement(path_set, gains, truth, nu=(0.0, 0.0))
-            full_pairs.append(displacement_rows(path_set, w1, w2))
-            clock_pairs.append(same_clock_rows(path_set, w1, w2))
-        full = estimate_displacement(full_pairs).delta
-        clock = estimate_displacement(clock_pairs).delta
+            triples.append((path_set, w1, w2))
+        full_rows, full_phases, _ = kernel(triples)
+        clock_rows, clock_phases, _ = kernel(triples, same_clock=True)
+        assert full_rows.shape == (4, 2) and clock_rows.shape == (8, 2)
+        full = estimate_displacement([(full_rows, full_phases)]).delta
+        clock = estimate_displacement([(clock_rows, clock_phases)]).delta
         np.testing.assert_allclose(full, truth, atol=1e-9)
         np.testing.assert_allclose(clock, truth, atol=1e-9)
 
     def test_offset_leaks_into_stationary_estimate(self):
         rng = np.random.default_rng(4)
-        pairs = []
+        triples = []
         for i in range(4):
             aods = np.sort(rng.uniform(0, 2 * np.pi, 2))
             while abs(aods[1] - aods[0]) < 0.8:
@@ -282,8 +330,9 @@ class TestSameClockRows:
             w1, w2 = pair_weights_for_displacement(
                 path_set, gains, np.zeros(2), nu=(0.0, 1.1 + 0.2 * i)
             )
-            pairs.append(same_clock_rows(path_set, w1, w2))
-        spurious = estimate_displacement(pairs).delta
+            triples.append((path_set, w1, w2))
+        rows, phases, _ = kernel(triples, same_clock=True)
+        spurious = estimate_displacement([(rows, phases)]).delta
         assert np.linalg.norm(spurious) > 1e-4
 
 
@@ -293,43 +342,49 @@ class TestInvariances:
         gains = np.array([1.0 + 0.2j, -0.6 + 0.9j])
         delta = np.array([0.5e-3, 0.2e-3])
         w1, w2 = pair_weights_for_displacement(path_set, gains, delta)
-        base = offset_free_phases(attenuation_change(w1, w2), 0)
+        _, base = ap_rows(path_set, w1, w2)
         for phi in (0.3, 2.9, -1.2):
-            w2_rotated = PathWeights(w2.ap_id, w2.packet_index, w2.weights * np.exp(1j * phi))
-            rotated = offset_free_phases(attenuation_change(w1, w2_rotated), 0)
+            _, rotated = ap_rows(path_set, w1, w2.weights * np.exp(1j * phi))
             # the ratio D_k / D_ref removes the common factor exactly
             np.testing.assert_allclose(rotated, base, atol=1e-12)
 
     def test_reference_choice_does_not_change_solution(self):
+        # the kernel references the path strongest in both packets; making
+        # each path in turn the strongest must give the same displacement
         truth = np.array([1.2e-3, -0.4e-3])
         deltas = []
         for ref in (0, 1, 2):
-            pairs = []
+            triples = []
             rng2 = np.random.default_rng(6)
             for i in range(3):
                 aods = np.sort(rng2.uniform(0, 2 * np.pi, 3))
                 while np.min(np.diff(aods)) < 0.6:
                     aods = np.sort(rng2.uniform(0, 2 * np.pi, 3))
                 path_set = make_path_set(aods, ap_id=f"ap{i}")
-                gains = np.exp(1j * rng2.uniform(0, 2 * np.pi, 3))
+                gains = np.exp(1j * rng2.uniform(0, 2 * np.pi, 3)) * np.where(
+                    np.arange(3) == ref, 2.0, 1.0)
                 w1, w2 = pair_weights_for_displacement(path_set, gains, truth, nu=(0.7, 5.3))
-                change = attenuation_change(w1, w2)
-                pairs.append((geometry_matrix(path_set, ref), offset_free_phases(change, ref)))
-            deltas.append(estimate_displacement(pairs).delta)
+                triples.append((path_set, w1, w2))
+            rows, phases, _ = kernel(triples)
+            chosen = path_set.aods[ref]
+            expected_last = (-2 * np.pi / 0.06) * np.column_stack(
+                [np.cos(np.delete(path_set.aods, ref)) - np.cos(chosen),
+                 np.sin(np.delete(path_set.aods, ref)) - np.sin(chosen)])
+            np.testing.assert_allclose(rows[-2:], expected_last, atol=1e-9)
+            deltas.append(estimate_displacement([(rows, phases)]).delta)
         np.testing.assert_allclose(deltas[0], deltas[1], atol=1e-9)
         np.testing.assert_allclose(deltas[0], deltas[2], atol=1e-9)
 
     def test_wavelength_scaling(self):
         # doubling lambda halves the rows; for fixed phases |delta| doubles
         geometry_1 = default_geometry()
-        from csitrack.core import ArrayGeometry
-
         geometry_2 = ArrayGeometry(geometry_1.antenna_positions, wavelength=0.12)
         aods = np.array([0.3, 2.4])
         set_1 = PathSet("ap0", aods, steering_matrix(geometry_1, aods), 0.06)
         set_2 = PathSet("ap0", aods, steering_matrix(geometry_2, aods), 0.12)
-        rows_1 = geometry_matrix(set_1, 0)
-        rows_2 = geometry_matrix(set_2, 0)
+        strong_first = np.array([2.0, 1.0])
+        rows_1, _ = ap_rows(set_1, strong_first, strong_first)
+        rows_2, _ = ap_rows(set_2, strong_first, strong_first)
         np.testing.assert_allclose(rows_2, rows_1 / 2, atol=1e-12)
         phases = np.array([0.05])
         extra = (np.array([[40.0, -70.0]]), np.array([0.02]))
@@ -339,15 +394,201 @@ class TestInvariances:
         np.testing.assert_allclose(d2, 2 * d1, atol=1e-12)
 
     def test_select_reference_prefers_strong_path(self):
-        w1 = PathWeights("ap0", 0, np.array([0.1, 1.0, 0.7]))
-        w2 = PathWeights("ap0", 1, np.array([1.0, 0.9, 0.2]))
-        assert select_reference(w1, w2) == 1
+        path_set = make_path_set([0.5, 1.9, 4.0])
+        rows, _ = ap_rows(path_set, np.array([0.1, 1.0, 0.7]), np.array([1.0, 0.9, 0.2]))
+        aods = path_set.aods
+        expected = (-2 * np.pi / 0.06) * np.column_stack(
+            [np.cos(aods[[0, 2]]) - np.cos(aods[1]), np.sin(aods[[0, 2]]) - np.sin(aods[1])])
+        np.testing.assert_allclose(rows, expected, atol=1e-12)
 
     def test_weak_path_dropped_not_fatal(self):
         path_set = make_path_set([0.4, 1.7, 3.9])
         gains = np.array([1.0, 1e-14, 0.8])
         delta = np.array([0.6e-3, -0.3e-3])
         w1, w2 = pair_weights_for_displacement(path_set, gains, delta, nu=(0.2, 0.9))
-        rows, phases = displacement_rows(path_set, w1, w2)
+        rows, phases = ap_rows(path_set, w1, w2)
         assert rows.shape == (1, 2)  # two usable paths -> one differential row
         np.testing.assert_allclose(rows @ delta, phases, atol=1e-9)
+
+
+class TestFactorization:
+    def test_pseudo_inverse_and_condition_match_numpy(self):
+        geometry = ArrayGeometry.circular(4)
+        rng = np.random.default_rng(9)
+        matrices = np.stack([steering_matrix(geometry, rng.uniform(0, 2 * np.pi, 3))
+                             for _ in range(5)])
+        pinv, cond = factor_steering(matrices)
+        np.testing.assert_allclose(pinv, np.linalg.pinv(matrices), atol=1e-12)
+        np.testing.assert_allclose(cond, np.linalg.cond(matrices), rtol=1e-12)
+
+    def test_singular_matrix_has_infinite_condition(self):
+        matrix = steering_matrix(default_geometry(), [1.0, 1.0])
+        pinv, cond = factor_steering(matrix)
+        assert cond == np.inf or cond > 1e15
+        assert np.all(np.isfinite(pinv))
+
+    def test_equal_csi_projects_to_bit_equal_weights_in_any_batch(self):
+        geometry = default_geometry()
+        rng = np.random.default_rng(10)
+        pinv, _ = factor_steering(np.stack([
+            steering_matrix(geometry, rng.uniform(0, 2 * np.pi, 2)) for _ in range(4)]))
+        csi = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        together = project(pinv, csi)
+        for a in range(4):
+            np.testing.assert_array_equal(project(pinv[[a]], csi[[a]])[0], together[a])
+            np.testing.assert_array_equal(project(pinv[a], csi[a]), together[a])
+
+
+# -- the tracker's kernel against the per-AP computation it replaced -------------
+
+
+def reference_update(path_sets, previous, current, config):
+    """One packet pair the way the tracker solved it before the kernel, AP by
+    AP: lstsq projection, weak-path subset, reference path, rows, stack."""
+    same_clock = config.mode == "assume-same-clock"
+    blocks, excluded = [], Counter()
+    for ap, paths in path_sets.items():
+        if ap not in previous or ap not in current or paths is None:
+            continue
+        matrix = paths.steering_matrix
+        if np.linalg.cond(matrix) >= config.steering_condition_limit:
+            excluded["DegenerateGeometryError"] += 1
+            continue
+        w1 = np.linalg.lstsq(matrix, previous[ap].csi, rcond=None)[0]
+        w2 = np.linalg.lstsq(matrix, current[ap].csi, rcond=None)[0]
+        keep = np.minimum(np.abs(w1), np.abs(w2)) > config.weak_path_rtol * np.linalg.norm(w1)
+        if keep.sum() < (1 if same_clock else 2):
+            excluded["InsufficientPathsError"] += 1
+            continue
+        w1, w2, aods = w1[keep], w2[keep], paths.aods[keep]
+        change = w2 * np.conj(w1) / np.abs(w1) ** 2
+        scale = -2 * np.pi / paths.wavelength
+        if same_clock:
+            blocks.append((scale * np.column_stack([np.cos(aods), np.sin(aods)]),
+                           np.angle(change)))
+            continue
+        ref = int(np.argmax(np.minimum(np.abs(w1), np.abs(w2))))
+        others = np.arange(aods.size) != ref
+        blocks.append((scale * np.column_stack([np.cos(aods[others]) - np.cos(aods[ref]),
+                                                np.sin(aods[others]) - np.sin(aods[ref])]),
+                       np.angle(change[others] / change[ref])))
+    if not blocks:
+        return None, excluded
+    rows = np.vstack([r for r, _ in blocks])
+    phases = np.concatenate([p for _, p in blocks])
+    if rows.shape[0] < 2 or np.linalg.cond(rows) >= config.stacked_condition_limit:
+        return None, excluded
+    return np.linalg.lstsq(rows, phases, rcond=None)[0], excluded
+
+
+def kernel_case(name, seed=40):
+    """Streams, geometry, the AoDs the patched estimator returns per AP, the
+    APs whose estimates drift, and the exclusions the case must produce."""
+    rng = np.random.default_rng(seed)
+    if name == "faded-L3":
+        geometry = ArrayGeometry.circular(4)
+        aods = {ap: np.sort(rng.uniform(0, 2 * np.pi, 3)) for ap in AP_IDS}
+        for ap in AP_IDS:
+            while np.min(np.diff(aods[ap])) < 0.7:
+                aods[ap] = np.sort(rng.uniform(0, 2 * np.pi, 3))
+        fades = {"ap0": [1], "ap1": [0, 2]}  # ap1 keeps one path: too few
+        snr_db = np.inf  # noise would lift the faded weights over the threshold
+        expected = {"InsufficientPathsError"}
+    else:  # "collinear": ap2's two AoDs trip the steering condition gate
+        geometry = default_geometry()
+        aods = {ap: np.sort(rng.uniform(0, 2 * np.pi, 2)) for ap in AP_IDS}
+        for ap in AP_IDS:
+            while abs(aods[ap][1] - aods[ap][0]) < 0.8:
+                aods[ap] = np.sort(rng.uniform(0, 2 * np.pi, 2))
+        aods["ap2"] = np.array([1.0, 1.0 + 1e-9])
+        fades = {}
+        snr_db = 30.0
+        expected = {"DegenerateGeometryError"}
+    paths = {}
+    for ap in AP_IDS:
+        gains = rng.uniform(0.6, 1.0, aods[ap].size) * np.exp(1j * rng.uniform(0, 2 * np.pi, aods[ap].size))
+        gains[fades.get(ap, [])] *= 1e-14
+        paths[ap] = tuple(PropagationPath(a, g) for a, g in zip(aods[ap], gains))
+    config = SimConfig(geometry, ChannelSpec(paths), random_offsets(rng), snr_db=snr_db)
+    streams = simulate_trajectory(config, random_waypoints(0.05, 0.6, seed=seed))
+    # APs missing from some packets
+    streams["ap2"] = [r for r in streams["ap2"] if r.packet_index % 5 != 1]
+    streams["ap3"] = [r for r in streams["ap3"] if r.packet_index % 7 != 0]
+    drifting = [ap for ap in AP_IDS if ap not in fades]  # a fade must stay exact
+    return streams, geometry, aods, drifting, expected
+
+
+@pytest.mark.parametrize("mode", ["full", "assume-same-clock"])
+@pytest.mark.parametrize("case", ["faded-L3", "collinear"])
+def test_kernel_matches_per_ap_reference(monkeypatch, case, mode):
+    streams, geometry, aods, drifting, expected = kernel_case(case)
+    estimates = Counter()
+
+    def drifting_paths(window, geometry, config):
+        # the true AoDs, nudged on every estimate so that path sets change
+        count = estimates[window.ap_id] = estimates[window.ap_id] + 1
+        thetas = aods[window.ap_id] + 1e-3 * (count % 4) * (window.ap_id in drifting)
+        return PathSet(window.ap_id, thetas, steering_matrix(geometry, thetas),
+                       geometry.wavelength)
+
+    monkeypatch.setattr(tracker_module, "estimate_paths", drifting_paths)
+    config = TrackerConfig(aod=tracker_module.AodConfig(num_paths=aods["ap0"].size),
+                           stride=3, mode=mode)
+    tracker = Tracker(geometry, AP_IDS, config)
+    excluded = Counter()
+    previous, compared = None, 0
+    for group in pair_streams(streams):
+        records = {ap: r for ap, r in group.records.items() if r is not None}
+        started = bool(tracker.flags)
+        delta = tracker.ingest(records)
+        if started:
+            ref, counts = reference_update(tracker.path_sets, previous, records, config)
+            excluded.update(counts)
+            assert (delta is None) == (ref is None)
+            if ref is not None:
+                assert np.max(np.abs(delta.delta - ref)) <= 1e-12
+                compared += 1
+        previous = records
+    assert compared > 50
+    assert tracker.exclusions == excluded
+    if mode == "full" or case == "collinear":
+        assert set(excluded) == expected
+
+
+# -- clock-phase invariance (criterion 1 generalised) ----------------------------
+
+
+_ROTATION_PACKETS = 45
+
+
+@pytest.fixture(scope="module")
+def rotation_streams():
+    config = make_sim_config(51, snr_db=30.0)
+    streams = simulate_trajectory(
+        config, random_waypoints(0.05, 0.006 * (_ROTATION_PACKETS - 1), seed=51))
+    baseline = Tracker(default_geometry(), AP_IDS)
+    deltas = [baseline.ingest(group.records) for group in pair_streams(streams)]
+    return streams, deltas
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rotations=hnp.arrays(float, (len(AP_IDS), _ROTATION_PACKETS),
+                            elements=st.floats(-1e3, 1e3)),
+       rotated_aps=st.sets(st.sampled_from(AP_IDS), min_size=1))
+def test_per_packet_phase_rotations_leave_displacements_unchanged(
+        rotation_streams, rotations, rotated_aps):
+    streams, baseline = rotation_streams
+    rotated = {
+        ap: [CsiRecord(r.ap_id, r.packet_index, r.timestamp,
+                       r.csi * np.exp(1j * rotations[AP_IDS.index(ap), r.packet_index]))
+             if ap in rotated_aps else r for r in records]
+        for ap, records in streams.items()
+    }
+    tracker = Tracker(default_geometry(), AP_IDS)
+    deltas = [tracker.ingest(group.records) for group in pair_streams(rotated)]
+    assert sum(d is not None for d in baseline) > 20
+    for base, delta in zip(baseline, deltas):
+        assert (base is None) == (delta is None)
+        if base is not None:
+            assert np.max(np.abs(base.delta - delta.delta)) <= 1e-9

@@ -59,6 +59,16 @@ class TestTraceRoundTrip:
             assert (a.ap_id, a.packet_index, a.timestamp) == (b.ap_id, b.packet_index, b.timestamp)
             np.testing.assert_array_equal(a.csi, b.csi)
 
+    def test_headers_compare_by_value(self, tmp_path):
+        trace = small_trace()
+        path = tmp_path / "trace.txt"
+        write_trace(path, trace)
+        assert read_trace(path).header == trace.header
+        assert TraceHeader(default_geometry(), AP_IDS, 0.006) == TraceHeader(
+            default_geometry(), list(AP_IDS), 0.006)
+        assert TraceHeader(default_geometry(), AP_IDS, 0.006) != TraceHeader(
+            default_geometry(), AP_IDS, 0.005)
+
     def test_truncated_line_reports_line_number(self, tmp_path):
         path = tmp_path / "trace.txt"
         write_trace(path, small_trace())
