@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import io as trace_io
-from .aod import AodConfig, estimate_paths
+from .aod import estimate_paths
 from .core import TWO_PI, ArrayGeometry, circular_distance
 from .errors import (
     ConfigError,
@@ -39,7 +39,7 @@ from .simulator import (
     square_waypoints,
     stationary_waypoints,
 )
-from .tracker import Tracker, TrackerConfig
+from .tracker import MODES, Tracker, TrackerConfig
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     trk = sub.add_parser("track", help="reconstruct a trajectory from a trace")
     trk.add_argument("--trace", required=True)
     trk.add_argument("--config", help="run config JSON (tracker section)")
-    trk.add_argument("--mode", choices=["full", "assume-same-clock"],
+    trk.add_argument("--mode", choices=MODES,
                      help="override the tracker mode")
     trk.add_argument("--out", required=True, help="output trajectory file")
 
@@ -265,11 +265,7 @@ def _ablate_single_packet(args) -> int:
     trace = trace_io.read_trace(args.trace)
     streams = trace_io.records_by_ap(trace)
     window_config = config.tracker.aod
-    single_config = AodConfig(
-        num_paths=window_config.num_paths, window_seconds=window_config.window_seconds,
-        grid_step=window_config.grid_step, min_packets=1,
-        refine_iterations=window_config.refine_iterations,
-    )
+    single_config = dataclasses.replace(window_config, min_packets=1)
     geometry = trace.header.geometry
     horizon = window_config.window_seconds
     errors = {"multi-packet": [], "single-packet": []}

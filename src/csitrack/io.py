@@ -25,15 +25,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+import sys
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .aod import AodConfig
 from .core import CsiRecord, ArrayGeometry, Trajectory
 from .errors import ConfigError, TraceParseError, TraceVersionError
 from .evaluation import ErrorCdf
-from .simulator import ChannelSpec, OffsetModel, PropagationPath, SimConfig
+from .simulator import SimConfig
 from .tracker import TrackerConfig
 
 TRACE_MAGIC = "#csi-trace"
@@ -115,6 +116,12 @@ def write_trace(path, trace: TraceFile) -> None:
             handle.write(" ".join(parts) + "\n")
 
 
+def _positive(text: str) -> float:
+    if not 0 < float(text) < math.inf:
+        raise ValueError(f"must be positive and finite, not {text!r}")
+    return float(text)
+
+
 def read_trace(path) -> TraceFile:
     """Parse a trace file line by line; errors name the 1-based line."""
     with open(path) as handle:
@@ -141,24 +148,27 @@ def _parse_trace(lines) -> TraceFile:
         else:
             body = itertools.chain([(number, line)], lines)
             break
-    for key in ("antennas", "wavelength", "packet_interval", "geometry", "aps"):
+
+    def parse_header(key, convert):
         if key not in meta:
             raise TraceParseError(f"header is missing #{key}", 1)
+        text, number = meta[key]
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise TraceParseError(f"#{key}: {exc}", number) from None
 
-    try:
-        num_antennas = int(meta["antennas"][0])
-        wavelength = float(meta["wavelength"][0])
-        packet_interval = float(meta["packet_interval"][0])
-        positions = [
-            tuple(float(v) for v in pair.split(","))
-            for pair in meta["geometry"][0].split()
-        ]
-    except ValueError as exc:
-        raise TraceParseError(f"bad header value: {exc}", 1) from None
-    if len(positions) != num_antennas or any(len(p) != 2 for p in positions):
-        raise TraceParseError("#geometry does not match #antennas", meta["geometry"][1])
-    ap_ids = tuple(meta["aps"][0].split())
-    header = TraceHeader(ArrayGeometry(positions, wavelength), ap_ids, packet_interval)
+    def parse_geometry(text):
+        positions = [tuple(float(v) for v in pair.split(",")) for pair in text.split()]
+        if len(positions) != num_antennas or any(len(p) != 2 for p in positions):
+            raise ValueError("does not match #antennas")
+        return ArrayGeometry(positions, wavelength)
+
+    num_antennas = parse_header("antennas", int)
+    wavelength = parse_header("wavelength", _positive)
+    packet_interval = parse_header("packet_interval", _positive)
+    geometry = parse_header("geometry", parse_geometry)
+    header = parse_header("aps", lambda text: TraceHeader(geometry, text.split(), packet_interval))
 
     records = []
     expected_fields = 3 + 2 * num_antennas
@@ -282,7 +292,7 @@ def write_cdf(path, cdf: ErrorCdf) -> None:
 class RunConfig:
     """Simulation and/or tracking parameters for one experiment."""
 
-    ap_ids: tuple
+    ap_ids: tuple[str, ...]
     geometry: ArrayGeometry
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     sim: SimConfig = None
@@ -298,61 +308,105 @@ class RunConfig:
                 raise ConfigError(f"sim.paths: unknown AP ids {sorted(unknown)}")
 
 
-def _geometry_to_dict(geometry: ArrayGeometry) -> dict:
-    return {
-        "wavelength": geometry.wavelength,
-        "antennas": [[float(x), float(y)] for x, y in geometry.antenna_positions],
-    }
+# A config is JSON with each dataclass field under its own name, except where
+# these tables say otherwise. A complex number is [re, im]; +inf is Infinity.
+_RENAMED = {(ArrayGeometry, "antenna_positions"): "antennas"}
+_FLATTENED = {(TrackerConfig, "aod"), (SimConfig, "channel")}  # fields join the parent's
+_INHERITED = {(SimConfig, "geometry")}  # not written; the parent's field of that name
+_NULL_MEANS = {(RunConfig, "sim"): None, (SimConfig, "snr_db"): math.inf}
+_JSON_TYPES = {(ArrayGeometry, "antenna_positions"): tuple[tuple[float, float], ...]}
 
 
-def _tracker_to_dict(config: TrackerConfig) -> dict:
-    aod = config.aod
-    return {
-        "num_paths": aod.num_paths,
-        "window_seconds": aod.window_seconds,
-        "grid_step": aod.grid_step,
-        "min_packets": aod.min_packets,
-        "refine_iterations": aod.refine_iterations,
-        "stride": config.stride,
-        "origin": list(config.origin),
-        "mode": config.mode,
-        "steering_condition_limit": config.steering_condition_limit,
-        "stacked_condition_limit": config.stacked_condition_limit,
-        "weak_path_rtol": config.weak_path_rtol,
-    }
+def _encode(value):
+    if is_dataclass(value):
+        data = {}
+        for f in fields(value):
+            key, item = (type(value), f.name), getattr(value, f.name)
+            if key in _FLATTENED:
+                data.update(_encode(item))
+            elif key not in _INHERITED and item is not None:
+                data[_RENAMED.get(key, f.name)] = _encode(item)
+        return data
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
 
 
-def _sim_to_dict(sim: SimConfig) -> dict:
-    return {
-        "packet_interval": sim.packet_interval,
-        "snr_db": sim.snr_db,
-        "quantize": sim.quantize,
-        "rng_seed": sim.rng_seed,
-        "amplitude_drift_std": sim.amplitude_drift_std,
-        "paths": {
-            ap: [{"aod": p.aod, "gain": [p.gain.real, p.gain.imag]} for p in paths]
-            for ap, paths in sim.channel.paths.items()
-        },
-        "offsets": {
-            ap: {
-                "initial_phase": m.initial_phase,
-                "frequency_offset": m.frequency_offset,
-                "phase_jitter_std": m.phase_jitter_std,
-            }
-            for ap, m in sim.offsets.items()
-        },
-    }
+def _fail(path: str, message: str):
+    raise ConfigError(f"{path or 'config'}: {message}")
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _build(cls, data: dict, path: str, parent: dict, used: set):
+    """Construct ``cls`` from the JSON object ``data`` found at ``path``;
+    adds the keys it reads to ``used``."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        key = (cls, f.name)
+        name, hint = _RENAMED.get(key, f.name), _JSON_TYPES.get(key, hints[f.name])
+        if key in _INHERITED:
+            kwargs[f.name] = parent[f.name]
+        elif key in _FLATTENED:
+            kwargs[f.name] = _build(hint, data, path, kwargs, used)
+        elif name in data:
+            used.add(name)
+            if data[name] is None and key in _NULL_MEANS:
+                kwargs[f.name] = _NULL_MEANS[key]
+            else:
+                kwargs[f.name] = _decode(hint, data[name], _join(path, name), kwargs)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            _fail(path, f"missing required field {name!r}")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        _fail(path, str(exc))
+
+
+def _expect(ok: bool, what: str, raw, path: str) -> None:
+    if not ok:
+        _fail(path, f"expected {what}, found {raw!r}")
+
+
+def _decode(hint, raw, path: str, parent: dict):
+    """Check one JSON value against its field's type, then convert it."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if is_dataclass(hint) or origin is dict:
+        _expect(isinstance(raw, dict), "an object", raw, path)
+        if origin is dict:
+            return {k: _decode(args[1], v, _join(path, k), parent) for k, v in raw.items()}
+        used = set()
+        value = _build(hint, raw, path, parent, used)
+        unknown = sorted(set(raw) - used)
+        if unknown:
+            _fail(_join(path, unknown[0]), "unknown field")
+        return value
+    if hint is complex:
+        return complex(*_decode(tuple[float, float], raw, path, parent))
+    if origin is tuple:
+        _expect(isinstance(raw, list), "an array", raw, path)
+        types = args[:1] * len(raw) if args[-1] is Ellipsis else args
+        _expect(len(raw) == len(types), f"{len(types)} elements", raw, path)
+        return tuple(_decode(t, v, f"{path}[{i}]", parent)
+                     for i, (t, v) in enumerate(zip(types, raw)))
+    if hint is float and type(raw) is int and abs(raw) <= sys.float_info.max:
+        raw = float(raw)
+    _expect(isinstance(raw, hint) and (hint is bool or type(raw) is not bool),
+            hint.__name__, raw, path)
+    return raw
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    data = {
-        "ap_ids": list(config.ap_ids),
-        "geometry": _geometry_to_dict(config.geometry),
-        "tracker": _tracker_to_dict(config.tracker),
-    }
-    if config.sim is not None:
-        data["sim"] = _sim_to_dict(config.sim)
-    return data
+    return _encode(config)
 
 
 def save_config(path, config: RunConfig) -> None:
@@ -361,99 +415,8 @@ def save_config(path, config: RunConfig) -> None:
         handle.write("\n")
 
 
-def _require(mapping, key, where):
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    return mapping[key]
-
-
-def _reject_unknown(mapping, allowed, where):
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{where}.{sorted(unknown)[0]}: unknown field")
-
-
-def _tracker_from_dict(data: dict) -> TrackerConfig:
-    aod_keys = {f.name for f in fields(AodConfig)}
-    tracker_keys = {"stride", "origin", "mode", "steering_condition_limit",
-                    "stacked_condition_limit", "weak_path_rtol"}
-    _reject_unknown(data, aod_keys | tracker_keys, "tracker")
-    try:
-        aod = AodConfig(**{k: data[k] for k in aod_keys if k in data})
-        extras = {k: data[k] for k in tracker_keys if k in data}
-        if "origin" in extras:
-            extras["origin"] = tuple(extras["origin"])
-        return TrackerConfig(aod=aod, **extras)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"tracker: {exc}") from None
-
-
-def _sim_from_dict(data: dict, geometry: ArrayGeometry) -> SimConfig:
-    _reject_unknown(
-        data,
-        {"packet_interval", "snr_db", "quantize", "rng_seed",
-         "amplitude_drift_std", "paths", "offsets"},
-        "sim",
-    )
-    raw_paths = _require(data, "paths", "sim")
-    raw_offsets = _require(data, "offsets", "sim")
-    channel = {}
-    for ap, entries in raw_paths.items():
-        paths = []
-        for i, entry in enumerate(entries):
-            where = f"sim.paths.{ap}[{i}]"
-            _reject_unknown(entry, {"aod", "gain"}, where)
-            re, im = _require(entry, "gain", where)
-            try:
-                paths.append(PropagationPath(_require(entry, "aod", where), complex(re, im)))
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-        channel[ap] = tuple(paths)
-    offsets = {}
-    for ap, entry in raw_offsets.items():
-        where = f"sim.offsets.{ap}"
-        _reject_unknown(entry, {"initial_phase", "frequency_offset", "phase_jitter_std"}, where)
-        try:
-            offsets[ap] = OffsetModel(**entry)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    snr_db = data.get("snr_db", math.inf)
-    try:
-        return SimConfig(
-            geometry=geometry,
-            channel=ChannelSpec(channel),
-            offsets=offsets,
-            packet_interval=data.get("packet_interval", 0.006),
-            snr_db=math.inf if snr_db is None else float(snr_db),
-            quantize=bool(data.get("quantize", False)),
-            rng_seed=int(data.get("rng_seed", 0)),
-            amplitude_drift_std=float(data.get("amplitude_drift_std", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}") from None
-
-
 def config_from_dict(data: dict) -> RunConfig:
-    _reject_unknown(data, {"ap_ids", "geometry", "tracker", "sim"}, "config")
-    raw_geometry = _require(data, "geometry", "config")
-    _reject_unknown(raw_geometry, {"wavelength", "antennas"}, "geometry")
-    try:
-        geometry = ArrayGeometry(
-            _require(raw_geometry, "antennas", "geometry"),
-            raw_geometry.get("wavelength", 0.06),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}") from None
-    tracker = _tracker_from_dict(data.get("tracker", {}))
-    sim = None
-    if data.get("sim") is not None:
-        sim = _sim_from_dict(data["sim"], geometry)
-    return RunConfig(
-        ap_ids=tuple(_require(data, "ap_ids", "config")),
-        geometry=geometry,
-        tracker=tracker,
-        sim=sim,
-    )
+    return _decode(RunConfig, data, "", {})
 
 
 def load_config(path) -> RunConfig:

@@ -41,7 +41,7 @@ class PropagationPath:
 class ChannelSpec:
     """Static multipath description: a tuple of paths per AP id."""
 
-    paths: dict
+    paths: dict[str, tuple[PropagationPath, ...]]
 
     def __post_init__(self):
         cleaned = {}
@@ -86,7 +86,7 @@ class SimConfig:
 
     geometry: ArrayGeometry
     channel: ChannelSpec
-    offsets: dict
+    offsets: dict[str, OffsetModel]
     packet_interval: float = 0.006
     snr_db: float = math.inf
     quantize: bool = False

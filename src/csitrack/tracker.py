@@ -45,7 +45,7 @@ class TrackerConfig:
 
     aod: AodConfig = field(default_factory=AodConfig)
     stride: int = 1
-    origin: tuple = (0.0, 0.0)
+    origin: tuple[float, float] = (0.0, 0.0)
     mode: str = "full"
     steering_condition_limit: float = A_CONDITION_LIMIT
     stacked_condition_limit: float = R_CONDITION_LIMIT

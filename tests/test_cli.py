@@ -131,6 +131,16 @@ class TestTrackEvaluate:
         assert run(["track", "--trace", path, "--out", tmp_path / "out.txt"]) == EXIT_PARSE
         assert f"line {first}:" in capsys.readouterr().err
 
+    def test_bad_header_value_is_parse_error_at_its_line(self, demo_dir, tmp_path, capsys):
+        lines = (demo_dir / "trace.txt").read_text().splitlines()
+        number = next(n for n, line in enumerate(lines, start=1)
+                      if line.startswith("#packet_interval "))
+        lines[number - 1] = "#packet_interval 0"
+        path = tmp_path / "edited.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["track", "--trace", path, "--out", tmp_path / "out.txt"]) == EXIT_PARSE
+        assert f"line {number}: #packet_interval" in capsys.readouterr().err
+
     def test_backwards_timestamp_is_stream_error(self, demo_dir, tmp_path, capsys):
         def rewind(fields):
             fields[2] = "0.1"  # packet 30 is due at 0.18 s, after packet 29 at 0.174 s
@@ -150,6 +160,18 @@ class TestTrackEvaluate:
         save_config(path, stripped)
         code = run(["simulate", "--config", path, "--motion", "square", "--out", tmp_path / "t.txt"])
         assert code == EXIT_CONFIG
+
+    def test_malformed_config_value_is_config_error(self, demo_dir, tmp_path, capsys):
+        import json
+
+        data = json.loads((demo_dir / "config.json").read_text())
+        data["sim"]["paths"]["ap0"][0]["aod"] = "x"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = run(["simulate", "--config", path, "--motion", "square", "--out", tmp_path / "t.txt"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "sim.paths.ap0[0].aod" in err and "Traceback" not in err
 
 
 class TestAblate:

@@ -1,13 +1,20 @@
 """Trace/config/trajectory round-trips, stream pairing, parse errors."""
 
+import json
+import math
+import pathlib
+import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import AP_IDS, default_geometry, make_sim_config
 
-from csitrack.core import CsiRecord, Trajectory
+from csitrack.aod import AodConfig
+from csitrack.cli import indoor_4ap_preset
+from csitrack.core import ArrayGeometry, CsiRecord, Trajectory
 from csitrack.errors import ConfigError, TraceParseError, TraceVersionError
 from csitrack.evaluation import ErrorCdf
 from csitrack.io import (
@@ -27,8 +34,18 @@ from csitrack.io import (
     write_trace,
     write_trajectory,
 )
-from csitrack.simulator import simulate_trajectory, stationary_waypoints
-from csitrack.tracker import TrackerConfig
+from csitrack.simulator import (
+    MAX_FREQUENCY_OFFSET,
+    ChannelSpec,
+    OffsetModel,
+    PropagationPath,
+    SimConfig,
+    simulate_trajectory,
+    stationary_waypoints,
+)
+from csitrack.tracker import MODES, TrackerConfig
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def small_trace(seed=0, packets=5):
@@ -106,6 +123,24 @@ class TestTraceRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceParseError):
             read_trace(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("aps", "ap0 ap1 ap1 ap3"),
+        ("wavelength", "-0.06"),
+        ("wavelength", "nan"),
+        ("packet_interval", "0"),
+        ("geometry", "0.0,0.0 0.01,0.0 0.0,0.0"),
+    ])
+    def test_bad_header_value_names_its_line(self, tmp_path, key, value):
+        path = tmp_path / "trace.txt"
+        write_trace(path, small_trace())
+        lines = path.read_text().splitlines()
+        number = next(n for n, line in enumerate(lines, start=1) if line.startswith(f"#{key} "))
+        lines[number - 1] = f"#{key} {value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceParseError, match=f"#{key}") as info:
+            read_trace(path)
+        assert info.value.line_number == number
 
     def test_unknown_ap_in_body(self, tmp_path):
         path = tmp_path / "trace.txt"
@@ -268,3 +303,102 @@ class TestRunConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+class TestConfigSchema:
+    """The JSON layout is derived from the config dataclasses."""
+
+    def test_saved_preset_from_earlier_release_loads(self):
+        # written by the hand-listed encoder this schema replaced
+        path = DATA / "indoor-4ap.config.json"
+        preset = indoor_4ap_preset(1234)
+        assert load_config(path) == preset
+        assert config_to_dict(preset) == json.loads(path.read_text())
+
+    @pytest.mark.parametrize("path, change", [
+        ("sim.quantize", lambda d: d["sim"].update(quantize="no")),
+        ("sim.rng_seed", lambda d: d["sim"].update(rng_seed=3.7)),
+        ("tracker.stride", lambda d: d["tracker"].update(stride=2.5)),
+        ("tracker.stride", lambda d: d["tracker"].update(stride=True)),
+        ("sim.snr_db", lambda d: d["sim"].update(snr_db=False)),
+        ("sim.snr_db", lambda d: d["sim"].update(snr_db=10**400)),
+        ("sim.paths.ap0[1].gain[0]",
+         lambda d: d["sim"]["paths"]["ap0"][1].update(gain=[10**400, 0])),
+        ("ap_ids", lambda d: d.update(ap_ids="abc")),
+        ("tracker", lambda d: d.update(tracker=[])),
+        ("sim.paths.ap0[0].aod", lambda d: d["sim"]["paths"]["ap0"][0].update(aod="x")),
+        ("sim.paths.ap0[1].gain", lambda d: d["sim"]["paths"]["ap0"][1].update(gain=5)),
+        ("sim.paths.ap0[1].gain", lambda d: d["sim"]["paths"]["ap0"][1].update(gain=[1, 0, 3])),
+        ("sim.offsets.ap2.frequency_offset",
+         lambda d: d["sim"]["offsets"]["ap2"].update(frequency_offset="x")),
+        ("sim.paths", lambda d: d["sim"].update(paths=[])),
+        ("tracker.origin", lambda d: d["tracker"].update(origin="ab")),
+    ])
+    def test_malformed_value_names_its_path(self, path, change):
+        data = config_to_dict(indoor_4ap_preset(1234))
+        change(data)
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            config_from_dict(data)
+
+    def test_null_snr_means_noise_off(self):
+        data = config_to_dict(indoor_4ap_preset(1234))
+        data["sim"]["snr_db"] = None
+        assert config_from_dict(data).sim.snr_db == math.inf
+
+    def test_missing_required_field_named(self):
+        data = config_to_dict(indoor_4ap_preset(1234))
+        del data["geometry"]["antennas"]
+        with pytest.raises(ConfigError, match="geometry: missing required field 'antennas'"):
+            config_from_dict(data)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+_AP_NAMES = st.text(min_size=1, max_size=6).filter(lambda s: not any(c.isspace() for c in s))
+_TRACKERS = st.builds(
+    TrackerConfig,
+    aod=st.builds(AodConfig, num_paths=st.integers(1, 4), window_seconds=_POSITIVE,
+                  grid_step=_POSITIVE, min_packets=st.integers(1, 100),
+                  refine_iterations=st.integers(0, 5)),
+    stride=st.integers(1, 500),
+    origin=st.tuples(_FINITE, _FINITE),
+    mode=st.sampled_from(MODES),
+    steering_condition_limit=_POSITIVE,
+    stacked_condition_limit=_POSITIVE,
+    weak_path_rtol=_POSITIVE,
+)
+_PATHS = st.builds(PropagationPath, aod=_FINITE, gain=st.complex_numbers(
+    min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False))
+_OFFSETS = st.builds(
+    OffsetModel, initial_phase=_FINITE,
+    frequency_offset=st.floats(-MAX_FREQUENCY_OFFSET, MAX_FREQUENCY_OFFSET),
+    phase_jitter_std=st.floats(0.0, 10.0),
+)
+
+
+@st.composite
+def run_configs(draw):
+    ap_ids = draw(st.lists(_AP_NAMES, min_size=1, max_size=4, unique=True))
+    geometry = ArrayGeometry.circular(draw(st.integers(2, 5)), spacing=draw(_POSITIVE),
+                                      wavelength=draw(_POSITIVE))
+    sim = None
+    if draw(st.booleans()):
+        sim_aps = draw(st.lists(st.sampled_from(ap_ids), min_size=1, unique=True))
+        sim = SimConfig(
+            geometry=geometry,
+            channel=ChannelSpec({ap: tuple(draw(st.lists(_PATHS, min_size=1, max_size=3)))
+                                 for ap in sim_aps}),
+            offsets={ap: draw(_OFFSETS) for ap in sim_aps},
+            packet_interval=draw(_POSITIVE),
+            snr_db=draw(st.one_of(_FINITE, st.just(math.inf))),
+            quantize=draw(st.booleans()),
+            rng_seed=draw(st.integers(0, 2**63)),
+            amplitude_drift_std=draw(st.floats(0.0, 1.0)),
+        )
+    return RunConfig(tuple(ap_ids), geometry, draw(_TRACKERS), sim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=run_configs())
+def test_config_json_round_trip(config):
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
