@@ -104,10 +104,11 @@ class ArrayGeometry:
 
 
 def steering_matrix(geometry: ArrayGeometry, thetas) -> np.ndarray:
-    """Stack steering vectors for several angles into an (M, K) matrix."""
+    """Stack steering vectors for K angles into an (M, K) matrix, or for an
+    (A, K) array of angles into an (A, M, K) stack."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     relative = geometry.antenna_positions - geometry.antenna_positions[0]
-    projection = relative @ np.vstack([np.cos(thetas), np.sin(thetas)])
+    projection = relative @ np.swapaxes(np.array([np.cos(thetas), np.sin(thetas)]), 0, -2)
     return np.exp(-2j * np.pi * projection / geometry.wavelength)
 
 

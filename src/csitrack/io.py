@@ -369,6 +369,9 @@ def _build(cls, data: dict, path: str, parent: dict, used: set):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
+        name = str(exc).partition(" ")[0]  # a check that names its field first
+        if name in {f.name for f in fields(cls)}:
+            path = _join(path, _RENAMED.get((cls, name), name))
         _fail(path, str(exc))
 
 

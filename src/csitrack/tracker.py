@@ -1,11 +1,12 @@
 """End-to-end motion tracking over synchronized CSI streams.
 
 Maintains a sliding window of recent packets per AP (a
-:class:`~csitrack.aod.PacketWindow`), re-estimates each AP's paths from its
-window, projects consecutive packet pairs onto the same PathSet, fuses the
-per-AP offset-cancelled rows into one displacement per packet (one array
-kernel for all APs, see :mod:`csitrack.displacement`) and integrates
-the result from the origin. Samples whose displacement is unobservable carry
+:class:`~csitrack.aod.PacketWindow`), re-estimates the paths of every AP that
+is due on a packet in one batch (:func:`~csitrack.aod.estimate_aods`, then
+:func:`continuity_order` and one stacked factorization), projects consecutive
+packet pairs onto the same paths, fuses the per-AP offset-cancelled rows into
+one displacement per packet (one array kernel for all APs, see
+:mod:`csitrack.displacement`) and integrates the result from the origin. Samples whose displacement is unobservable carry
 the previous position forward with a quality flag, so the trajectory keeps a
 uniform timebase for evaluation.
 """
@@ -13,13 +14,14 @@ uniform timebase for evaluation.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aod import AodConfig, PacketWindow, estimate_paths
-from .core import CsiRecord, ArrayGeometry, Displacement, PathSet, Trajectory, circular_distance
+from .aod import AodConfig, PacketWindow, estimate_aods
+from .core import ArrayGeometry, Displacement, PathSet, Trajectory, circular_distance, steering_matrix
 from .displacement import (
     A_CONDITION_LIMIT,
     R_CONDITION_LIMIT,
@@ -56,36 +58,39 @@ class TrackerConfig:
             raise ValueError("stride must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if len(self.origin) != 2:
-            raise ValueError("origin must be a 2-vector")
+        if len(self.origin) != 2 or not all(math.isfinite(v) for v in self.origin):
+            raise ValueError("origin must be a finite 2-vector")
+        for name in ("steering_condition_limit", "stacked_condition_limit"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not 0 <= self.weak_path_rtol < math.inf:
+            raise ValueError("weak_path_rtol must be finite and >= 0")
+
+
+def continuity_order(previous: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Per row of the (A, L) AoDs ``current``, the column order that keeps
+    each path the identity it had in ``previous``: the permutation of least
+    total circular distance, by exhaustive assignment (path counts are
+    small); of equal costs the first wins, the identity first."""
+    paths = np.arange(current.shape[-1])
+    perms = np.array(list(itertools.permutations(paths)))  # the identity first
+    distance = circular_distance(previous[:, :, None], current[:, None, :])
+    return perms[distance[:, paths, perms].sum(axis=-1).argmin(axis=-1)]
 
 
 def path_continuity(previous: PathSet, current: PathSet) -> PathSet:
-    """Permute ``current`` so each path keeps the identity it had before.
-
-    Minimizes the total circular angular distance to the previous AoDs by
-    exhaustive assignment over one L x L distance matrix (path counts are
-    small), so the attenuation-change diagonal stays aligned across
-    re-estimated windows. Returns ``current`` itself when no reordering wins.
-    """
+    """Permute ``current`` so each path keeps the identity it had before
+    (:func:`continuity_order` for one AP) and the attenuation-change diagonal
+    stays aligned across windows; ``current`` itself when no reordering wins."""
     if previous.ap_id != current.ap_id:
         raise ValueError("path sets belong to different APs")
     if previous.num_paths != current.num_paths:
         raise ValueError("path sets have different path counts")
-    distance = circular_distance(previous.aods[:, None], current.aods[None, :])
-    paths = list(range(current.num_paths))
-    perms = list(itertools.permutations(paths))  # the identity first
-    best = distance[paths, perms].sum(axis=1).argmin()  # the first of equal costs
-    if best == 0:
+    order = continuity_order(previous.aods[None], current.aods[None])[0]
+    if np.array_equal(order, np.arange(current.num_paths)):
         return current
-    best_perm = list(perms[best])
-    return PathSet(
-        ap_id=current.ap_id,
-        aods=current.aods[best_perm],
-        steering_matrix=current.steering_matrix[:, best_perm],
-        wavelength=current.wavelength,
-        degenerate=current.degenerate,
-    )
+    return PathSet(current.ap_id, current.aods[order], current.steering_matrix[:, order],
+                   current.wavelength, current.degenerate)
 
 
 class Tracker:
@@ -109,11 +114,14 @@ class Tracker:
         if not aod.num_paths <= geometry.num_antennas - 1:
             raise ValueError("num_paths must be <= num_antennas - 1")
         self._windows = {ap: PacketWindow(ap, geometry.num_antennas) for ap in self.ap_ids}
-        self._paths = {ap: None for ap in self.ap_ids}
-        self._since_estimate = {ap: 0 for ap in self.ap_ids}
         # row a of each per-AP array below belongs to ap_ids[a]
         num_aps, num_paths, num_antennas = len(self.ap_ids), aod.num_paths, geometry.num_antennas
         self._slots = {ap: slot for slot, ap in enumerate(self.ap_ids)}
+        self._fill = np.zeros(num_aps, dtype=int)  # packets in each window
+        # pushes since the last estimate; stride before the first, so it is due once warm
+        self._since_estimate = np.full(num_aps, self.config.stride)
+        self._aods = np.zeros((num_aps, num_paths))
+        self._degenerate = np.zeros(num_aps, dtype=bool)
         self._pinv = np.zeros((num_aps, num_paths, num_antennas), dtype=complex)
         self._directions = np.zeros((num_aps, num_paths, 2))  # [cos, sin] of each AoD
         self._has_paths = np.zeros(num_aps, dtype=bool)
@@ -130,37 +138,29 @@ class Tracker:
         self.flags = []
         self.exclusions = Counter()
 
-    # -- stream maintenance -------------------------------------------------
-
-    def _push(self, ap_id, record, now):
-        window = self._windows[ap_id]
-        window.append(record.csi, record.timestamp)
-        window.expire(now - self.config.aod.window_seconds)
-        self._since_estimate[ap_id] += 1
-
-    def _update_paths(self, ap_id) -> bool:
-        """Re-estimate the AP's paths if due and factor their steering matrix;
-        True when the path set changed."""
-        window = self._windows[ap_id]
-        if len(window) < self.config.aod.min_packets:
-            return False
-        stale = self._paths[ap_id] is None
-        if not stale and self._since_estimate[ap_id] < self.config.stride:
-            return False
-        estimated = estimate_paths(window, self.geometry, self.config.aod)
-        previous = self._paths[ap_id]
-        if previous is not None:
-            estimated = path_continuity(previous, estimated)
-        self._paths[ap_id] = estimated
-        self._since_estimate[ap_id] = 0
-        slot = self._slots[ap_id]
-        self._pinv[slot], cond = factor_steering(estimated.steering_matrix)
-        self._usable[slot] = cond < self.config.steering_condition_limit
-        self._directions[slot] = np.column_stack([np.cos(estimated.aods), np.sin(estimated.aods)])
-        self._has_paths[slot] = True
-        return True
-
     # -- per-packet update ----------------------------------------------------
+
+    def _update_paths(self) -> np.ndarray:
+        """Re-estimate the paths of every AP that is due as one batch and factor
+        their steering matrices as one stack; returns the mask of those APs."""
+        due = self._since_estimate >= self.config.stride
+        if np.count_nonzero(due):  # once warm, one packet in stride: the fills only then
+            due &= self._fill >= self.config.aod.min_packets
+        if not np.count_nonzero(due):
+            return due
+        slots = np.flatnonzero(due)
+        windows = [self._windows[self.ap_ids[slot]] for slot in slots]
+        aods, degenerate = estimate_aods(windows, self.geometry, self.config.aod)
+        # a first estimate follows itself, which keeps the estimator's order
+        previous = np.where(self._has_paths[slots, None], self._aods[slots], aods)
+        aods = np.take_along_axis(aods, continuity_order(previous, aods), axis=1)
+        self._pinv[slots], cond = factor_steering(steering_matrix(self.geometry, aods))
+        self._usable[slots] = cond < self.config.steering_condition_limit
+        self._aods[slots], self._degenerate[slots] = aods, degenerate
+        self._directions[slots] = np.stack([np.cos(aods), np.sin(aods)], axis=-1)
+        self._has_paths[slots] = True
+        self._since_estimate[slots] = 0
+        return due
 
     def ingest(self, records) -> Displacement | None:
         """Push one packet's records (mapping ap_id -> CsiRecord).
@@ -173,48 +173,48 @@ class Tracker:
         """
         if not records:
             raise ValueError("records must not be empty")
+        present = np.zeros(len(self.ap_ids), dtype=bool)
+        csi = np.zeros(self._previous_csi.shape, dtype=complex)
+        pushes, indices, now = [], set(), -math.inf
         for ap_id, record in records.items():
-            if ap_id not in self._windows:
+            slot = self._slots.get(ap_id)
+            if slot is None:
                 raise ValueError(f"unknown AP id {ap_id!r}")
             if record.ap_id != ap_id:
                 raise ValueError(f"record for {record.ap_id!r} filed under {ap_id!r}")
             if record.csi.size != self.geometry.num_antennas:
-                raise ValueError(
-                    f"record for {ap_id!r} holds {record.csi.size} CSI entries, "
-                    f"the array has {self.geometry.num_antennas} antennas"
-                )
-        indices = {r.packet_index for r in records.values()}
+                raise ValueError(f"record for {ap_id!r} holds {record.csi.size} CSI entries, "
+                                 f"the array has {self.geometry.num_antennas} antennas")
+            present[slot] = True
+            csi[slot] = record.csi
+            pushes.append((slot, record))
+            indices.add(record.packet_index)
+            now = max(now, record.timestamp)
         if len(indices) != 1:
             raise StreamOrderError(f"group mixes packet indices {sorted(indices)}")
         packet_index = indices.pop()
         if self._previous_index is not None and packet_index <= self._previous_index:
-            raise StreamOrderError(
-                f"packet {packet_index} after {self._previous_index}"
-            )
-        now = max(r.timestamp for r in records.values())
+            raise StreamOrderError(f"packet {packet_index} after {self._previous_index}")
         if self._previous_time is not None and now <= self._previous_time:
             raise StreamOrderError(
                 f"packet {packet_index} at t={now!r} does not follow t={self._previous_time!r}"
             )
 
-        present = np.zeros(len(self.ap_ids), dtype=bool)
-        csi = np.zeros(self._previous_csi.shape, dtype=complex)
-        for ap_id, record in records.items():
-            slot = self._slots[ap_id]
-            present[slot] = True
-            csi[slot] = record.csi
-            self._push(ap_id, record, now)
-        changed = np.array([self._update_paths(ap_id) for ap_id in self.ap_ids])
+        horizon = now - self.config.aod.window_seconds
+        for slot, record in pushes:
+            window = self._windows[record.ap_id]
+            window.append(record.csi, record.timestamp)
+            window.expire(horizon)
+            self._fill[slot] = len(window)
+        self._since_estimate += present
+        changed = self._update_paths()
         # project this packet once; the next packet reuses these weights for
         # every AP whose paths do not change in between
         weights = project(self._pinv, csi)
 
         displacement = None
         if not self._started:
-            active = [ap for ap in self.ap_ids if self._windows[ap]]
-            if active and all(
-                len(self._windows[ap]) >= self.config.aod.min_packets for ap in active
-            ):
+            if not ((self._fill > 0) & (self._fill < self.config.aod.min_packets)).any():
                 self._started = True
                 self._emit(now, "ok")
         else:
@@ -288,4 +288,9 @@ class Tracker:
     @property
     def path_sets(self) -> dict:
         """Current PathSet per AP (None until the AP's window is warm)."""
-        return dict(self._paths)
+        return {
+            ap: PathSet(ap, self._aods[slot].copy(), steering_matrix(self.geometry, self._aods[slot]),
+                        self.geometry.wavelength, bool(self._degenerate[slot]))
+            if self._has_paths[slot] else None
+            for slot, ap in enumerate(self.ap_ids)
+        }

@@ -13,10 +13,17 @@ from csitrack.aod import (
     PacketWindow,
     angle_grid,
     concat_window,
+    estimate_aods,
     estimate_paths,
     music_spectrum,
 )
-from csitrack.core import CsiRecord, circular_distance, steering_matrix, steering_vector
+from csitrack.core import (
+    ArrayGeometry,
+    CsiRecord,
+    circular_distance,
+    steering_matrix,
+    steering_vector,
+)
 from csitrack.errors import WindowUnderfullError
 from csitrack.tracker import Tracker, TrackerConfig
 
@@ -285,3 +292,115 @@ class TestEstimatePaths:
         with pytest.raises(ValueError):
             # 3 antennas cannot support 3 paths (no noise subspace left)
             estimate_paths(make_records(X), geometry, AodConfig(num_paths=3, min_packets=10))
+
+
+# -- the batched kernel against one window at a time ------------------------------
+
+
+def reference_aods(X, geometry, config):
+    """One window the way the estimator worked before batching: subspace,
+    grid scan, the L deepest cyclic minima (else the L smallest grid values),
+    then each path refined on its own until its parabola is not convex.
+    Also returns the number of rounds each path was refined."""
+    L = config.num_paths
+    _, vectors = np.linalg.eigh(X @ X.conj().T / X.shape[1])
+    noise = vectors[:, : X.shape[0] - L]
+
+    def null_power(thetas):
+        return np.sum(np.abs(noise.conj().T @ steering_matrix(geometry, thetas)) ** 2, axis=0)
+
+    grid = angle_grid(config.grid_step)
+    power = null_power(grid)
+    minima = np.nonzero((power < np.roll(power, 1)) & (power < np.roll(power, -1)))[0]
+    degenerate = minima.size < L
+    if degenerate:
+        chosen = np.argsort(power, kind="stable")[:L]
+    else:
+        chosen = minima[np.argsort(power[minima], kind="stable")][:L]
+    aods, rounds = [], []
+    for theta in grid[chosen]:
+        h, refined = config.grid_step, 0
+        for _ in range(config.refine_iterations):
+            g = null_power(theta + h * np.array([-1.0, 0.0, 1.0]))
+            denom = g[0] - 2.0 * g[1] + g[2]
+            if not denom > 0:
+                break
+            theta += np.clip(0.5 * (g[0] - g[2]) / denom * h, -h, h)
+            h, refined = h / 4.0, refined + 1
+        aods.append(theta)
+        rounds.append(refined)
+    return np.sort(np.mod(aods, 2 * np.pi)), degenerate, rounds
+
+
+_KERNEL_GEOMETRIES = {3: (ArrayGeometry.circular(3), 2), 4: (ArrayGeometry.circular(4), 3)}
+_KINDS = ("noiseless", "noisy", "stationary")
+
+
+def batch_of_windows(antennas, kinds, lengths, seed):
+    """One window per AP, each of its own length (APs drop packets), the
+    older ones partly expired; a stationary window is rank one."""
+    geometry, num_paths = _KERNEL_GEOMETRIES[antennas]
+    rng = np.random.default_rng(seed)
+    windows = []
+    for a, (kind, length) in enumerate(zip(kinds, lengths)):
+        X = synth_window(geometry, rng.uniform(0, 2 * np.pi, num_paths), length + a,
+                         seed=int(rng.integers(2**32)), snr_db=20.0 if kind == "noisy" else None,
+                         diverse=kind != "stationary")
+        window = PacketWindow(f"ap{a}", geometry.num_antennas)
+        for p in range(X.shape[1]):
+            window.append(X[:, p], 0.006 * p)
+        window.expire(0.006 * a)  # drop a packets from the front
+        windows.append(window)
+    return geometry, num_paths, windows
+
+
+def check_batch(geometry, windows, config):
+    """The batch equals each window estimated alone, bit for bit, in any
+    order, and the per-path reference to rounding: the null power's rounding
+    shifts a parabola vertex by more as the stencil shrinks, 4x per round."""
+    aods, degenerate = estimate_aods(windows, geometry, config)
+    assert aods.shape == (len(windows), config.num_paths)
+    for a, window in enumerate(windows):
+        alone = estimate_paths(window, geometry, config)
+        np.testing.assert_array_equal(aods[a], alone.aods)
+        assert degenerate[a] == alone.degenerate
+        expected, expected_degenerate, _ = reference_aods(window.matrix, geometry, config)
+        np.testing.assert_allclose(aods[a], expected, rtol=0,
+                                   atol=1e-12 * 4.0**config.refine_iterations)
+        assert degenerate[a] == expected_degenerate
+    reversed_aods, reversed_degenerate = estimate_aods(windows[::-1], geometry, config)
+    np.testing.assert_array_equal(reversed_aods, aods[::-1])
+    np.testing.assert_array_equal(reversed_degenerate, degenerate[::-1])
+    return aods, degenerate
+
+
+class TestBatchedKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(antennas=st.sampled_from(sorted(_KERNEL_GEOMETRIES)),
+           kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=5),
+           lengths=st.lists(st.integers(3, 250), min_size=5, max_size=5),
+           seed=st.integers(0, 2**32 - 1),
+           refine_iterations=st.integers(0, 10))
+    def test_batch_equals_each_window_alone(self, antennas, kinds, lengths, seed,
+                                            refine_iterations):
+        geometry, num_paths, windows = batch_of_windows(antennas, kinds, lengths, seed)
+        config = AodConfig(num_paths=num_paths, min_packets=3,
+                           refine_iterations=refine_iterations)
+        check_batch(geometry, windows, config)
+
+    def test_degenerate_and_early_stopping_paths_share_a_batch(self):
+        # a 4-antenna L=3 batch: healthy windows next to stationary ones that
+        # take the degenerate fallback, with paths that stop refining at
+        # different rounds
+        geometry, num_paths, windows = batch_of_windows(
+            4, ["noiseless", "stationary", "noisy", "stationary"], [200, 40, 120, 60], seed=5)
+        config = AodConfig(num_paths=num_paths, min_packets=3, refine_iterations=10)
+        _, degenerate = check_batch(geometry, windows, config)
+        assert degenerate.any() and not degenerate.all()
+        rounds = [reference_aods(w.matrix, geometry, config)[2] for w in windows]
+        assert len(set(np.concatenate(rounds))) > 1
+
+    def test_underfull_window_in_a_batch_raises(self):
+        geometry, num_paths, windows = batch_of_windows(3, ["noisy"] * 2, [50, 5], seed=1)
+        with pytest.raises(WindowUnderfullError):
+            estimate_aods(windows, geometry, AodConfig(num_paths=num_paths, min_packets=10))

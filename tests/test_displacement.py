@@ -524,14 +524,15 @@ def test_kernel_matches_per_ap_reference(monkeypatch, case, mode):
     streams, geometry, aods, drifting, expected = kernel_case(case)
     estimates = Counter()
 
-    def drifting_paths(window, geometry, config):
+    def drifting_aods(windows, geometry, config):
         # the true AoDs, nudged on every estimate so that path sets change
-        count = estimates[window.ap_id] = estimates[window.ap_id] + 1
-        thetas = aods[window.ap_id] + 1e-3 * (count % 4) * (window.ap_id in drifting)
-        return PathSet(window.ap_id, thetas, steering_matrix(geometry, thetas),
-                       geometry.wavelength)
+        thetas = []
+        for window in windows:
+            count = estimates[window.ap_id] = estimates[window.ap_id] + 1
+            thetas.append(aods[window.ap_id] + 1e-3 * (count % 4) * (window.ap_id in drifting))
+        return np.array(thetas), np.zeros(len(windows), dtype=bool)
 
-    monkeypatch.setattr(tracker_module, "estimate_paths", drifting_paths)
+    monkeypatch.setattr(tracker_module, "estimate_aods", drifting_aods)
     config = TrackerConfig(aod=tracker_module.AodConfig(num_paths=aods["ap0"].size),
                            stride=3, mode=mode)
     tracker = Tracker(geometry, AP_IDS, config)

@@ -333,6 +333,24 @@ class TestConfigSchema:
          lambda d: d["sim"]["offsets"]["ap2"].update(frequency_offset="x")),
         ("sim.paths", lambda d: d["sim"].update(paths=[])),
         ("tracker.origin", lambda d: d["tracker"].update(origin="ab")),
+        # values a constructor check rejects, named by their own ids
+        pytest.param("tracker.origin", lambda d: d["tracker"].update(origin=[math.nan, 0.0]),
+                     id="origin-nan"),
+        pytest.param("tracker.steering_condition_limit",
+                     lambda d: d["tracker"].update(steering_condition_limit=math.nan),
+                     id="steering-limit-nan"),
+        pytest.param("tracker.stacked_condition_limit",
+                     lambda d: d["tracker"].update(stacked_condition_limit=-5.0),
+                     id="stacked-limit-negative"),
+        pytest.param("tracker.weak_path_rtol", lambda d: d["tracker"].update(weak_path_rtol=-1.0),
+                     id="weak-rtol-negative"),
+        pytest.param("tracker.window_seconds",
+                     lambda d: d["tracker"].update(window_seconds=math.inf), id="window-inf"),
+        pytest.param("tracker.grid_step", lambda d: d["tracker"].update(grid_step=math.inf),
+                     id="grid-step-inf"),
+        pytest.param("tracker.stride", lambda d: d["tracker"].update(stride=0), id="stride-zero"),
+        pytest.param("geometry.wavelength", lambda d: d["geometry"].update(wavelength=-0.06),
+                     id="wavelength-negative"),
     ])
     def test_malformed_value_names_its_path(self, path, change):
         data = config_to_dict(indoor_4ap_preset(1234))

@@ -1,13 +1,16 @@
 """Tracker: windows, warm-up, path continuity, trajectory integration."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import AP_IDS, default_geometry, make_sim_config
 
 from csitrack import aod
 from csitrack.aod import AodConfig
-from csitrack.core import ArrayGeometry, CsiRecord, PathSet, steering_matrix
+from csitrack.core import ArrayGeometry, CsiRecord, PathSet, circular_distance, steering_matrix
 from csitrack.errors import StreamOrderError
 from csitrack.io import pair_streams
 from csitrack.simulator import (
@@ -17,7 +20,7 @@ from csitrack.simulator import (
     square_waypoints,
     stationary_waypoints,
 )
-from csitrack.tracker import Tracker, TrackerConfig, path_continuity
+from csitrack.tracker import Tracker, TrackerConfig, continuity_order, path_continuity
 
 
 def run_tracker(streams, config=None, geometry=None, ap_ids=AP_IDS):
@@ -62,6 +65,50 @@ class TestPathContinuity:
     def test_mismatched_aps_rejected(self):
         with pytest.raises(ValueError):
             path_continuity(self.make_set([0.5, 2.0]), self.make_set([0.5, 2.0], "ap1"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(num_paths=st.integers(1, 3), data=st.data())
+    def test_batched_order_equals_path_continuity_per_ap(self, num_paths, data):
+        # binary fractions from a small pool make exact ties common
+        angle = st.one_of(st.floats(0.0, 2 * np.pi, exclude_max=True),
+                          st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+        row = st.lists(angle, min_size=num_paths, max_size=num_paths)
+        num_aps = data.draw(st.integers(1, 5))
+        previous = np.array(data.draw(st.lists(row, min_size=num_aps, max_size=num_aps)))
+        current = np.array(data.draw(st.lists(row, min_size=num_aps, max_size=num_aps)))
+        order = continuity_order(previous, current)
+        perms = list(itertools.permutations(range(num_paths)))
+        for a in range(num_aps):
+            costs = [circular_distance(previous[a], current[a][list(p)]).sum() for p in perms]
+            np.testing.assert_array_equal(order[a], perms[int(np.argmin(costs))])
+            matched = path_continuity(self.make_set(previous[a]), self.make_set(current[a]))
+            np.testing.assert_array_equal(matched.aods, current[a][order[a]])
+
+    def test_ties_keep_the_first_permutation(self):
+        previous = np.array([[1.0, 1.0, 3.0], [1.0, 2.0, 3.0]])
+        current = np.array([[0.5, 1.5, 3.0], [3.0, 1.5, 1.5]])
+        perms = list(itertools.permutations(range(3)))
+        for a in range(2):  # both rows really tie
+            costs = [circular_distance(previous[a], current[a][list(p)]).sum() for p in perms]
+            assert costs.count(min(costs)) == 2
+        # the identity, then the first of (1, 2, 0) and (2, 1, 0)
+        np.testing.assert_array_equal(continuity_order(previous, current), [[0, 1, 2], [1, 2, 0]])
+
+    def test_first_estimate_keeps_the_estimator_order(self):
+        # no previous paths to follow: each AP's first path set is the
+        # estimator's, sorted ascending
+        geometry = ArrayGeometry.circular(4)
+        aod_config = AodConfig(num_paths=3, min_packets=20)
+        tracker = Tracker(geometry, AP_IDS, TrackerConfig(aod=aod_config, stride=10**6))
+        rng = np.random.default_rng(0)  # following all-zero AoDs would reorder some
+        for p in range(20):  # the estimate is taken on the 20th packet
+            tracker.ingest({ap: CsiRecord(ap, p, 0.006 * p, rng.normal(size=4) + 1j * rng.normal(size=4))
+                            for ap in AP_IDS})
+        for ap, paths in tracker.path_sets.items():
+            expected = aod.estimate_paths(tracker._windows[ap], geometry, aod_config)
+            np.testing.assert_array_equal(paths.aods, expected.aods)
+            np.testing.assert_array_equal(paths.steering_matrix, expected.steering_matrix)
+            assert paths.degenerate == expected.degenerate
 
 
 class TestTrackerBasics:
