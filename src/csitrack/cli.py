@@ -358,6 +358,9 @@ def main(argv=None) -> int:
                 return code
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED
+    except np.linalg.LinAlgError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNEXPECTED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -75,10 +75,16 @@ def align(estimate: Trajectory, truth: Trajectory) -> AlignedError:
 
     The truth is resampled onto the estimate's timestamps when the two
     timebases differ, both are translated so their first points are the
-    origin, and the estimate is rotated by the RMSE-minimizing angle.
+    origin, and the estimate is rotated by the RMSE-minimizing angle. An
+    estimate that starts or ends more than 1e-9 s outside the truth's time
+    range raises ValueError rather than being compared with a clamped truth.
     """
     if len(estimate) < 2 or len(truth) < 2:
         raise ValueError("alignment needs at least 2 points per trajectory")
+    start, end = estimate.timestamps[[0, -1]]
+    if start < truth.timestamps[0] - 1e-9 or end > truth.timestamps[-1] + 1e-9:
+        raise ValueError(f"estimate spans {start:g}..{end:g} s, outside the truth's "
+                         f"{truth.timestamps[0]:g}..{truth.timestamps[-1]:g} s")
     if len(estimate) == len(truth) and np.array_equal(estimate.timestamps, truth.timestamps):
         truth_positions = truth.positions
     else:

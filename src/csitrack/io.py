@@ -57,8 +57,8 @@ class TraceHeader:
         ap_ids = tuple(str(a) for a in self.ap_ids)
         if not ap_ids or len(set(ap_ids)) != len(ap_ids):
             raise ValueError("ap_ids must be non-empty and unique")
-        if any(any(c.isspace() for c in ap) for ap in ap_ids):
-            raise ValueError("ap_ids must not contain whitespace")
+        if any(ap.startswith("#") or any(c.isspace() for c in ap) for ap in ap_ids):
+            raise ValueError("ap_ids must not contain whitespace or start with '#'")
         if not self.packet_interval > 0:
             raise ValueError("packet_interval must be positive")
         object.__setattr__(self, "ap_ids", ap_ids)
@@ -108,12 +108,10 @@ def write_trace(path, trace: TraceFile) -> None:
             "#geometry " + " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in positions) + "\n"
         )
         handle.write("#aps " + " ".join(header.ap_ids) + "\n")
-        for record in trace.records:
-            parts = [record.ap_id, str(record.packet_index), _fmt(record.timestamp)]
-            for value in record.csi:
-                parts.append(_fmt(value.real))
-                parts.append(_fmt(value.imag))
-            handle.write(" ".join(parts) + "\n")
+        values = np.array([record.csi for record in trace.records], dtype=complex).view(float)
+        for record, row in zip(trace.records, values):
+            handle.write(" ".join([record.ap_id, str(record.packet_index),
+                                   _fmt(record.timestamp), *map(repr, row.tolist())]) + "\n")
 
 
 def _positive(text: str) -> float:
@@ -186,7 +184,7 @@ def _parse_trace(lines) -> TraceFile:
                 ap_id=parts[0],
                 packet_index=int(parts[1]),
                 timestamp=values[0],
-                csi=np.array(values[1::2]) + 1j * np.array(values[2::2]),
+                csi=np.array(values[1:]).view(complex).copy(),  # a view would pin the floats
             )
         except ValueError as exc:
             raise TraceParseError(str(exc), number) from None

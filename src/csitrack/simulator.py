@@ -3,15 +3,17 @@
 The channel is a static set of departure paths per AP; motion enters only
 through the per-path displacement phase, each AP's clock mismatch enters as a
 packet-wide phase (linear drift plus a random-walk jitter), and the receiver
-adds circular Gaussian noise and optional 8-bit quantization. This is the
-ground-truth oracle used by every estimator test: given the same config and
-seed the output is bit-identical.
+adds circular Gaussian noise and optional 8-bit quantization. Each AP's
+whole track is computed as arrays, one row per packet; the public helpers
+(channel_at, apply_offset, add_noise_and_quantize) are the one-packet case of
+the same code. This is the ground-truth oracle used by every estimator test:
+given the same config and seed the output is bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,32 +113,41 @@ def channel_at(paths, geometry: ArrayGeometry, position_offset=(0.0, 0.0)) -> np
 
     H = A diag(exp(-2j*pi*(r_k . offset)/lambda)) F: each path's attenuation
     picks up the phase of the extra path length along its departure direction.
-    A zero offset returns the reference channel A F.
+    A zero offset returns the reference channel A F. This is the one-packet
+    case of :func:`_channels`.
     """
+    return _channels(paths, geometry, position_offset)
+
+
+def _channels(paths, geometry: ArrayGeometry, offsets, drift=None) -> np.ndarray:
+    """Channels for (..., 2) offsets as (..., M); ``drift`` (..., L) scales the gains."""
     aods = np.array([p.aod for p in paths], dtype=float)
     gains = np.array([p.gain for p in paths], dtype=complex)
-    offset = np.asarray(position_offset, dtype=float)
-    matrix = steering_matrix(geometry, aods)
-    along_path = np.cos(aods) * offset[0] + np.sin(aods) * offset[1]
+    if drift is not None:
+        gains = gains * drift
+    offsets = np.asarray(offsets, dtype=float)
+    along_path = np.cos(aods) * offsets[..., :1] + np.sin(aods) * offsets[..., 1:]
     motion_phase = np.exp(-2j * np.pi * along_path / geometry.wavelength)
-    return matrix @ (gains * motion_phase)
+    weights = gains * motion_phase
+    return (steering_matrix(geometry, aods) @ weights[..., None])[..., 0]
 
 
-def offset_phase(packet_index: int, model: OffsetModel, packet_interval: float, jitter: float = 0.0) -> float:
-    """Packet-wide phase nu_p for the given packet."""
+def offset_phase(packet_index, model: OffsetModel, packet_interval: float, jitter=0.0):
+    """Packet-wide phase nu_p for the given packet index (or array of them)."""
     return model.initial_phase + TWO_PI * model.frequency_offset * (packet_index * packet_interval) + jitter
 
 
-def apply_offset(csi: np.ndarray, packet_index: int, model: OffsetModel,
-                 packet_interval: float = 0.006, jitter: float = 0.0) -> np.ndarray:
-    """Rotate a CSI vector by the packet-wide clock phase e^{j nu_p}.
+def apply_offset(csi: np.ndarray, packet_index, model: OffsetModel,
+                 packet_interval: float = 0.006, jitter=0.0) -> np.ndarray:
+    """Rotate CSI by the packet-wide clock phase e^{j nu_p}.
 
     ``jitter`` is the accumulated random-walk value for this packet; see
     :func:`jitter_walk`. The factor has unit modulus, so per-antenna
-    magnitudes and the relative phases between antennas are untouched.
+    magnitudes and the relative phases between antennas are untouched. With
+    (P,) packet indices and jitters, ``csi`` is (P, M), one row per packet.
     """
     nu = offset_phase(packet_index, model, packet_interval, jitter)
-    return np.asarray(csi, dtype=complex) * np.exp(1j * nu)
+    return np.asarray(csi, dtype=complex) * np.exp(1j * nu)[..., None]
 
 
 def jitter_walk(model: OffsetModel, num_packets: int, rng: np.random.Generator) -> np.ndarray:
@@ -156,26 +167,24 @@ def add_noise_and_quantize(csi: np.ndarray, snr_db: float, quantize: bool,
     10^(snr_db/10); snr_db=+inf disables noise. Quantization scales so the
     largest |real or imaginary| component maps to 127, rounds to signed 8-bit
     and returns the dequantized floats (the scale is retained), bounding the
-    per-component round-trip error by max_component/254.
+    per-component round-trip error by max_component/254. A (P, M) ``csi`` is
+    P packets: each row gets its own noise power and quantization scale, and
+    the noise is one (P, 2, M) draw.
     """
     csi = np.asarray(csi, dtype=complex)
     out = csi
     if math.isfinite(snr_db):
-        signal_power = np.mean(np.abs(csi) ** 2)
-        sigma = math.sqrt(signal_power * 10.0 ** (-snr_db / 10.0) / 2.0)
-        parts = rng.standard_normal((2, csi.size))
-        out = csi + sigma * (parts[0] + 1j * parts[1])
+        signal_power = np.mean(np.abs(csi) ** 2, axis=-1, keepdims=True)
+        sigma = np.sqrt(signal_power * 10.0 ** (-snr_db / 10.0) / 2.0)
+        parts = rng.standard_normal(csi.shape[:-1] + (2, csi.shape[-1]))
+        out = csi + sigma * (parts[..., 0, :] + 1j * parts[..., 1, :])
     if quantize:
-        out = _quantize_8bit(out)
+        peak = np.maximum(np.max(np.abs(out.real), axis=-1, keepdims=True),
+                          np.max(np.abs(out.imag), axis=-1, keepdims=True))
+        step = np.where(peak == 0, 1.0, peak) / 127.0
+        quantized = (np.round(out.real / step) + 1j * np.round(out.imag / step)) * step
+        out = np.where(peak == 0, out, quantized)
     return out
-
-
-def _quantize_8bit(csi: np.ndarray) -> np.ndarray:
-    peak = max(np.max(np.abs(csi.real)), np.max(np.abs(csi.imag)))
-    if peak == 0:
-        return csi.copy()
-    step = peak / 127.0
-    return (np.round(csi.real / step) + 1j * np.round(csi.imag / step)) * step
 
 
 def resample_waypoints(waypoints: Trajectory, packet_interval: float) -> Trajectory:
@@ -192,34 +201,32 @@ def resample_waypoints(waypoints: Trajectory, packet_interval: float) -> Traject
 def simulate_trajectory(config: SimConfig, waypoints: Trajectory) -> dict:
     """Emit one CsiRecord stream per AP for a transmitter following waypoints.
 
-    Each packet is channel_at -> apply_offset -> add_noise_and_quantize. APs
-    draw from independent child RNG streams of ``config.rng_seed`` (assigned
-    in sorted AP order), so per-AP streams may be regenerated independently
-    and the whole output is reproducible.
+    Each AP's whole packet grid is computed as arrays: channel_at ->
+    apply_offset -> add_noise_and_quantize on (P, M) CSI, with the same
+    numbers as composing those helpers packet by packet. Per AP the draws
+    are the jitter walk, the amplitude drift, then the noise. APs draw from
+    independent child RNG streams of ``config.rng_seed`` (assigned in sorted
+    AP order), so per-AP streams may be regenerated independently and the
+    whole output is reproducible.
     """
     grid = resample_waypoints(waypoints, config.packet_interval)
     offsets_from_start = grid.positions - grid.positions[0]
     num_packets = len(grid)
+    packet_indices = np.arange(num_packets)
+    timestamps = grid.timestamps.tolist()
     ap_ids = config.channel.ap_ids
     children = np.random.SeedSequence(config.rng_seed).spawn(len(ap_ids))
     streams = {}
     for ap_id, child in zip(ap_ids, children):
         rng = np.random.default_rng(child)
         model = config.offsets[ap_id]
-        base_paths = config.channel.paths[ap_id]
+        paths = config.channel.paths[ap_id]
         walk = jitter_walk(model, num_packets, rng)
-        drift = _amplitude_drift(config, len(base_paths), num_packets, rng)
-        records = []
-        for p in range(num_packets):
-            paths = base_paths
-            if drift is not None:
-                paths = tuple(replace(path, gain=path.gain * d)
-                              for path, d in zip(base_paths, drift[p]))
-            csi = channel_at(paths, config.geometry, offsets_from_start[p])
-            csi = apply_offset(csi, p, model, config.packet_interval, walk[p])
-            csi = add_noise_and_quantize(csi, config.snr_db, config.quantize, rng)
-            records.append(CsiRecord(ap_id, p, float(grid.timestamps[p]), csi))
-        streams[ap_id] = records
+        drift = _amplitude_drift(config, len(paths), num_packets, rng)
+        csi = _channels(paths, config.geometry, offsets_from_start, drift)
+        csi = apply_offset(csi, packet_indices, model, config.packet_interval, walk)
+        csi = add_noise_and_quantize(csi, config.snr_db, config.quantize, rng)
+        streams[ap_id] = [CsiRecord(ap_id, p, timestamps[p], csi[p]) for p in range(num_packets)]
     return streams
 
 

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from csitrack.cli import EXIT_CONFIG, EXIT_PARSE, EXIT_STREAM, indoor_4ap_preset, main
+from csitrack import cli
+from csitrack.cli import (
+    EXIT_CONFIG, EXIT_PARSE, EXIT_STREAM, EXIT_UNEXPECTED, indoor_4ap_preset, main,
+)
 from csitrack.io import load_config, read_trace, read_trajectory
 
 
@@ -101,6 +104,16 @@ class TestTrackEvaluate:
         estimate = read_trajectory(demo_dir / "estimate.txt")
         assert len(aligned) == len(estimate)
         np.testing.assert_array_equal(aligned.positions[0], [0.0, 0.0])
+
+    def test_linalg_error_is_unexpected_not_configuration(self, monkeypatch, capsys):
+        # numpy's LinAlgError subclasses ValueError, which means exit 2
+        def failing(args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setitem(cli._COMMANDS, "evaluate", failing)
+        code = run(["evaluate", "--estimate", "e.txt", "--truth", "t.txt", "--out", "o.txt"])
+        assert code == EXIT_UNEXPECTED
+        assert "SVD did not converge" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -103,6 +103,21 @@ class TestAlign:
         with pytest.raises(ValueError):
             align(traj([[0.0, 0.0]]), self.wiggle())
 
+    def test_estimate_beyond_the_truth_is_rejected_not_clamped(self):
+        # an estimate running 2 s past a 1 s truth used to read 0.5 m median
+        # error against a truth clamped at its last point
+        t_truth = np.linspace(0.0, 1.0, 11)
+        truth = traj(np.column_stack([t_truth, np.zeros_like(t_truth)]), t_truth)
+        t_late = np.linspace(0.0, 2.0, 21)
+        late = traj(np.column_stack([t_late, np.zeros_like(t_late)]), t_late)
+        with pytest.raises(ValueError, match="outside the truth"):
+            align(late, truth)
+        early = traj(late.positions, t_late - 1.0)
+        with pytest.raises(ValueError, match="outside the truth"):
+            align(early, truth)
+        inside = traj(truth.positions, t_truth + np.r_[-5e-10, np.zeros(9), 5e-10])
+        np.testing.assert_allclose(align(inside, truth).errors, 0.0, atol=1e-9)
+
     def test_fit_rotation_on_known_pair(self):
         rng = np.random.default_rng(3)
         source = rng.normal(size=(30, 2))

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import re
+import tempfile
 import time
 
 import numpy as np
@@ -175,6 +176,55 @@ class TestTraceRoundTrip:
         assert set(streams) == set(AP_IDS)
         for ap, records in streams.items():
             assert [r.packet_index for r in records] == sorted(r.packet_index for r in records)
+
+
+_TRACE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+                     -1.7976931348623157e308, 0.30000000000000004, 1.0000000000000002,
+                     -9.999999999999999e22]),
+)
+_TRACE_AP_NAMES = st.text(min_size=1, max_size=6).filter(
+    lambda s: not s.startswith("#") and not any(c.isspace() for c in s))
+
+
+@st.composite
+def trace_files(draw):
+    num_antennas = draw(st.integers(2, 4))
+    ap_ids = draw(st.lists(_TRACE_AP_NAMES, min_size=1, max_size=4, unique=True))
+    header = TraceHeader(ArrayGeometry.circular(num_antennas), ap_ids,
+                         draw(st.floats(1e-6, 1.0)))
+    next_index = dict.fromkeys(ap_ids, 0)
+    records = []
+    for ap in draw(st.lists(st.sampled_from(ap_ids), max_size=12)):
+        next_index[ap] += draw(st.integers(1, 3))
+        values = draw(st.lists(_TRACE_FLOATS, min_size=2 * num_antennas,
+                               max_size=2 * num_antennas))
+        csi = np.array(values).view(complex)
+        records.append(CsiRecord(ap, next_index[ap], draw(_TRACE_FLOATS), csi))
+    return TraceFile(header, records)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace=trace_files())
+def test_trace_round_trip_is_lossless(trace):
+    # every float comes back bit for bit: -0.0, subnormals, +-1e308, 17 digits
+    with tempfile.TemporaryDirectory() as folder:
+        path = pathlib.Path(folder) / "trace.txt"
+        write_trace(path, trace)
+        loaded = read_trace(path)
+    assert loaded.header == trace.header
+    assert len(loaded.records) == len(trace.records)
+    for a, b in zip(loaded.records, trace.records):
+        assert (a.ap_id, a.packet_index) == (b.ap_id, b.packet_index)
+        assert np.float64(a.timestamp).tobytes() == np.float64(b.timestamp).tobytes()
+        assert a.csi.tobytes() == b.csi.tobytes()
+
+
+def test_trace_header_rejects_ap_ids_the_format_cannot_hold():
+    for bad in (["#ap"], ["ap 0"], ["ap\t0"], ["ap0", "ap0"], []):
+        with pytest.raises(ValueError):
+            TraceHeader(default_geometry(), bad, 0.006)
 
 
 class TestPairStreams:

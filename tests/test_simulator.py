@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import AP_IDS, default_geometry, make_sim_config, zero_offsets
 
@@ -25,6 +26,35 @@ from csitrack.simulator import (
     square_waypoints,
     stationary_waypoints,
 )
+
+
+@st.composite
+def sim_scenarios(draw):
+    """A small random scenario: 2-4 antennas, 1-4 APs of 1-3 paths, noise
+    on or off, quantization on or off, drift and jitter on or off, and a
+    1-packet, square or random track."""
+    geometry = ArrayGeometry.circular(draw(st.integers(2, 4)), spacing=0.026)
+    ap_ids = [f"ap{i}" for i in range(draw(st.integers(1, 4)))]
+    angles = st.floats(0.0, 2 * np.pi)
+    paths = {ap: tuple(PropagationPath(draw(angles),
+                                       draw(st.floats(0.1, 2.0)) * cmath.exp(1j * draw(angles)))
+                       for _ in range(draw(st.integers(1, 3))))
+             for ap in ap_ids}
+    jitter_std = draw(st.sampled_from([0.0, 0.05]))
+    offsets = {ap: OffsetModel(draw(angles), draw(st.floats(-25e3, 25e3)), jitter_std)
+               for ap in ap_ids}
+    config = SimConfig(
+        geometry=geometry, channel=ChannelSpec(paths), offsets=offsets,
+        snr_db=draw(st.one_of(st.just(math.inf), st.floats(-5.0, 40.0))),
+        quantize=draw(st.booleans()), rng_seed=draw(st.integers(0, 2**32)),
+        amplitude_drift_std=draw(st.sampled_from([0.0, 0.02])),
+    )
+    waypoints = draw(st.sampled_from([
+        stationary_waypoints(0.001, position=(0.2, -0.1)),
+        square_waypoints(side=0.004, speed=0.05),
+        random_waypoints(scale=0.3, duration=0.3, seed=draw(st.integers(0, 99))),
+    ]))
+    return config, waypoints
 
 
 class TestChannelAt:
@@ -125,6 +155,15 @@ class TestNoiseAndQuantize:
         np.testing.assert_allclose(levels, np.round(levels), atol=1e-9)
         assert np.max(np.abs(levels)) == 127
 
+    def test_rows_quantize_on_their_own_scale_and_zero_rows_stay_zero(self):
+        rng = np.random.default_rng(0)
+        rows = np.array([[1.0 + 0j, 0.5 + 0.25j], [0.0, 0.0], [0.0 + 0.02j, -0.01 + 0j]])
+        quantized = add_noise_and_quantize(rows, np.inf, True, rng)
+        for row, out in zip(rows, quantized):
+            assert out.tobytes() == add_noise_and_quantize(row, np.inf, True, rng).tobytes()
+        np.testing.assert_array_equal(quantized[1], 0.0)
+        assert np.max(np.abs(quantized[2].view(float))) == pytest.approx(0.02, rel=1e-15)
+
     def test_empirical_snr_within_half_db(self):
         rng = np.random.default_rng(42)
         csi = np.array([1 + 1j, 0.4 - 0.2j, -0.7 + 0.3j])
@@ -204,12 +243,46 @@ class TestSimulateTrajectory:
             rng = np.random.default_rng(child)
             model = config.offsets[ap]
             walk = jitter_walk(model, len(grid), rng)
-            for p in range(4):
+            assert len(streams[ap]) == len(grid)
+            for p in range(len(grid)):
                 csi = channel_at(config.channel.paths[ap], config.geometry,
                                  grid.positions[p] - grid.positions[0])
                 csi = apply_offset(csi, p, model, config.packet_interval, walk[p])
                 csi = add_noise_and_quantize(csi, config.snr_db, config.quantize, rng)
-                np.testing.assert_array_equal(streams[ap][p].csi, csi)
+                assert streams[ap][p].csi.tobytes() == csi.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=sim_scenarios())
+    def test_every_packet_is_the_one_packet_helpers_composed(self, scenario):
+        # the array code per AP equals channel_at -> apply_offset ->
+        # add_noise_and_quantize per packet, bit for bit, drawing the walk,
+        # the amplitude drift, then each packet's noise from the AP's stream
+        config, waypoints = scenario
+        streams = simulate_trajectory(config, waypoints)
+        grid = resample_waypoints(waypoints, config.packet_interval)
+        ap_ids = config.channel.ap_ids
+        children = np.random.SeedSequence(config.rng_seed).spawn(len(ap_ids))
+        for ap, child in zip(ap_ids, children):
+            rng = np.random.default_rng(child)
+            model = config.offsets[ap]
+            paths = config.channel.paths[ap]
+            walk = jitter_walk(model, len(grid), rng)
+            if config.amplitude_drift_std > 0:
+                steps = rng.normal(0.0, config.amplitude_drift_std, (len(grid) - 1, len(paths)))
+                drift = np.exp(np.vstack([np.zeros(len(paths)), np.cumsum(steps, axis=0)]))
+            assert len(streams[ap]) == len(grid)
+            for p, record in enumerate(streams[ap]):
+                packet_paths = paths
+                if config.amplitude_drift_std > 0:
+                    packet_paths = tuple(PropagationPath(path.aod, path.gain * d)
+                                         for path, d in zip(paths, drift[p]))
+                csi = channel_at(packet_paths, config.geometry,
+                                 grid.positions[p] - grid.positions[0])
+                csi = apply_offset(csi, p, model, config.packet_interval, walk[p])
+                csi = add_noise_and_quantize(csi, config.snr_db, config.quantize, rng)
+                assert (record.ap_id, record.packet_index) == (ap, p)
+                assert record.timestamp == grid.timestamps[p]
+                assert record.csi.tobytes() == csi.tobytes()
 
     def test_amplitude_drift_flag_varies_magnitudes(self):
         base = make_sim_config(7, offsets="zero")
