@@ -7,9 +7,9 @@ path subspace and a noise subspace even though each packet alone is rank one.
 No spatial smoothing is applied: with three antennas there is no room for
 subarrays, and the packet diversity plays the decorrelation role instead.
 
-The tracker estimates every AP that is due on a packet in one batch
-(:func:`estimate_aods`): one stacked covariance and ``eigh``, one grid scan,
-one refinement loop. :func:`estimate_paths` is the same kernel for one window.
+The tracker estimates every AP due on a packet in one batch (:func:`estimate_aods`:
+one ``eigh``, one grid scan, one refinement loop) on covariances it keeps as
+running window sums; :func:`estimate_paths`, for one window, sums X X^H afresh.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class PacketWindow:
     when the buffer fills, the live rows move to a fresh buffer, twice as
     large only when they occupy more than half of the old one. A fresh buffer
     (rather than an in-place shift) leaves any view handed out earlier
-    unchanged.
+    unchanged. Expired rows stay readable (:meth:`rows`) until that move.
     """
 
     def __init__(self, ap_id: str, num_antennas: int):
@@ -80,6 +80,7 @@ class PacketWindow:
         self._timestamps = np.empty(64)
         self._start = 0
         self._end = 0
+        self.moves = 0  # times the live rows moved to a fresh buffer
 
     @classmethod
     def from_records(cls, records, min_packets: int = 1) -> PacketWindow:
@@ -115,6 +116,7 @@ class PacketWindow:
         timestamps[:count] = self._timestamps[self._start:self._end]
         self._csi, self._timestamps = csi, timestamps
         self._start, self._end = 0, count
+        self.moves += 1
 
     def expire(self, horizon: float) -> None:
         """Drop packets from the front while their timestamp is before ``horizon``."""
@@ -123,6 +125,15 @@ class PacketWindow:
         while start < end and timestamps[start] < horizon:
             start += 1
         self._start = start
+
+    @property
+    def span(self) -> tuple:
+        """(moves, start, end): the live rows are buffer rows start:end."""
+        return self.moves, self._start, self._end
+
+    def rows(self, start: int, end: int) -> np.ndarray:
+        """Buffer rows start:end (P, M), one packet's CSI per row."""
+        return self._csi[start:end]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -139,16 +150,18 @@ class PacketWindow:
         return view
 
 
-def _noise_subspaces(matrices, num_paths: int) -> np.ndarray:
-    """(A, M, M - L) stack: per M x P matrix, the eigenvectors of the M - L
-    smallest sample-covariance eigenvalues. One batched ``eigh``."""
-    num_antennas = matrices[0].shape[0]
+def window_sums(windows) -> np.ndarray:
+    """(A, M, M) stack: X X^H of each window's M x P matrix X, summed afresh."""
+    return np.array([window.matrix @ window.matrix.conj().T for window in windows])
+
+
+def _noise_subspaces(covariance: np.ndarray, num_paths: int) -> np.ndarray:
+    """(A, M, M - L) stack: per (M, M) sample covariance, the eigenvectors of
+    the M - L smallest eigenvalues. One batched ``eigh``."""
+    num_antennas = covariance.shape[-1]
     if not 1 <= num_paths <= num_antennas - 1:
         raise ValueError("num_paths must be in [1, num_antennas - 1]")
-    covariance = np.empty((len(matrices), num_antennas, num_antennas), dtype=complex)
-    for a, X in enumerate(matrices):
-        covariance[a] = X @ X.conj().T / X.shape[1]
-    if not np.all(np.isfinite(covariance.view(float))):
+    if not np.isfinite(covariance.view(float)).all():
         raise ValueError("covariance contains non-finite values")
     _, vectors = np.linalg.eigh(covariance)  # ascending eigenvalues
     return vectors[..., : num_antennas - num_paths]
@@ -156,21 +169,21 @@ def _noise_subspaces(matrices, num_paths: int) -> np.ndarray:
 
 def noise_subspace(X: np.ndarray, num_paths: int) -> np.ndarray:
     """Eigenvectors of the M - L smallest sample-covariance eigenvalues."""
-    return _noise_subspaces([np.asarray(X, dtype=complex)], num_paths)[0]
+    X = np.asarray(X, dtype=complex)
+    return _noise_subspaces((X @ X.conj().T / X.shape[1])[None], num_paths)[0]
 
 
-def _null_power(subspace: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    """||E_n^H a(theta)||^2 per steering column, for one subspace or an
-    (A, M, M - L) stack; zero exactly on a path direction."""
-    projected = np.conj(np.swapaxes(subspace, -1, -2)) @ steering
-    return np.sum(np.abs(projected) ** 2, axis=-2)
+def _null_power(adjoint: np.ndarray, steering: np.ndarray) -> np.ndarray:
+    """||E_n^H a(theta)||^2 per steering column, for one noise subspace's
+    adjoint E_n^H or an (A, M - L, M) stack; zero exactly on a path direction."""
+    return (np.abs(adjoint @ steering) ** 2).sum(axis=-2)
 
 
 def music_spectrum(X: np.ndarray, geometry: ArrayGeometry, grid,
                    num_paths: int) -> np.ndarray:
     """Pseudo-spectrum 1 / ||E_n^H a(theta)||^2 sampled on ``grid``."""
-    subspace = noise_subspace(X, num_paths)
-    power = _null_power(subspace, steering_matrix(geometry, np.asarray(grid, dtype=float)))
+    adjoint = noise_subspace(X, num_paths).conj().T
+    power = _null_power(adjoint, steering_matrix(geometry, np.asarray(grid, dtype=float)))
     with np.errstate(divide="ignore"):
         return 1.0 / power
 
@@ -195,7 +208,7 @@ def _cyclic_minima(values: np.ndarray) -> np.ndarray:
 _STENCIL = np.array([-1.0, 0.0, 1.0])
 
 
-def _refine_minima(subspace, geometry, thetas, step, iterations) -> np.ndarray:
+def _refine_minima(adjoint, geometry, thetas, step, iterations) -> np.ndarray:
     """Sharpen (A, L) grid minima by repeated 3-point parabola fits, all at once.
 
     Fits the null power (smooth and locally quadratic at a path direction,
@@ -205,25 +218,25 @@ def _refine_minima(subspace, geometry, thetas, step, iterations) -> np.ndarray:
     the stencils of all A x L paths in one null-power call; a path stops for
     good where its parabola is not convex.
     """
-    thetas = np.array(thetas, dtype=float)
-    active = np.ones(thetas.shape, dtype=bool)
-    h = step
+    shape, h = thetas.shape, step
+    thetas, active = thetas.ravel().tolist(), [True] * thetas.size
     for _ in range(iterations):
-        stencil = thetas[..., None] + h * _STENCIL
-        steering = steering_matrix(geometry, stencil.reshape(len(thetas), -1))
-        g = _null_power(subspace, steering).reshape(stencil.shape)
-        denom = g[..., 0] - 2.0 * g[..., 1] + g[..., 2]
-        active &= denom > 0
-        if not active.any():
+        stencil = np.reshape(thetas, shape)[..., None] + h * _STENCIL
+        steering = steering_matrix(geometry, stencil.reshape(shape[0], -1))
+        # A x L parabolas of three values each: plain floats cost less than array calls
+        g = _null_power(adjoint, steering).reshape(-1, 3).tolist()
+        for k, (lower, middle, upper) in enumerate(g):
+            denom = lower - 2.0 * middle + upper
+            active[k] = active[k] and denom > 0
+            if active[k]:
+                thetas[k] += min(max(0.5 * (lower - upper) / denom * h, -h), h)
+        if not any(active):
             break
-        shift = np.divide(0.5 * (g[..., 0] - g[..., 2]), denom, out=np.zeros(denom.shape),
-                          where=active) * h
-        thetas += np.minimum(np.maximum(shift, -h), h)
         h /= 4.0
-    return thetas
+    return np.reshape(thetas, shape)
 
 
-def estimate_aods(windows, geometry: ArrayGeometry, config: AodConfig):
+def estimate_aods(windows, geometry: ArrayGeometry, config: AodConfig, covariance=None):
     """Sorted AoDs (A, L) and ``degenerate`` flags (A,) of A windows at once.
 
     ``windows`` is a sequence of :class:`PacketWindow`, one per AP. Per
@@ -232,18 +245,21 @@ def estimate_aods(windows, geometry: ArrayGeometry, config: AodConfig):
     quadratic interpolation. If the spectrum exposes fewer than L local
     minima -- typical for a stationary target, whose covariance degenerates
     to rank one -- the L smallest grid values are used instead and the
-    window is flagged ``degenerate``. Each step runs once for the batch;
-    no window's result depends on the others in it."""
-    for window in windows:
-        _require_packets(len(window), config.min_packets)
-    subspace = _noise_subspaces([window.matrix for window in windows], config.num_paths)
+    window is flagged ``degenerate``. Each step runs once for the batch; no
+    window's result depends on the others. ``covariance``: their (A, M, M)
+    sample covariances where the caller keeps them; by default summed afresh."""
+    lengths = [len(window) for window in windows]
+    _require_packets(min(lengths), config.min_packets)
+    if covariance is None:
+        covariance = window_sums(windows) / np.array(lengths)[:, None, None]
+    adjoint = _noise_subspaces(covariance, config.num_paths).conj().swapaxes(-1, -2)
     grid, grid_matrix = _build_grid_steering(geometry, config.grid_step)
-    power = _null_power(subspace, grid_matrix)
+    power = _null_power(adjoint, grid_matrix)
     minima = _cyclic_minima(power)
-    degenerate = np.count_nonzero(minima, axis=-1) < config.num_paths
+    degenerate = minima.sum(axis=-1) < config.num_paths
     minima[degenerate] = True  # rank among all grid values instead
-    order = np.argsort(np.where(minima, power, np.inf), axis=-1)
-    aods = _refine_minima(subspace, geometry, grid[order[:, : config.num_paths]],
+    order = np.where(minima, power, np.inf).argsort(axis=-1)
+    aods = _refine_minima(adjoint, geometry, grid[order[:, : config.num_paths]],
                           config.grid_step, config.refine_iterations)
     return np.sort(np.mod(aods, TWO_PI), axis=-1), degenerate
 

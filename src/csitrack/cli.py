@@ -358,12 +358,9 @@ def main(argv=None) -> int:
                 return code
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED
-    except np.linalg.LinAlgError as exc:
+    except ValueError as exc:  # numpy's LinAlgError too; config errors are ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -66,6 +66,7 @@ class ArrayGeometry:
             raise ValueError("wavelength must be positive and finite")
         positions.flags.writeable = False
         object.__setattr__(self, "antenna_positions", positions)
+        object.__setattr__(self, "_relative", positions - positions[0])  # for steering_matrix
 
     def _key(self):
         positions = self.antenna_positions
@@ -107,8 +108,7 @@ def steering_matrix(geometry: ArrayGeometry, thetas) -> np.ndarray:
     """Stack steering vectors for K angles into an (M, K) matrix, or for an
     (A, K) array of angles into an (A, M, K) stack."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    relative = geometry.antenna_positions - geometry.antenna_positions[0]
-    projection = relative @ np.swapaxes(np.array([np.cos(thetas), np.sin(thetas)]), 0, -2)
+    projection = geometry._relative @ np.array([np.cos(thetas), np.sin(thetas)]).swapaxes(0, -2)
     return np.exp(-2j * np.pi * projection / geometry.wavelength)
 
 
@@ -190,7 +190,7 @@ class Displacement:
         delta = np.asarray(self.delta, dtype=float)
         if delta.shape != (2,):
             raise ValueError("delta must be a 2-vector")
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             raise ValueError("delta must be finite")
         object.__setattr__(self, "delta", delta)
 

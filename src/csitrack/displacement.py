@@ -60,9 +60,8 @@ def factor_steering(matrix: np.ndarray):
     u, s, vh = np.linalg.svd(matrix, full_matrices=False)
     with np.errstate(divide="ignore"):
         cond = s[..., 0] / s[..., -1]
-    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
-    pinv = (np.conj(np.swapaxes(vh, -1, -2)) * inverse[..., None, :]) @ np.conj(
-        np.swapaxes(u, -1, -2))
+    inverse = np.divide(1.0, s, out=np.zeros(s.shape), where=s > 0)
+    pinv = (vh.conj().swapaxes(-1, -2) * inverse[..., None, :]) @ u.conj().swapaxes(-1, -2)
     return pinv, cond
 
 
@@ -157,25 +156,28 @@ def displacement_rows(first: np.ndarray, second: np.ndarray, directions: np.ndar
 
 
 def estimate_displacement(per_ap_rows, cond_limit: float = R_CONDITION_LIMIT) -> Displacement:
-    """Solve the stacked least-squares system for the 2D displacement.
-
-    ``per_ap_rows`` is a sequence of (R, s) pairs, concatenated vertically
-    across APs. Raises UnobservableDisplacementError when the stack has fewer
-    than two rows or is too close to rank one to pin down both components.
-    One SVD gives both the condition gate and the solution.
-    """
+    """:func:`solve_displacement` of the (R, s) pairs of ``per_ap_rows``,
+    concatenated vertically across APs."""
     per_ap_rows = list(per_ap_rows)
     if not per_ap_rows:
         raise UnobservableDisplacementError("no contributing APs")
-    stacked_rows = np.vstack([rows for rows, _ in per_ap_rows])
-    stacked_phases = np.concatenate([np.atleast_1d(phases) for _, phases in per_ap_rows])
-    if stacked_rows.shape[0] < 2:
+    rows = np.vstack([rows for rows, _ in per_ap_rows])
+    phases = np.concatenate([np.atleast_1d(phases) for _, phases in per_ap_rows])
+    return Displacement(solve_displacement(rows, phases, cond_limit))
+
+
+def solve_displacement(rows: np.ndarray, phases: np.ndarray,
+                       cond_limit: float = R_CONDITION_LIMIT) -> np.ndarray:
+    """Least-squares 2D displacement of stacked rows R (N, 2) and phases s (N,);
+    UnobservableDisplacementError for fewer than two rows or a stack too close
+    to rank one. One SVD gives both the condition gate and the solution."""
+    if rows.shape[0] < 2:
         raise UnobservableDisplacementError(
             "one equation cannot determine a 2D displacement"
         )
-    u, s, vh = np.linalg.svd(stacked_rows, full_matrices=False)
+    u, s, vh = np.linalg.svd(rows, full_matrices=False)
     if s[1] == 0 or s[0] / s[1] >= cond_limit:
         raise UnobservableDisplacementError(
             f"stacked geometry condition number exceeds {cond_limit:g}"
         )
-    return Displacement(vh.T @ ((u.T @ stacked_phases) / s))
+    return vh.T @ ((u.T @ phases) / s)

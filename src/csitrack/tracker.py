@@ -1,14 +1,15 @@
 """End-to-end motion tracking over synchronized CSI streams.
 
 Maintains a sliding window of recent packets per AP (a
-:class:`~csitrack.aod.PacketWindow`), re-estimates the paths of every AP that
-is due on a packet in one batch (:func:`~csitrack.aod.estimate_aods`, then
-:func:`continuity_order` and one stacked factorization), projects consecutive
-packet pairs onto the same paths, fuses the per-AP offset-cancelled rows into
-one displacement per packet (one array kernel for all APs, see
-:mod:`csitrack.displacement`) and integrates the result from the origin. Samples whose displacement is unobservable carry
-the previous position forward with a quality flag, so the trajectory keeps a
-uniform timebase for evaluation.
+:class:`~csitrack.aod.PacketWindow`) with a running sum of x x^H over it,
+re-estimates the paths of every AP that is due on a packet in one batch
+(:func:`~csitrack.aod.estimate_aods` on those sums, then
+:func:`continuity_order` and one stacked factorization), projects each packet
+pair onto the same paths, fuses the per-AP offset-cancelled rows into one
+displacement per packet (one array kernel for all APs, see
+:mod:`csitrack.displacement`) and integrates it from the origin. Samples whose
+displacement is unobservable carry the previous position forward with a
+quality flag, so the trajectory keeps a uniform timebase for evaluation.
 """
 
 from __future__ import annotations
@@ -20,16 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aod import AodConfig, PacketWindow, estimate_aods
+from .aod import AodConfig, PacketWindow, estimate_aods, window_sums
 from .core import ArrayGeometry, Displacement, PathSet, Trajectory, circular_distance, steering_matrix
 from .displacement import (
     A_CONDITION_LIMIT,
     R_CONDITION_LIMIT,
     WEAK_PATH_RTOL,
     displacement_rows,
-    estimate_displacement,
     factor_steering,
     project,
+    solve_displacement,
 )
 from .errors import (
     DegenerateGeometryError,
@@ -39,6 +40,8 @@ from .errors import (
 )
 
 MODES = ("full", "assume-same-clock")
+#: A running window sum is summed afresh once the power taken out exceeds this times its trace.
+RESUM_RATIO = 1.0
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,8 @@ class Tracker:
     appended per packet, dead-reckoned (position carried, flagged) whenever
     the displacement cannot be solved. An AP that never transmits, or that
     misses individual packets, is simply excluded from the affected updates.
+    Each window's sum of x x^H is kept running from estimate to estimate and
+    summed afresh wherever that could drift (rules at :meth:`_update_sums`).
     """
 
     def __init__(self, geometry: ArrayGeometry, ap_ids, config: TrackerConfig = None):
@@ -125,10 +130,12 @@ class Tracker:
         self._pinv = np.zeros((num_aps, num_paths, num_antennas), dtype=complex)
         self._directions = np.zeros((num_aps, num_paths, 2))  # [cos, sin] of each AoD
         self._has_paths = np.zeros(num_aps, dtype=bool)
+        self._sums = np.zeros((num_aps, num_antennas, num_antennas), dtype=complex)  # x x^H
+        self._spans = [None] * num_aps  # the window span each sum covers
+        self._expired = np.zeros(num_aps)  # power taken out since summed afresh
         self._usable = np.zeros(num_aps, dtype=bool)  # steering condition gate passed
         self._previous_csi = np.zeros((num_aps, num_antennas), dtype=complex)
         self._previous_present = np.zeros(num_aps, dtype=bool)
-        self._weights = np.zeros((num_aps, num_paths), dtype=complex)  # the previous packet's
         self._previous_index = None
         self._previous_time = None
         self._started = False
@@ -140,27 +147,51 @@ class Tracker:
 
     # -- per-packet update ----------------------------------------------------
 
-    def _update_paths(self) -> np.ndarray:
+    def _update_sums(self, slots, windows) -> None:
+        """Bring each due AP's sum of x x^H to its window: add the rows pushed and
+        subtract those expired since its span. Sum afresh on a first estimate, after a
+        buffer move, when no fewer rows changed than are live, when not finite, and once
+        the power taken out since the last fresh sum exceeds RESUM_RATIO times the trace."""
+        for slot, window in zip(slots, windows):
+            old = self._spans[slot]
+            moves, start, end = self._spans[slot] = window.span
+            if old is None or old[0] != moves or start - old[1] + end - old[2] >= end - start:
+                self._expired[slot] = np.inf  # nothing to update: sum afresh
+            elif end > old[2]:
+                pushed, expired = window.rows(old[2], end), window.rows(old[1], start)
+                loss = expired.T @ expired.conj()
+                self._sums[slot] += pushed.T @ pushed.conj() - loss
+                self._expired[slot] += loss.trace().real
+        kept = np.isfinite(self._sums.sum(axis=(1, 2))) & (
+            self._expired <= RESUM_RATIO * self._sums.trace(axis1=1, axis2=2).real)
+        stale = [slot for slot in slots if not kept[slot]]
+        if stale:
+            self._sums[stale] = window_sums([self._windows[self.ap_ids[slot]] for slot in stale])
+            self._expired[stale] = 0.0
+
+    def _update_paths(self) -> None:
         """Re-estimate the paths of every AP that is due as one batch and factor
-        their steering matrices as one stack; returns the mask of those APs."""
+        their steering matrices as one stack."""
         due = self._since_estimate >= self.config.stride
         if np.count_nonzero(due):  # once warm, one packet in stride: the fills only then
             due &= self._fill >= self.config.aod.min_packets
         if not np.count_nonzero(due):
-            return due
-        slots = np.flatnonzero(due)
+            return
+        slots = due.nonzero()[0].tolist()
+        at = slots if len(slots) < len(due) else slice(None)  # all APs: a cheaper slice
         windows = [self._windows[self.ap_ids[slot]] for slot in slots]
-        aods, degenerate = estimate_aods(windows, self.geometry, self.config.aod)
+        self._update_sums(slots, windows)
+        aods, degenerate = estimate_aods(windows, self.geometry, self.config.aod,
+                                         self._sums[at] / self._fill[at, None, None])
         # a first estimate follows itself, which keeps the estimator's order
-        previous = np.where(self._has_paths[slots, None], self._aods[slots], aods)
-        aods = np.take_along_axis(aods, continuity_order(previous, aods), axis=1)
-        self._pinv[slots], cond = factor_steering(steering_matrix(self.geometry, aods))
-        self._usable[slots] = cond < self.config.steering_condition_limit
-        self._aods[slots], self._degenerate[slots] = aods, degenerate
-        self._directions[slots] = np.stack([np.cos(aods), np.sin(aods)], axis=-1)
-        self._has_paths[slots] = True
-        self._since_estimate[slots] = 0
-        return due
+        previous = np.where(self._has_paths[at, None], self._aods[at], aods)
+        aods = aods[np.arange(len(slots))[:, None], continuity_order(previous, aods)]
+        self._pinv[at], cond = factor_steering(steering_matrix(self.geometry, aods))
+        self._usable[at] = cond < self.config.steering_condition_limit
+        self._aods[at], self._degenerate[at] = aods, degenerate
+        self._directions[at] = np.array([np.cos(aods), np.sin(aods)]).transpose(1, 2, 0)
+        self._has_paths[at] = True
+        self._since_estimate[at] = 0
 
     def ingest(self, records) -> Displacement | None:
         """Push one packet's records (mapping ap_id -> CsiRecord).
@@ -207,10 +238,7 @@ class Tracker:
             window.expire(horizon)
             self._fill[slot] = len(window)
         self._since_estimate += present
-        changed = self._update_paths()
-        # project this packet once; the next packet reuses these weights for
-        # every AP whose paths do not change in between
-        weights = project(self._pinv, csi)
+        self._update_paths()
 
         displacement = None
         if not self._started:
@@ -218,24 +246,22 @@ class Tracker:
                 self._started = True
                 self._emit(now, "ok")
         else:
-            displacement = self._pair_update(present, changed, weights, now)
+            displacement = self._pair_update(present, csi, now)
 
-        self._weights = weights
         self._previous_csi = csi
         self._previous_present = present
         self._previous_index = packet_index
         self._previous_time = now
         return displacement
 
-    def _pair_update(self, present, changed, weights, now):
-        """Solve every AP's rows together; the previous packet is re-projected
-        only where the paths changed since it was projected."""
-        if changed.any():
-            self._weights[changed] = project(self._pinv[changed], self._previous_csi[changed])
+    def _pair_update(self, present, csi, now):
+        """Project both packets of the pair onto each AP's current paths in one
+        product and solve every AP's rows together."""
+        first, second = project(self._pinv, np.array([self._previous_csi, csi]))
         pairs = present & self._previous_present & self._has_paths
         active = pairs & self._usable
         rows, phases, short = displacement_rows(
-            self._weights[active], weights[active], self._directions[active],
+            first[active], second[active], self._directions[active],
             self.geometry.wavelength, self.config.weak_path_rtol,
             same_clock=self.config.mode == "assume-same-clock",
         )
@@ -245,9 +271,8 @@ class Tracker:
             if count:
                 self.exclusions[error.__name__] += count
         try:
-            displacement = estimate_displacement(
-                [(rows, phases)], self.config.stacked_condition_limit
-            )
+            displacement = Displacement(
+                solve_displacement(rows, phases, self.config.stacked_condition_limit))
         except UnobservableDisplacementError:
             self._emit(now, "dead-reckoned")
             return None

@@ -4,10 +4,18 @@ Every helper is deterministic in its seed so tests and the acceptance suite
 reproduce bit-identically.
 """
 
+import os
+
 import numpy as np
+from hypothesis import settings
 
 from csitrack.core import TWO_PI, ArrayGeometry
 from csitrack.simulator import ChannelSpec, OffsetModel, PropagationPath, SimConfig
+
+# CI runs with HYPOTHESIS_PROFILE=ci: a failing property prints the blob that
+# reproduces it (@reproduce_failure), and no example fails on a slow runner's deadline
+settings.register_profile("ci", print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 AP_IDS = ("ap0", "ap1", "ap2", "ap3")
 PACKET_INTERVAL = 0.006

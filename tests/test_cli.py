@@ -115,6 +115,22 @@ class TestTrackEvaluate:
         assert code == EXIT_UNEXPECTED
         assert "SVD did not converge" in capsys.readouterr().err
 
+    def test_estimate_past_the_truth_is_unexpected_not_configuration(self, tmp_path, capsys):
+        # align refuses an estimate that outlasts the truth with a bare
+        # ValueError: nothing in the configuration is wrong, so not exit 2
+        from csitrack.core import Trajectory
+        from csitrack.io import write_trajectory
+
+        truth, estimate = tmp_path / "truth.txt", tmp_path / "estimate.txt"
+        write_trajectory(truth, Trajectory(np.zeros((11, 2)), np.linspace(0.0, 1.0, 11)))
+        write_trajectory(estimate, Trajectory(np.zeros((21, 2)), np.linspace(0.0, 2.0, 21)))
+        code = run(["evaluate", "--estimate", estimate, "--truth", truth,
+                    "--out", tmp_path / "cdf.txt"])
+        assert code == EXIT_UNEXPECTED
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "cdf.txt").exists()
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a trace\n")

@@ -227,6 +227,80 @@ class TestGridSteeringCache:
         assert built == [720, 720, 360]
 
 
+def fresh_sum(window):
+    X = window.matrix
+    return X @ X.conj().T
+
+
+class TestRunningSums:
+    """The tracker's running window sums of x x^H against X X^H summed afresh."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(stride=st.integers(1, 12), window_packets=st.integers(3, 150),
+           packets=st.integers(20, 250), drop=st.floats(0.0, 0.5), jump=st.floats(0.0, 0.3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sums_stay_within_rounding_of_fresh_sums(self, stride, window_packets, packets,
+                                                      drop, jump, seed):
+        # appends, expiries (several at once after a gap in the stream), per-AP
+        # drops and per-AP gain jumps of up to 1e8 between packets; buffers grow
+        # while windows fill and compact once they slide
+        rng = np.random.default_rng(seed)
+        aod_config = AodConfig(window_seconds=0.006 * window_packets, min_packets=3)
+        tracker = Tracker(default_geometry(), AP_IDS, TrackerConfig(aod=aod_config, stride=stride))
+        gains = np.ones(len(AP_IDS))
+        now, checked = 0.0, 0
+        for p in range(packets):
+            jumps = rng.random(len(AP_IDS)) < jump
+            gains[jumps] = 10.0 ** rng.uniform(-4.0, 4.0, np.count_nonzero(jumps))
+            now += 0.006 * (rng.integers(3, 30) if rng.random() < 0.05 else 1.0)
+            present = [a for a in range(len(AP_IDS)) if rng.random() >= drop] or [p % len(AP_IDS)]
+            tracker.ingest({AP_IDS[a]: CsiRecord(AP_IDS[a], p, now, gains[a] * (
+                rng.normal(size=3) + 1j * rng.normal(size=3))) for a in present})
+            for slot, ap in enumerate(AP_IDS):
+                window = tracker._windows[ap]
+                if tracker._spans[slot] == window.span:  # the sum covers this window
+                    expected = fresh_sum(window)
+                    error = np.abs(tracker._sums[slot] - expected).max()
+                    assert error <= 1e-12 * np.abs(expected).max()
+                    checked += 1
+        assert checked
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("huge", [[1e200], [1e154, 1e154]],
+                             ids=["row-overflows", "sum-overflows"])
+    def test_overflowing_rows_raise_until_they_expire(self, huge):
+        # one row whose outer product overflows, or two rows whose sum does:
+        # every estimate raises while they are in the window, and the first
+        # one after they leave equals a fresh window's bit for bit
+        geometry = default_geometry()
+        aod_config = AodConfig(window_seconds=0.1, min_packets=3)
+        tracker = Tracker(geometry, AP_IDS, TrackerConfig(aod=aod_config))
+        rng = np.random.default_rng(3)
+        huge_at = {20 + 5 * i: magnitude for i, magnitude in enumerate(huge)}
+        raised, compared = [], 0
+        for p in range(60):
+            group = {ap: CsiRecord(ap, p, 0.006 * p, rng.normal(size=3) + 1j * rng.normal(size=3))
+                     for ap in AP_IDS}
+            if p in huge_at:
+                group["ap0"] = CsiRecord("ap0", p, 0.006 * p, np.full(3, huge_at[p], dtype=complex))
+            window = tracker._windows["ap0"]
+            try:
+                tracker.ingest(group)
+            except ValueError as exc:
+                assert str(exc) == "covariance contains non-finite values"
+                raised.append(p)
+                continue
+            finally:
+                overflowing = np.count_nonzero(np.abs(window.matrix[0]) > 1e100) == len(huge)
+                assert overflowing == (raised[-1:] == [p])
+            if raised and raised[-1] == p - 1:  # the first estimate after they left
+                np.testing.assert_array_equal(tracker._sums[0], fresh_sum(window))
+                expected = aod.estimate_paths(window, geometry, aod_config)
+                np.testing.assert_array_equal(np.sort(tracker.path_sets["ap0"].aods), expected.aods)
+                compared += 1
+        assert len(raised) > 10 and compared == 1
+
+
 class TestStreamValidation:
     def records_at(self, index, timestamp=None):
         timestamp = index * 0.006 if timestamp is None else timestamp
