@@ -6,7 +6,7 @@ departure angles, clock-offset-cancelling displacement recovery, a synthetic
 CSI simulator and an evaluation harness.
 """
 
-from .aod import AodConfig, angle_grid, concat_window, estimate_paths, music_spectrum, noise_subspace
+from .aod import AodConfig, angle_grid, estimate_paths, music_spectrum
 from .core import (
     DEFAULT_WAVELENGTH,
     ArrayGeometry,
@@ -71,6 +71,6 @@ from .simulator import (
     square_waypoints,
     stationary_waypoints,
 )
-from .tracker import Tracker, TrackerConfig, path_continuity
+from .tracker import Tracker, TrackerConfig
 
 __version__ = "0.1.0"

@@ -8,8 +8,9 @@ No spatial smoothing is applied: with three antennas there is no room for
 subarrays, and the packet diversity plays the decorrelation role instead.
 
 The tracker estimates every AP due on a packet in one batch (:func:`estimate_aods`:
-one ``eigh``, one grid scan, one refinement loop) on covariances it keeps as
-running window sums; :func:`estimate_paths`, for one window, sums X X^H afresh.
+one ``eigh``, one grid scan, one refinement loop) on the running sums of x x^H
+that each :class:`PacketWindow` keeps; :func:`estimate_paths`, for one window,
+sums X X^H afresh.
 """
 
 from __future__ import annotations
@@ -57,21 +58,21 @@ def _require_packets(count: int, min_packets: int) -> None:
         raise WindowUnderfullError(f"window holds {count} packets, need {min_packets}")
 
 
-def concat_window(records, min_packets: int = 1) -> np.ndarray:
-    """Stack one AP's CSI vectors into an M x P matrix, column per packet."""
-    return PacketWindow.from_records(records, min_packets).matrix
+def _fresh_sum(X: np.ndarray) -> np.ndarray:
+    """X X^H of an M x P matrix X, summed afresh."""
+    return X @ X.conj().T
 
 
 class PacketWindow:
     """One AP's sliding window of packets, held in one contiguous array.
 
     Each row of the buffer is one packet's CSI, so :attr:`matrix` is a
-    transposed view with the same F-ordered M x P layout that
-    :func:`concat_window` builds. Appending and expiring cost amortized O(1):
-    when the buffer fills, the live rows move to a fresh buffer, twice as
-    large only when they occupy more than half of the old one. A fresh buffer
-    (rather than an in-place shift) leaves any view handed out earlier
-    unchanged. Expired rows stay readable (:meth:`rows`) until that move.
+    transposed, F-ordered M x P view, column per packet. Appending and
+    expiring cost amortized O(1): when the buffer fills, the live rows move
+    to a fresh buffer, twice as large only when they occupy more than half of
+    the old one. A fresh buffer (rather than an in-place shift) leaves any
+    view handed out earlier unchanged. Expired rows stay in the buffer until
+    that move, so :meth:`outer_sum` can subtract them.
     """
 
     def __init__(self, ap_id: str, num_antennas: int):
@@ -80,7 +81,9 @@ class PacketWindow:
         self._timestamps = np.empty(64)
         self._start = 0
         self._end = 0
-        self.moves = 0  # times the live rows moved to a fresh buffer
+        self._sum = np.zeros((num_antennas, num_antennas), dtype=complex)  # x x^H
+        self._summed = None  # the buffer rows (start, end) the sum covers
+        self._taken = 0.0  # power subtracted since the sum was summed afresh
 
     @classmethod
     def from_records(cls, records, min_packets: int = 1) -> PacketWindow:
@@ -116,7 +119,7 @@ class PacketWindow:
         timestamps[:count] = self._timestamps[self._start:self._end]
         self._csi, self._timestamps = csi, timestamps
         self._start, self._end = 0, count
-        self.moves += 1
+        self._summed = None
 
     def expire(self, horizon: float) -> None:
         """Drop packets from the front while their timestamp is before ``horizon``."""
@@ -126,14 +129,27 @@ class PacketWindow:
             start += 1
         self._start = start
 
-    @property
-    def span(self) -> tuple:
-        """(moves, start, end): the live rows are buffer rows start:end."""
-        return self.moves, self._start, self._end
+    def outer_sum(self) -> np.ndarray:
+        """The (M, M) sum of x x^H over the window, kept running between calls.
 
-    def rows(self, start: int, end: int) -> np.ndarray:
-        """Buffer rows start:end (P, M), one packet's CSI per row."""
-        return self._csi[start:end]
+        Adds the rows pushed and subtracts the rows expired since the last
+        call. Sums afresh on a first call, after the live rows moved, when no
+        fewer rows changed than are live, when the sum is not finite, and once
+        the power subtracted since the last fresh sum exceeds its trace. The
+        array returned is never modified afterwards.
+        """
+        start, end = self._start, self._end
+        old, self._summed = self._summed, (start, end)
+        if old is not None and start - old[0] + end - old[1] < end - start:
+            pushed, expired = self._csi[old[1]:end], self._csi[old[0]:start]
+            loss = expired.T @ expired.conj()
+            self._sum = self._sum + (pushed.T @ pushed.conj() - loss)
+            self._taken += loss.trace().real
+            if self._taken <= self._sum.trace().real < math.inf:
+                return self._sum
+        self._sum = _fresh_sum(self.matrix)
+        self._taken = 0.0
+        return self._sum
 
     @property
     def matrix(self) -> np.ndarray:
@@ -150,11 +166,6 @@ class PacketWindow:
         return view
 
 
-def window_sums(windows) -> np.ndarray:
-    """(A, M, M) stack: X X^H of each window's M x P matrix X, summed afresh."""
-    return np.array([window.matrix @ window.matrix.conj().T for window in windows])
-
-
 def _noise_subspaces(covariance: np.ndarray, num_paths: int) -> np.ndarray:
     """(A, M, M - L) stack: per (M, M) sample covariance, the eigenvectors of
     the M - L smallest eigenvalues. One batched ``eigh``."""
@@ -167,12 +178,6 @@ def _noise_subspaces(covariance: np.ndarray, num_paths: int) -> np.ndarray:
     return vectors[..., : num_antennas - num_paths]
 
 
-def noise_subspace(X: np.ndarray, num_paths: int) -> np.ndarray:
-    """Eigenvectors of the M - L smallest sample-covariance eigenvalues."""
-    X = np.asarray(X, dtype=complex)
-    return _noise_subspaces((X @ X.conj().T / X.shape[1])[None], num_paths)[0]
-
-
 def _null_power(adjoint: np.ndarray, steering: np.ndarray) -> np.ndarray:
     """||E_n^H a(theta)||^2 per steering column, for one noise subspace's
     adjoint E_n^H or an (A, M - L, M) stack; zero exactly on a path direction."""
@@ -182,7 +187,8 @@ def _null_power(adjoint: np.ndarray, steering: np.ndarray) -> np.ndarray:
 def music_spectrum(X: np.ndarray, geometry: ArrayGeometry, grid,
                    num_paths: int) -> np.ndarray:
     """Pseudo-spectrum 1 / ||E_n^H a(theta)||^2 sampled on ``grid``."""
-    adjoint = noise_subspace(X, num_paths).conj().T
+    X = np.asarray(X, dtype=complex)
+    adjoint = _noise_subspaces((_fresh_sum(X) / X.shape[1])[None], num_paths)[0].conj().T
     power = _null_power(adjoint, steering_matrix(geometry, np.asarray(grid, dtype=float)))
     with np.errstate(divide="ignore"):
         return 1.0 / power
@@ -236,22 +242,26 @@ def _refine_minima(adjoint, geometry, thetas, step, iterations) -> np.ndarray:
     return np.reshape(thetas, shape)
 
 
-def estimate_aods(windows, geometry: ArrayGeometry, config: AodConfig, covariance=None):
+def estimate_aods(windows, geometry: ArrayGeometry, config: AodConfig):
     """Sorted AoDs (A, L) and ``degenerate`` flags (A,) of A windows at once.
 
-    ``windows`` is a sequence of :class:`PacketWindow`, one per AP. Per
-    window, picks the L deepest cyclic local minima of the null power
-    (equivalently, the L largest spectrum peaks) and refines each by
-    quadratic interpolation. If the spectrum exposes fewer than L local
-    minima -- typical for a stationary target, whose covariance degenerates
-    to rank one -- the L smallest grid values are used instead and the
-    window is flagged ``degenerate``. Each step runs once for the batch; no
-    window's result depends on the others. ``covariance``: their (A, M, M)
-    sample covariances where the caller keeps them; by default summed afresh."""
-    lengths = [len(window) for window in windows]
+    ``windows`` is a sequence of :class:`PacketWindow`, one per AP, each
+    estimated from its running :meth:`~PacketWindow.outer_sum`. Per window,
+    picks the L deepest cyclic local minima of the null power (equivalently,
+    the L largest spectrum peaks) and refines each by quadratic
+    interpolation. If the spectrum exposes fewer than L local minima --
+    typical for a stationary target, whose covariance degenerates to rank
+    one -- the L smallest grid values are used instead and the window is
+    flagged ``degenerate``. Each step runs once for the batch; no window's
+    result depends on the others."""
+    sums = np.array([window.outer_sum() for window in windows])
+    return _music_aods(sums, [len(window) for window in windows], geometry, config)
+
+
+def _music_aods(sums, lengths, geometry: ArrayGeometry, config: AodConfig):
+    """:func:`estimate_aods` on (A, M, M) sums of x x^H over windows of ``lengths`` packets."""
     _require_packets(min(lengths), config.min_packets)
-    if covariance is None:
-        covariance = window_sums(windows) / np.array(lengths)[:, None, None]
+    covariance = sums / np.array(lengths)[:, None, None]
     adjoint = _noise_subspaces(covariance, config.num_paths).conj().swapaxes(-1, -2)
     grid, grid_matrix = _build_grid_steering(geometry, config.grid_step)
     power = _null_power(adjoint, grid_matrix)
@@ -268,10 +278,11 @@ def estimate_paths(window, geometry: ArrayGeometry, config: AodConfig) -> PathSe
     """Estimate the AoDs of ``config.num_paths`` paths from one AP's window.
 
     ``window`` is a :class:`PacketWindow` or a sequence of one AP's records;
-    this is :func:`estimate_aods` for a batch of one.
+    this is :func:`estimate_aods` for a batch of one, on X X^H summed afresh,
+    so a window's running sum stays as it is.
     """
     if not isinstance(window, PacketWindow):
         window = PacketWindow.from_records(window, config.min_packets)
-    aods, degenerate = estimate_aods([window], geometry, config)
+    aods, degenerate = _music_aods(_fresh_sum(window.matrix)[None], [len(window)], geometry, config)
     return PathSet(window.ap_id, aods[0], steering_matrix(geometry, aods[0]),
                    geometry.wavelength, bool(degenerate[0]))

@@ -93,6 +93,11 @@ PRESETS = {"indoor-4ap": indoor_4ap_preset}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def seed(text: str) -> int:  # argparse names the type in its error: "invalid seed value"
+        if int(text) < 0:
+            raise ValueError(text)
+        return int(text)
+
     parser = argparse.ArgumentParser(
         prog="csitrack",
         description="WiFi-CSI motion tracking: simulate, track, evaluate, ablate.",
@@ -106,11 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--waypoints", help="trajectory file with the target's motion")
     sim.add_argument("--motion", choices=["square", "stationary", "random"],
                      help="generated motion instead of --waypoints")
-    sim.add_argument("--motion-scale", type=float, default=0.1,
+    sim.add_argument("--motion-scale", type=trace_io._positive, default=0.1,
                      help="square side / random span in meters (default 0.1)")
-    sim.add_argument("--motion-duration", type=float, default=6.0,
+    sim.add_argument("--motion-duration", type=trace_io._positive, default=6.0,
                      help="duration for stationary/random motion in seconds")
-    sim.add_argument("--seed", type=int, help="override the config's rng seed")
+    sim.add_argument("--seed", type=seed, help="override the config's rng seed")
     sim.add_argument("--out", required=True, help="output trace file")
     sim.add_argument("--truth", help="also write the resampled ground-truth trajectory")
 
@@ -137,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", help="simulate, track and evaluate the indoor preset")
     demo.add_argument("--outdir", required=True)
-    demo.add_argument("--seed", type=int, default=1234)
+    demo.add_argument("--seed", type=seed, default=1234)
 
     return parser
 

@@ -1,9 +1,9 @@
 """End-to-end motion tracking over synchronized CSI streams.
 
 Maintains a sliding window of recent packets per AP (a
-:class:`~csitrack.aod.PacketWindow`) with a running sum of x x^H over it,
-re-estimates the paths of every AP that is due on a packet in one batch
-(:func:`~csitrack.aod.estimate_aods` on those sums, then
+:class:`~csitrack.aod.PacketWindow`, which keeps a running sum of x x^H over
+its packets), re-estimates the paths of every AP that is due on a packet in
+one batch (:func:`~csitrack.aod.estimate_aods` on those sums, then
 :func:`continuity_order` and one stacked factorization), projects each packet
 pair onto the same paths, fuses the per-AP offset-cancelled rows into one
 displacement per packet (one array kernel for all APs, see
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aod import AodConfig, PacketWindow, estimate_aods, window_sums
+from .aod import AodConfig, PacketWindow, estimate_aods
 from .core import ArrayGeometry, Displacement, PathSet, Trajectory, circular_distance, steering_matrix
 from .displacement import (
     A_CONDITION_LIMIT,
@@ -40,8 +40,6 @@ from .errors import (
 )
 
 MODES = ("full", "assume-same-clock")
-#: A running window sum is summed afresh once the power taken out exceeds this times its trace.
-RESUM_RATIO = 1.0
 
 
 @dataclass(frozen=True)
@@ -81,21 +79,6 @@ def continuity_order(previous: np.ndarray, current: np.ndarray) -> np.ndarray:
     return perms[distance[:, paths, perms].sum(axis=-1).argmin(axis=-1)]
 
 
-def path_continuity(previous: PathSet, current: PathSet) -> PathSet:
-    """Permute ``current`` so each path keeps the identity it had before
-    (:func:`continuity_order` for one AP) and the attenuation-change diagonal
-    stays aligned across windows; ``current`` itself when no reordering wins."""
-    if previous.ap_id != current.ap_id:
-        raise ValueError("path sets belong to different APs")
-    if previous.num_paths != current.num_paths:
-        raise ValueError("path sets have different path counts")
-    order = continuity_order(previous.aods[None], current.aods[None])[0]
-    if np.array_equal(order, np.arange(current.num_paths)):
-        return current
-    return PathSet(current.ap_id, current.aods[order], current.steering_matrix[:, order],
-                   current.wavelength, current.degenerate)
-
-
 class Tracker:
     """Integrates per-packet displacements into a trajectory.
 
@@ -105,8 +88,6 @@ class Tracker:
     appended per packet, dead-reckoned (position carried, flagged) whenever
     the displacement cannot be solved. An AP that never transmits, or that
     misses individual packets, is simply excluded from the affected updates.
-    Each window's sum of x x^H is kept running from estimate to estimate and
-    summed afresh wherever that could drift (rules at :meth:`_update_sums`).
     """
 
     def __init__(self, geometry: ArrayGeometry, ap_ids, config: TrackerConfig = None):
@@ -130,9 +111,6 @@ class Tracker:
         self._pinv = np.zeros((num_aps, num_paths, num_antennas), dtype=complex)
         self._directions = np.zeros((num_aps, num_paths, 2))  # [cos, sin] of each AoD
         self._has_paths = np.zeros(num_aps, dtype=bool)
-        self._sums = np.zeros((num_aps, num_antennas, num_antennas), dtype=complex)  # x x^H
-        self._spans = [None] * num_aps  # the window span each sum covers
-        self._expired = np.zeros(num_aps)  # power taken out since summed afresh
         self._usable = np.zeros(num_aps, dtype=bool)  # steering condition gate passed
         self._previous_csi = np.zeros((num_aps, num_antennas), dtype=complex)
         self._previous_present = np.zeros(num_aps, dtype=bool)
@@ -147,28 +125,6 @@ class Tracker:
 
     # -- per-packet update ----------------------------------------------------
 
-    def _update_sums(self, slots, windows) -> None:
-        """Bring each due AP's sum of x x^H to its window: add the rows pushed and
-        subtract those expired since its span. Sum afresh on a first estimate, after a
-        buffer move, when no fewer rows changed than are live, when not finite, and once
-        the power taken out since the last fresh sum exceeds RESUM_RATIO times the trace."""
-        for slot, window in zip(slots, windows):
-            old = self._spans[slot]
-            moves, start, end = self._spans[slot] = window.span
-            if old is None or old[0] != moves or start - old[1] + end - old[2] >= end - start:
-                self._expired[slot] = np.inf  # nothing to update: sum afresh
-            elif end > old[2]:
-                pushed, expired = window.rows(old[2], end), window.rows(old[1], start)
-                loss = expired.T @ expired.conj()
-                self._sums[slot] += pushed.T @ pushed.conj() - loss
-                self._expired[slot] += loss.trace().real
-        kept = np.isfinite(self._sums.sum(axis=(1, 2))) & (
-            self._expired <= RESUM_RATIO * self._sums.trace(axis1=1, axis2=2).real)
-        stale = [slot for slot in slots if not kept[slot]]
-        if stale:
-            self._sums[stale] = window_sums([self._windows[self.ap_ids[slot]] for slot in stale])
-            self._expired[stale] = 0.0
-
     def _update_paths(self) -> None:
         """Re-estimate the paths of every AP that is due as one batch and factor
         their steering matrices as one stack."""
@@ -180,9 +136,7 @@ class Tracker:
         slots = due.nonzero()[0].tolist()
         at = slots if len(slots) < len(due) else slice(None)  # all APs: a cheaper slice
         windows = [self._windows[self.ap_ids[slot]] for slot in slots]
-        self._update_sums(slots, windows)
-        aods, degenerate = estimate_aods(windows, self.geometry, self.config.aod,
-                                         self._sums[at] / self._fill[at, None, None])
+        aods, degenerate = estimate_aods(windows, self.geometry, self.config.aod)
         # a first estimate follows itself, which keeps the estimator's order
         previous = np.where(self._has_paths[at, None], self._aods[at], aods)
         aods = aods[np.arange(len(slots))[:, None], continuity_order(previous, aods)]

@@ -12,7 +12,6 @@ from csitrack.aod import (
     AodConfig,
     PacketWindow,
     angle_grid,
-    concat_window,
     estimate_aods,
     estimate_paths,
     music_spectrum,
@@ -55,7 +54,7 @@ def synth_window(geometry, aods, num_packets, seed=0, snr_db=None, diverse=True)
 class TestConcatWindow:
     def test_single_record_gives_column(self):
         csi = np.array([1 + 1j, 2 - 1j, 0.5j])
-        X = concat_window([CsiRecord("ap0", 0, 0.0, csi)])
+        X = PacketWindow.from_records([CsiRecord("ap0", 0, 0.0, csi)]).matrix
         assert X.shape == (3, 1)
         np.testing.assert_array_equal(X[:, 0], csi)
 
@@ -63,7 +62,7 @@ class TestConcatWindow:
         geometry = default_geometry()
         X = synth_window(geometry, [0.8, 2.1], 40, seed=1)
         records = make_records(X)
-        singular = np.linalg.svd(concat_window(records), compute_uv=False)
+        singular = np.linalg.svd(PacketWindow.from_records(records).matrix, compute_uv=False)
         assert singular[2] < 1e-8 * singular[0]
         assert singular[1] > 1e-3 * singular[0]
 
@@ -73,12 +72,12 @@ class TestConcatWindow:
             CsiRecord("ap1", 1, 0.006, np.ones(3)),
         ]
         with pytest.raises(ValueError):
-            concat_window(records)
+            PacketWindow.from_records(records)
 
     def test_underfull_window_raises(self):
         records = [CsiRecord("ap0", 0, 0.0, np.ones(3))]
         with pytest.raises(WindowUnderfullError):
-            concat_window(records, min_packets=20)
+            PacketWindow.from_records(records, min_packets=20)
 
 
 class TestPacketWindow:
@@ -152,7 +151,8 @@ class TestPacketWindow:
                 window, records = tracker._windows[ap], reference[ap]
                 assert len(window) == len(records)
                 if records:
-                    np.testing.assert_array_equal(window.matrix, concat_window(records))
+                    np.testing.assert_array_equal(window.matrix,
+                                                  PacketWindow.from_records(records).matrix)
                     np.testing.assert_array_equal(window.timestamps,
                                                   [r.timestamp for r in records])
                 if len(records) >= aod.min_packets and (p % 37 == 0 or p == packets - 1):

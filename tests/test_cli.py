@@ -60,6 +60,30 @@ class TestSimulate:
         assert info.value.code == 2
 
 
+SIMULATE = ["simulate", "--preset", "indoor-4ap", "--motion", "random"]
+
+
+@pytest.mark.parametrize("argv", [
+    SIMULATE + ["--seed", "-3"],
+    SIMULATE + ["--seed", "1.5"],
+    SIMULATE + ["--motion-duration", "inf"],
+    SIMULATE + ["--motion-duration", "nan"],
+    SIMULATE + ["--motion-duration", "0"],
+    SIMULATE + ["--motion-scale", "-0.1"],
+    SIMULATE + ["--motion-scale", "inf"],
+    SIMULATE + ["--motion-scale", "nan"],
+    ["demo", "--seed", "-3"],
+], ids=lambda argv: f"{argv[0]} {' '.join(argv[-2:])}")
+def test_bad_numbers_are_refused_by_the_parser(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        run(argv + ["--outdir" if argv[0] == "demo" else "--out", out])
+    assert info.value.code == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert argv[-2] in err and "Traceback" not in err
+
+
 class TestTrackEvaluate:
     def test_demo_produces_all_files(self, demo_dir):
         for name in ("config.json", "trace.txt", "truth.txt", "estimate.txt", "report.txt"):

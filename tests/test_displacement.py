@@ -524,7 +524,7 @@ def test_kernel_matches_per_ap_reference(monkeypatch, case, mode):
     streams, geometry, aods, drifting, expected = kernel_case(case)
     estimates = Counter()
 
-    def drifting_aods(windows, geometry, config, covariance=None):
+    def drifting_aods(windows, geometry, config):
         # the true AoDs, nudged on every estimate so that path sets change
         thetas = []
         for window in windows:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csitrack.core import Trajectory
 from csitrack.evaluation import (
@@ -73,12 +74,15 @@ class TestAlign:
         result = align(doubled, truth)
         assert result.errors.max() > 1e-4
 
-    def test_rigid_motion_invariance(self):
+    @settings(max_examples=60, deadline=None)
+    @given(angle=st.floats(-np.pi, np.pi),
+           shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+    def test_rigid_motion_invariance(self, angle, shift):
         truth = self.wiggle()
         estimate = self.wiggle(seed=2)
         base = align(estimate, truth)
         moved = traj(
-            estimate.positions @ rotation_matrix(0.7).T + [5.0, -1.0],
+            estimate.positions @ rotation_matrix(angle).T + shift,
             estimate.timestamps,
         )
         result = align(moved, truth)

@@ -246,17 +246,23 @@ class TestPairStreams:
         assert groups[7].missing == ("ap2",)
         assert "ap2" not in groups[7].records
 
-    def test_arrival_order_irrelevant(self):
-        streams = {ap: self.make_records(ap, range(6)) for ap in AP_IDS}
-        shuffled = {
-            ap: [records[i] for i in (3, 0, 5, 1, 4, 2)]
-            for ap, records in streams.items()
-        }
+    @settings(max_examples=60, deadline=None)
+    @given(packets=st.integers(0, 12), data=st.data())
+    def test_arrival_order_irrelevant(self, packets, data):
+        # random per-AP drops; then each stream, and the order of the APs, shuffled
+        kept = st.lists(st.booleans(), min_size=packets, max_size=packets)
+        streams = {ap: [r for r, keep in zip(self.make_records(ap, range(packets)),
+                                             data.draw(kept)) if keep]
+                   for ap in AP_IDS}
+        shuffled = {ap: data.draw(st.permutations(streams[ap]))
+                    for ap in data.draw(st.permutations(AP_IDS))}
         base = pair_streams(streams)
         permuted = pair_streams(shuffled)
         assert [g.packet_index for g in base] == [g.packet_index for g in permuted]
         for a, b in zip(base, permuted):
             assert list(a.records) == list(b.records)
+            assert all(a.records[ap] is b.records[ap] for ap in a.records)
+            assert a.missing == b.missing
 
     def test_duplicate_record_rejected(self):
         records = self.make_records("ap0", [1, 1])

@@ -10,7 +10,7 @@ from conftest import AP_IDS, default_geometry, make_sim_config
 
 from csitrack import aod
 from csitrack.aod import AodConfig
-from csitrack.core import ArrayGeometry, CsiRecord, PathSet, circular_distance, steering_matrix
+from csitrack.core import ArrayGeometry, CsiRecord, circular_distance, steering_matrix
 from csitrack.errors import StreamOrderError
 from csitrack.io import pair_streams
 from csitrack.simulator import (
@@ -20,7 +20,7 @@ from csitrack.simulator import (
     square_waypoints,
     stationary_waypoints,
 )
-from csitrack.tracker import Tracker, TrackerConfig, continuity_order, path_continuity
+from csitrack.tracker import Tracker, TrackerConfig, continuity_order
 
 
 def run_tracker(streams, config=None, geometry=None, ap_ids=AP_IDS):
@@ -30,41 +30,30 @@ def run_tracker(streams, config=None, geometry=None, ap_ids=AP_IDS):
 
 
 class TestPathContinuity:
-    def make_set(self, aods, ap_id="ap0"):
-        geometry = default_geometry()
-        return PathSet(ap_id, np.asarray(aods, float),
-                       steering_matrix(geometry, aods), geometry.wavelength)
+    def order(self, previous, current):
+        return continuity_order(np.array([previous]), np.array([current]))[0]
 
     def test_identity_when_unchanged(self):
-        previous = self.make_set([0.5, 2.0])
-        current = self.make_set([0.5, 2.0])
-        matched = path_continuity(previous, current)
-        np.testing.assert_array_equal(matched.aods, current.aods)
+        np.testing.assert_array_equal(self.order([0.5, 2.0], [0.5, 2.0]), [0, 1])
 
     def test_reversed_order_is_swapped_back(self):
-        previous = self.make_set([0.5, 2.0])
-        current = self.make_set([2.0, 0.5])
-        matched = path_continuity(previous, current)
-        np.testing.assert_array_equal(matched.aods, [0.5, 2.0])
+        geometry = default_geometry()
+        current = np.array([2.0, 0.5])
+        order = self.order([0.5, 2.0], current)
+        np.testing.assert_array_equal(current[order], [0.5, 2.0])
         np.testing.assert_array_equal(
-            matched.steering_matrix, current.steering_matrix[:, [1, 0]]
+            steering_matrix(geometry, current[order]), steering_matrix(geometry, current)[:, [1, 0]]
         )
 
     def test_slow_rotation_keeps_labels_stable(self):
         base = np.array([0.5, 2.0])
-        previous = self.make_set(base)
+        previous = base
         for step in range(100):
             rotated = np.sort((base + 0.01 * (step + 1)) % (2 * np.pi))
-            matched = path_continuity(previous, self.make_set(rotated))
+            matched = rotated[self.order(previous, rotated)]
             # label k must stay within a small step of its previous angle
-            from csitrack.core import circular_distance
-
-            assert np.all(circular_distance(matched.aods, previous.aods) < 0.1)
+            assert np.all(circular_distance(matched, previous) < 0.1)
             previous = matched
-
-    def test_mismatched_aps_rejected(self):
-        with pytest.raises(ValueError):
-            path_continuity(self.make_set([0.5, 2.0]), self.make_set([0.5, 2.0], "ap1"))
 
     @settings(max_examples=60, deadline=None)
     @given(num_paths=st.integers(1, 3), data=st.data())
@@ -81,8 +70,6 @@ class TestPathContinuity:
         for a in range(num_aps):
             costs = [circular_distance(previous[a], current[a][list(p)]).sum() for p in perms]
             np.testing.assert_array_equal(order[a], perms[int(np.argmin(costs))])
-            matched = path_continuity(self.make_set(previous[a]), self.make_set(current[a]))
-            np.testing.assert_array_equal(matched.aods, current[a][order[a]])
 
     def test_ties_keep_the_first_permutation(self):
         previous = np.array([[1.0, 1.0, 3.0], [1.0, 2.0, 3.0]])
@@ -233,7 +220,7 @@ def fresh_sum(window):
 
 
 class TestRunningSums:
-    """The tracker's running window sums of x x^H against X X^H summed afresh."""
+    """The windows' running sums of x x^H against X X^H summed afresh."""
 
     @settings(max_examples=30, deadline=None)
     @given(stride=st.integers(1, 12), window_packets=st.integers(3, 150),
@@ -256,11 +243,11 @@ class TestRunningSums:
             present = [a for a in range(len(AP_IDS)) if rng.random() >= drop] or [p % len(AP_IDS)]
             tracker.ingest({AP_IDS[a]: CsiRecord(AP_IDS[a], p, now, gains[a] * (
                 rng.normal(size=3) + 1j * rng.normal(size=3))) for a in present})
-            for slot, ap in enumerate(AP_IDS):
+            for ap in AP_IDS:
                 window = tracker._windows[ap]
-                if tracker._spans[slot] == window.span:  # the sum covers this window
+                if window._summed == (window._start, window._end):  # the sum covers it
                     expected = fresh_sum(window)
-                    error = np.abs(tracker._sums[slot] - expected).max()
+                    error = np.abs(window._sum - expected).max()
                     assert error <= 1e-12 * np.abs(expected).max()
                     checked += 1
         assert checked
@@ -294,7 +281,7 @@ class TestRunningSums:
                 overflowing = np.count_nonzero(np.abs(window.matrix[0]) > 1e100) == len(huge)
                 assert overflowing == (raised[-1:] == [p])
             if raised and raised[-1] == p - 1:  # the first estimate after they left
-                np.testing.assert_array_equal(tracker._sums[0], fresh_sum(window))
+                np.testing.assert_array_equal(window._sum, fresh_sum(window))
                 expected = aod.estimate_paths(window, geometry, aod_config)
                 np.testing.assert_array_equal(np.sort(tracker.path_sets["ap0"].aods), expected.aods)
                 compared += 1
