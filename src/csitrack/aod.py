@@ -227,7 +227,7 @@ def _refine_minima(adjoint, geometry, thetas, step, iterations) -> np.ndarray:
     shape, h = thetas.shape, step
     thetas, active = thetas.ravel().tolist(), [True] * thetas.size
     for _ in range(iterations):
-        stencil = np.reshape(thetas, shape)[..., None] + h * _STENCIL
+        stencil = np.array(thetas).reshape(shape)[..., None] + h * _STENCIL
         steering = steering_matrix(geometry, stencil.reshape(shape[0], -1))
         # A x L parabolas of three values each: plain floats cost less than array calls
         g = _null_power(adjoint, steering).reshape(-1, 3).tolist()
@@ -239,7 +239,7 @@ def _refine_minima(adjoint, geometry, thetas, step, iterations) -> np.ndarray:
         if not any(active):
             break
         h /= 4.0
-    return np.reshape(thetas, shape)
+    return np.array(thetas).reshape(shape)
 
 
 def estimate_aods(windows, geometry: ArrayGeometry, config: AodConfig):

@@ -145,6 +145,22 @@ class CsiRecord:
         object.__setattr__(self, "csi", csi)
 
 
+def checked_records(ap_ids, packet_indices, timestamps, csi) -> list:
+    """CsiRecords of the rows of an (N, M) complex CSI block, each holding a
+    view of its row; the block is checked once for what CsiRecord checks."""
+    csi = np.asarray(csi, dtype=complex)
+    if csi.ndim != 2 or csi.shape[1] == 0:
+        raise ValueError("csi must be an (N, M) block of non-empty rows")
+    if not np.isfinite(csi).all():
+        raise ValueError("csi must be finite")
+    records = [object.__new__(CsiRecord) for _ in range(len(csi))]
+    for name, values in zip(CsiRecord.__slots__, (ap_ids, packet_indices, timestamps, csi)):
+        setter = getattr(CsiRecord, name).__set__  # what the frozen __init__ would set
+        for record, value in zip(records, values, strict=True):
+            setter(record, value)
+    return records
+
+
 @dataclass(frozen=True)
 class PathSet:
     """Estimated departure angles of one AP's paths and their steering matrix.

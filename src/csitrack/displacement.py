@@ -8,8 +8,11 @@ cancels the clock term exactly; the remaining phases are linear in the
 displacement and are solved by least squares, stacking rows from all APs.
 
 The tracker factors each AP's steering matrix once per path-set estimate
-(:func:`factor_steering`), projects each packet once (:func:`project`) and
-builds the rows of every AP in one pass (:func:`displacement_rows`);
+(:func:`factor_steering`) and projects each packet once (:func:`project`).
+:func:`displacement_rows` is a per-packet path selection
+(:func:`select_paths`) followed by the rows of that selection
+(:func:`row_geometry`); the tracker builds and factors (:func:`factor_rows`)
+the rows of a selection once and reuses them until the next estimate.
 :func:`path_weights` and :func:`attenuation_change` are the same math for a
 single packet pair.
 """
@@ -135,8 +138,20 @@ def displacement_rows(first: np.ndarray, second: np.ndarray, directions: np.ndar
 
     Returns R (N, 2) and s (N,) in AP-then-path order, and a boolean (A,)
     mask of the APs left with fewer usable paths than the rows need (two, or
-    one with ``same_clock``), which contribute nothing.
+    one with ``same_clock``), which contribute nothing. The tracker keeps
+    :func:`row_geometry` of a :func:`select_paths` selection until it changes.
     """
+    keep, ref, short, change = select_paths(first, second, weak_rtol, same_clock)
+    rows, index = row_geometry(directions, keep, ref, wavelength)
+    return rows, np.angle(change[index]), short
+
+
+def select_paths(first: np.ndarray, second: np.ndarray, weak_rtol: float = WEAK_PATH_RTOL,
+                 same_clock: bool = False):
+    """The per-packet part of :func:`displacement_rows`: the (A, L) mask of
+    paths that give a row, each AP's reference path (None with ``same_clock``),
+    the (A,) mask of APs left short and the (A, L) attenuation ratios, divided
+    by the reference path's unless ``same_clock``."""
     magnitude = np.abs(first)
     strength = np.minimum(magnitude, np.abs(second))
     keep = strength > weak_rtol * np.hypot.reduce(magnitude, axis=-1, keepdims=True)
@@ -144,15 +159,20 @@ def displacement_rows(first: np.ndarray, second: np.ndarray, directions: np.ndar
     keep[short] = False
     change = np.ones(first.shape, dtype=complex)
     change[keep] = _ratio(first[keep], second[keep])
-    scale = -TWO_PI / wavelength
     if same_clock:
-        return scale * directions[keep], np.angle(change[keep]), short
+        return keep, None, short, change
     ref = (strength * keep).argmax(axis=-1)  # kept paths are all stronger than 0
-    keep[np.arange(ref.size), ref] = False
-    aps, paths = np.nonzero(keep)
-    refs = ref[aps]
-    rows = scale * (directions[aps, paths] - directions[aps, refs])
-    return rows, np.angle(change[aps, paths] / change[aps, refs]), short
+    at_ref = np.arange(ref.size), ref
+    keep[at_ref] = False
+    return keep, ref, short, change / change[at_ref][:, None]
+
+
+def row_geometry(directions: np.ndarray, keep: np.ndarray, ref, wavelength: float):
+    """Rows R (N, 2) of a selection and the (AP, path) index of their ratios;
+    they change only with the path set or the selection."""
+    aps, paths = index = np.nonzero(keep)
+    rows = directions[index] if ref is None else directions[index] - directions[aps, ref[aps]]
+    return (-TWO_PI / wavelength) * rows, index
 
 
 def estimate_displacement(per_ap_rows, cond_limit: float = R_CONDITION_LIMIT) -> Displacement:
@@ -171,13 +191,21 @@ def solve_displacement(rows: np.ndarray, phases: np.ndarray,
     """Least-squares 2D displacement of stacked rows R (N, 2) and phases s (N,);
     UnobservableDisplacementError for fewer than two rows or a stack too close
     to rank one. One SVD gives both the condition gate and the solution."""
+    return solve_factored(factor_rows(rows, cond_limit), phases)
+
+
+def factor_rows(rows: np.ndarray, cond_limit: float = R_CONDITION_LIMIT):
+    """The SVD (u, s, vh) of stacked rows, gated as in :func:`solve_displacement`."""
     if rows.shape[0] < 2:
-        raise UnobservableDisplacementError(
-            "one equation cannot determine a 2D displacement"
-        )
+        raise UnobservableDisplacementError("one equation cannot determine a 2D displacement")
     u, s, vh = np.linalg.svd(rows, full_matrices=False)
     if s[1] == 0 or s[0] / s[1] >= cond_limit:
         raise UnobservableDisplacementError(
-            f"stacked geometry condition number exceeds {cond_limit:g}"
-        )
+            f"stacked geometry condition number exceeds {cond_limit:g}")
+    return u, s, vh
+
+
+def solve_factored(factors, phases: np.ndarray) -> np.ndarray:
+    """:func:`solve_displacement` of rows factored by :func:`factor_rows`."""
+    u, s, vh = factors
     return vh.T @ ((u.T @ phases) / s)

@@ -31,7 +31,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .core import CsiRecord, ArrayGeometry, Trajectory
+from .core import ArrayGeometry, Trajectory, checked_records
 from .errors import ConfigError, TraceParseError, TraceVersionError
 from .evaluation import ErrorCdf
 from .simulator import SimConfig
@@ -41,6 +41,8 @@ TRACE_MAGIC = "#csi-trace"
 TRACE_VERSION = "v1"
 TRAJECTORY_HEADER = "#trajectory v1 time x y"
 CDF_HEADER = "#error-cdf v1 error cumulative_fraction"
+#: Body lines that read_trace parses and checks as one block.
+BLOCK_LINES = 128
 
 
 def _fmt(value) -> str:
@@ -78,22 +80,35 @@ class TraceFile:
     records: list
 
     def __post_init__(self):
-        last_index = {}
-        for record in self.records:
-            if record.ap_id not in self.header.ap_ids:
-                raise ValueError(f"record AP {record.ap_id!r} missing from header")
-            if record.csi.size != self.header.num_antennas:
-                raise ValueError(
-                    f"record has {record.csi.size} CSI entries, header says "
-                    f"{self.header.num_antennas}"
-                )
-            prev = last_index.get(record.ap_id)
-            if prev is not None and record.packet_index <= prev:
-                raise ValueError(
-                    f"AP {record.ap_id!r}: packet_index {record.packet_index} "
-                    f"not increasing after {prev}"
-                )
-            last_index[record.ap_id] = record.packet_index
+        sizes = {record.csi.size for record in self.records} - {self.header.num_antennas}
+        if sizes:
+            raise ValueError(f"record has {sizes.pop()} CSI entries, header says "
+                             f"{self.header.num_antennas}")
+        _check_order(self.header, [record.ap_id for record in self.records],
+                     [record.packet_index for record in self.records], {})
+
+
+def _check_order(header: TraceHeader, ap_ids: list, indices: list, last: dict) -> None:
+    """ValueError unless every AP id is in the header and each AP's packet
+    indices increase from its entry in ``last`` on; then brings ``last`` (AP
+    slot -> latest packet index) up to date. Checks all records at once."""
+    if not ap_ids:
+        return
+    slots = {ap: slot for slot, ap in enumerate(header.ap_ids)}
+    aps = list(map(slots.get, ap_ids))
+    if None in aps:
+        raise ValueError(f"record AP {ap_ids[aps.index(None)]!r} missing from header")
+    aps = np.array([*last, *aps])
+    order = np.argsort(aps, kind="stable")
+    aps, indices = aps[order], np.array([*last.values(), *indices], dtype=object)[order]
+    same = aps[1:] == aps[:-1]
+    faults = np.flatnonzero(same & (indices[1:] <= indices[:-1]))
+    if faults.size:
+        at = faults[0] + 1
+        raise ValueError(f"AP {header.ap_ids[aps[at]]!r}: packet_index {indices[at]} "
+                         f"not increasing after {indices[at - 1]}")
+    ends = np.append(~same, True)  # each AP's last row
+    last.update(zip(aps[ends].tolist(), indices[ends].tolist()))
 
 
 def write_trace(path, trace: TraceFile) -> None:
@@ -121,13 +136,15 @@ def _positive(text: str) -> float:
 
 
 def read_trace(path) -> TraceFile:
-    """Parse a trace file line by line; errors name the 1-based line."""
+    """Parse a trace file; errors name the 1-based line. The body is parsed
+    in blocks of BLOCK_LINES lines, each converted by one ``np.array`` call and
+    checked as a whole; a block that fails is checked again line by line."""
     with open(path) as handle:
-        lines = enumerate((line.rstrip("\n") for line in handle), start=1)
-        return _parse_trace(lines)
+        return _parse_trace(handle)
 
 
-def _parse_trace(lines) -> TraceFile:
+def _parse_trace(handle) -> TraceFile:
+    lines = enumerate(handle, start=1)
     _, first = next(lines, (1, None))
     if first is None:
         raise TraceParseError("empty trace file", 1)
@@ -141,10 +158,10 @@ def _parse_trace(lines) -> TraceFile:
     body = ()
     for number, line in lines:
         if line.startswith("#"):
-            key, _, rest = line[1:].partition(" ")
+            key, _, rest = line[1:].rstrip("\n").partition(" ")
             meta[key] = (rest, number)
         else:
-            body = itertools.chain([(number, line)], lines)
+            body = itertools.chain([line], handle)  # from line `number` on
             break
 
     def parse_header(key, convert):
@@ -168,31 +185,41 @@ def _parse_trace(lines) -> TraceFile:
     geometry = parse_header("geometry", parse_geometry)
     header = parse_header("aps", lambda text: TraceHeader(geometry, text.split(), packet_interval))
 
-    records = []
-    expected_fields = 3 + 2 * num_antennas
-    for number, line in body:
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != expected_fields:
-            raise TraceParseError(
-                f"expected {expected_fields} fields, found {len(parts)}", number
-            )
+    records, last = [], {}  # last: each AP slot's latest packet index
+    while rows := [line.split() for line in itertools.islice(body, BLOCK_LINES)]:
         try:
-            values = [float(v) for v in parts[2:]]
-            record = CsiRecord(
-                ap_id=parts[0],
-                packet_index=int(parts[1]),
-                timestamp=values[0],
-                csi=np.array(values[1:]).view(complex).copy(),  # a view would pin the floats
-            )
-        except ValueError as exc:
-            raise TraceParseError(str(exc), number) from None
-        records.append(record)
-    try:
-        return TraceFile(header, records)
-    except ValueError as exc:
-        raise TraceParseError(str(exc)) from None
+            records += _parse_block(rows, header, last)
+        except ValueError:  # the same checks, line by line, name the first offending line
+            for offset, parts in enumerate(rows):
+                try:
+                    records += _parse_block([parts], header, last)
+                except ValueError as exc:
+                    raise TraceParseError(str(exc), number + offset) from None
+        number += len(rows)
+    trace = object.__new__(TraceFile)  # its records were checked against the header
+    object.__setattr__(trace, "header", header)
+    object.__setattr__(trace, "records", records)
+    return trace
+
+
+def _parse_block(rows, header: TraceHeader, last: dict) -> list:
+    """Records of the split lines ``rows``, checked as a whole (ValueError
+    says which check failed); brings ``last`` up to date."""
+    rows = [parts for parts in rows if parts]  # a blank line holds no record
+    if not rows:
+        return []
+    width = 3 + 2 * header.num_antennas
+    counts = set(map(len, rows))
+    if counts != {width}:
+        raise ValueError(f"expected {width} fields, found {min(counts - {width})}")
+    values = np.array([parts[2:] for parts in rows], dtype=float)
+    ap_ids, indices = [parts[0] for parts in rows], [int(parts[1]) for parts in rows]
+    if not np.isfinite(values[:, 0]).all():
+        raise ValueError("timestamp must be finite")
+    records = checked_records(ap_ids, indices, values[:, 0].tolist(),
+                              values[:, 1:].copy().view(complex))
+    _check_order(header, ap_ids, indices, last)
+    return records
 
 
 def records_by_ap(trace: TraceFile) -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CsiRecord, ArrayGeometry, Trajectory, TWO_PI, steering_matrix
+from .core import ArrayGeometry, Trajectory, TWO_PI, checked_records, steering_matrix
 
 #: Largest clock offset the WiFi standard tolerates, Hz.
 MAX_FREQUENCY_OFFSET = 200e3
@@ -207,7 +207,7 @@ def simulate_trajectory(config: SimConfig, waypoints: Trajectory) -> dict:
     are the jitter walk, the amplitude drift, then the noise. APs draw from
     independent child RNG streams of ``config.rng_seed`` (assigned in sorted
     AP order), so per-AP streams may be regenerated independently and the
-    whole output is reproducible.
+    whole output is reproducible. Each AP's CSI is checked once, as a block.
     """
     grid = resample_waypoints(waypoints, config.packet_interval)
     offsets_from_start = grid.positions - grid.positions[0]
@@ -226,7 +226,7 @@ def simulate_trajectory(config: SimConfig, waypoints: Trajectory) -> dict:
         csi = _channels(paths, config.geometry, offsets_from_start, drift)
         csi = apply_offset(csi, packet_indices, model, config.packet_interval, walk)
         csi = add_noise_and_quantize(csi, config.snr_db, config.quantize, rng)
-        streams[ap_id] = [CsiRecord(ap_id, p, timestamps[p], csi[p]) for p in range(num_packets)]
+        streams[ap_id] = checked_records([ap_id] * num_packets, range(num_packets), timestamps, csi)
     return streams
 
 

@@ -7,7 +7,9 @@ one batch (:func:`~csitrack.aod.estimate_aods` on those sums, then
 :func:`continuity_order` and one stacked factorization), projects each packet
 pair onto the same paths, fuses the per-AP offset-cancelled rows into one
 displacement per packet (one array kernel for all APs, see
-:mod:`csitrack.displacement`) and integrates it from the origin. Samples whose
+:mod:`csitrack.displacement`) and integrates it from the origin. The rows of
+a path selection and their factorization are kept until the next estimate,
+so between estimates a packet pays only for its own phases. Samples whose
 displacement is unobservable carry the previous position forward with a
 quality flag, so the trajectory keeps a uniform timebase for evaluation.
 """
@@ -27,10 +29,12 @@ from .displacement import (
     A_CONDITION_LIMIT,
     R_CONDITION_LIMIT,
     WEAK_PATH_RTOL,
-    displacement_rows,
+    factor_rows,
     factor_steering,
     project,
-    solve_displacement,
+    row_geometry,
+    select_paths,
+    solve_factored,
 )
 from .errors import (
     DegenerateGeometryError,
@@ -112,6 +116,9 @@ class Tracker:
         self._directions = np.zeros((num_aps, num_paths, 2))  # [cos, sin] of each AoD
         self._has_paths = np.zeros(num_aps, dtype=bool)
         self._usable = np.zeros(num_aps, dtype=bool)  # steering condition gate passed
+        # (active, keep, ref) pattern -> row index and SVD factors, or the
+        # UnobservableDisplacementError they raise; valid until the next estimate
+        self._plans = {}
         self._previous_csi = np.zeros((num_aps, num_antennas), dtype=complex)
         self._previous_present = np.zeros(num_aps, dtype=bool)
         self._previous_index = None
@@ -133,6 +140,7 @@ class Tracker:
             due &= self._fill >= self.config.aod.min_packets
         if not np.count_nonzero(due):
             return
+        self._plans.clear()
         slots = due.nonzero()[0].tolist()
         at = slots if len(slots) < len(due) else slice(None)  # all APs: a cheaper slice
         windows = [self._windows[self.ap_ids[slot]] for slot in slots]
@@ -210,26 +218,34 @@ class Tracker:
 
     def _pair_update(self, present, csi, now):
         """Project both packets of the pair onto each AP's current paths in one
-        product and solve every AP's rows together."""
+        product and solve every AP's rows together; the rows of a path
+        selection and their factors are made once per path-set estimate."""
         first, second = project(self._pinv, np.array([self._previous_csi, csi]))
         pairs = present & self._previous_present & self._has_paths
         active = pairs & self._usable
-        rows, phases, short = displacement_rows(
-            first[active], second[active], self._directions[active],
-            self.geometry.wavelength, self.config.weak_path_rtol,
-            same_clock=self.config.mode == "assume-same-clock",
-        )
+        same_clock = self.config.mode == "assume-same-clock"
+        keep, ref, short, change = select_paths(first[active], second[active],
+                                                self.config.weak_path_rtol, same_clock)
         for error, mask in ((DegenerateGeometryError, pairs & ~self._usable),
                             (InsufficientPathsError, short)):
             count = np.count_nonzero(mask)
             if count:
                 self.exclusions[error.__name__] += count
-        try:
-            displacement = Displacement(
-                solve_displacement(rows, phases, self.config.stacked_condition_limit))
-        except UnobservableDisplacementError:
+        key = (active.tobytes(), keep.tobytes(), None if same_clock else ref.tobytes())
+        plan = self._plans.get(key)
+        if plan is None:
+            rows, index = row_geometry(self._directions[active], keep, ref,
+                                       self.geometry.wavelength)
+            try:
+                plan = index, factor_rows(rows, self.config.stacked_condition_limit)
+            except UnobservableDisplacementError as error:
+                plan = error.with_traceback(None)  # keeps no frame alive
+            self._plans[key] = plan
+        if isinstance(plan, UnobservableDisplacementError):
             self._emit(now, "dead-reckoned")
             return None
+        index, factors = plan
+        displacement = Displacement(solve_factored(factors, np.angle(change[index])))
         self._position = self._position + displacement.delta
         self._emit(now, "ok")
         return displacement

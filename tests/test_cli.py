@@ -184,6 +184,17 @@ class TestTrackEvaluate:
         assert run(["track", "--trace", path, "--out", tmp_path / "out.txt"]) == EXIT_PARSE
         assert f"line {first}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [(0, "ap9"), (1, "29")])
+    def test_body_record_against_the_header_is_parse_error_at_its_line(
+            self, demo_dir, tmp_path, capsys, field, value):
+        # an AP missing from #aps, or a packet index that does not increase
+        def edit(fields):
+            fields[field] = value
+
+        path, first = self.rewrite_trace(demo_dir, tmp_path, edit)
+        assert run(["track", "--trace", path, "--out", tmp_path / "out.txt"]) == EXIT_PARSE
+        assert f"line {first}:" in capsys.readouterr().err
+
     def test_bad_header_value_is_parse_error_at_its_line(self, demo_dir, tmp_path, capsys):
         lines = (demo_dir / "trace.txt").read_text().splitlines()
         number = next(n for n, line in enumerate(lines, start=1)

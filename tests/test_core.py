@@ -11,6 +11,7 @@ from csitrack.core import (
     CsiRecord,
     Displacement,
     Trajectory,
+    checked_records,
     circular_distance,
     direction_unit_vector,
     steering_matrix,
@@ -163,6 +164,26 @@ class TestDomainTypes:
     def test_csi_record_rejects_non_finite_csi(self, bad):
         with pytest.raises(ValueError, match="finite"):
             CsiRecord("ap0", 0, 0.0, np.array([1.0, bad, 1j]))
+
+    def test_checked_records_equal_records_built_one_by_one(self):
+        csi = np.array([[1.0, -0.0j], [2.5 + 1j, 3.0]])
+        records = checked_records(["a", "b"], [4, 7], [0.5, 1.5], csi)
+        for record, built in zip(records, [CsiRecord("a", 4, 0.5, csi[0]),
+                                           CsiRecord("b", 7, 1.5, csi[1])]):
+            assert type(record) is CsiRecord
+            assert (record.ap_id, record.packet_index, record.timestamp) == (
+                built.ap_id, built.packet_index, built.timestamp)
+            assert record.csi.dtype == built.csi.dtype
+            assert record.csi.tobytes() == built.csi.tobytes()
+
+    @pytest.mark.parametrize("block", [np.ones(3), np.ones((2, 0)), np.array([[1.0, np.nan]])])
+    def test_checked_records_reject_what_a_record_rejects(self, block):
+        with pytest.raises(ValueError):
+            checked_records(["a"] * len(block), range(len(block)), [0.0] * len(block), block)
+
+    def test_checked_records_need_one_field_of_each_kind_per_row(self):
+        with pytest.raises(ValueError):
+            checked_records(["a"], [0, 1], [0.0, 1.0], np.ones((2, 2)))
 
     def test_displacement_requires_finite_2vector(self):
         with pytest.raises(ValueError):

@@ -2,28 +2,32 @@
 stacked least squares."""
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import optimize
 
 from conftest import AP_IDS, default_geometry, make_sim_config, random_offsets
 
 from csitrack import tracker as tracker_module
-from csitrack.core import ArrayGeometry, CsiRecord, PathSet, steering_matrix
+from csitrack.core import ArrayGeometry, CsiRecord, Displacement, PathSet, steering_matrix
 from csitrack.displacement import (
     PathWeights,
     attenuation_change,
     displacement_rows,
     estimate_displacement,
+    factor_rows,
     factor_steering,
     path_weights,
     project,
+    solve_displacement,
 )
 from csitrack.errors import (
     DegenerateGeometryError,
+    InsufficientPathsError,
     UnobservableDisplacementError,
     WeakPathError,
 )
@@ -36,7 +40,7 @@ from csitrack.simulator import (
     simulate_trajectory,
     stationary_waypoints,
 )
-from csitrack.tracker import Tracker, TrackerConfig
+from csitrack.tracker import MODES, Tracker, TrackerConfig
 
 
 def make_path_set(aods, geometry=None, ap_id="ap0"):
@@ -554,6 +558,104 @@ def test_kernel_matches_per_ap_reference(monkeypatch, case, mode):
     assert tracker.exclusions == excluded
     if mode == "full" or case == "collinear":
         assert set(excluded) == expected
+
+
+# -- the tracker's reused row plans against rows built afresh on every packet ------
+
+
+class FreshRowsTracker(Tracker):
+    """The tracker with every packet's rows built by displacement_rows and
+    solved by solve_displacement afresh, reusing nothing between packets."""
+
+    def _pair_update(self, present, csi, now):
+        first, second = project(self._pinv, np.array([self._previous_csi, csi]))
+        pairs = present & self._previous_present & self._has_paths
+        active = pairs & self._usable
+        rows, phases, short = displacement_rows(
+            first[active], second[active], self._directions[active], self.geometry.wavelength,
+            self.config.weak_path_rtol, same_clock=self.config.mode == "assume-same-clock")
+        for error, mask in ((DegenerateGeometryError, pairs & ~self._usable),
+                            (InsufficientPathsError, short)):
+            if mask.any():
+                self.exclusions[error.__name__] += np.count_nonzero(mask)
+        try:
+            displacement = Displacement(
+                solve_displacement(rows, phases, self.config.stacked_condition_limit))
+        except UnobservableDisplacementError:
+            self._emit(now, "dead-reckoned")
+            return None
+        self._position = self._position + displacement.delta
+        self._emit(now, "ok")
+        return displacement
+
+
+def flipping_streams(seed, fade_ap, fade_path, fade_start, fade_length, drop, snr_db,
+                     packets=120):
+    """Three paths per AP on a 4-antenna array with drifting path gains; one
+    AP's path fades to nothing over a span of packets, and records drop at
+    random, so the kept paths and the reference path change between
+    estimates."""
+    rng = np.random.default_rng(seed)
+    paths = {}
+    for ap in AP_IDS:
+        aods = np.sort(rng.uniform(0, 2 * np.pi, 3))
+        while np.min(np.diff(np.append(aods, aods[0] + 2 * np.pi))) < 0.7:
+            aods = np.sort(rng.uniform(0, 2 * np.pi, 3))
+        gains = rng.uniform(0.7, 1.0, 3) * np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
+        paths[ap] = tuple(PropagationPath(a, g) for a, g in zip(aods, gains))
+    faded = dict(paths)
+    faded[fade_ap] = tuple(PropagationPath(path.aod, path.gain * (1e-13 if k == fade_path else 1))
+                           for k, path in enumerate(paths[fade_ap]))
+    offsets = random_offsets(rng)
+    waypoints = random_waypoints(0.05, 0.006 * (packets - 1), seed=seed)
+    streams, fading = (
+        simulate_trajectory(SimConfig(ArrayGeometry.circular(4), ChannelSpec(channel), offsets,
+                                      snr_db=snr_db, rng_seed=seed, amplitude_drift_std=0.05),
+                            waypoints)
+        for channel in (paths, faded))
+    fade = range(fade_start, fade_start + fade_length)
+    streams[fade_ap] = [fading[fade_ap][r.packet_index] if r.packet_index in fade else r
+                        for r in streams[fade_ap]]
+    return {ap: [r for r in records if rng.random() >= drop] for ap, records in streams.items()}
+
+
+@settings(max_examples=25, deadline=None)
+# an estimate epoch in which one AP keeps the same row paths but changes its reference
+@example(stride=9, mode="full", seed=49105, fade_ap="ap2", fade_path=2, fade_start=94,
+         fade_length=12, drop=0.0, snr_db=np.inf, weak_rtol=0.3)
+@given(stride=st.integers(1, 12), mode=st.sampled_from(MODES), seed=st.integers(0, 2**16),
+       fade_ap=st.sampled_from(AP_IDS), fade_path=st.integers(0, 2),
+       fade_start=st.integers(20, 100), fade_length=st.integers(1, 60),
+       drop=st.sampled_from([0.0, 0.1, 0.3]), snr_db=st.sampled_from([np.inf, 25.0]),
+       weak_rtol=st.sampled_from([1e-9, 0.3]))
+def test_reused_row_plans_change_no_bit(stride, mode, seed, fade_ap, fade_path, fade_start,
+                                        fade_length, drop, snr_db, weak_rtol):
+    streams = flipping_streams(seed, fade_ap, fade_path, fade_start, fade_length, drop, snr_db)
+    config = TrackerConfig(aod=tracker_module.AodConfig(num_paths=3, window_seconds=0.3),
+                           stride=stride, mode=mode, weak_path_rtol=weak_rtol)
+    tracker = Tracker(ArrayGeometry.circular(4), AP_IDS, config)
+    fresh = FreshRowsTracker(ArrayGeometry.circular(4), AP_IDS, config)
+    for group in pair_streams(streams):
+        records = {ap: r for ap, r in group.records.items() if r is not None}
+        delta, expected = tracker.ingest(records), fresh.ingest(records)
+        assert (delta is None) == (expected is None)
+        if delta is not None:
+            assert np.array_equal(delta.delta, expected.delta)
+    assert tracker.flags == fresh.flags
+    assert tracker.exclusions == fresh.exclusions
+    assert np.array_equal(tracker.trajectory().positions, fresh.trajectory().positions)
+
+
+def test_rows_are_factored_once_per_estimate_while_the_selection_holds():
+    # seed 2 keeps each AP's two path strengths apart, so the reference path
+    # holds and the selection changes only when the paths are re-estimated
+    streams = simulate_trajectory(make_sim_config(2, snr_db=25.0, quantize=True),
+                                  random_waypoints(0.5, 0.006 * 299, seed=2))
+    tracker = Tracker(default_geometry(), AP_IDS, TrackerConfig(stride=10))
+    with mock.patch.object(tracker_module, "factor_rows", wraps=factor_rows) as factor:
+        tracker.consume(pair_streams(streams))
+    estimates = (300 - 20) // 10 + 1  # from the 20th packet on, every 10th
+    assert len(tracker.flags) == 281 and factor.call_count == estimates
 
 
 # -- clock-phase invariance (criterion 1 generalised) ----------------------------

@@ -6,6 +6,7 @@ import pathlib
 import re
 import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import AP_IDS, default_geometry, make_sim_config
 
+from csitrack import io as trace_io
 from csitrack.aod import AodConfig
 from csitrack.cli import indoor_4ap_preset
 from csitrack.core import ArrayGeometry, CsiRecord, Trajectory
@@ -150,8 +152,26 @@ class TestTraceRoundTrip:
         lines = path.read_text().splitlines()
         lines.append(lines[-1].replace("ap3", "ap9", 1))
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TraceParseError):
+        with pytest.raises(TraceParseError, match="'ap9' missing from header") as info:
             read_trace(path)
+        assert info.value.line_number == len(lines)
+        assert str(info.value).startswith(f"line {len(lines)}: ")
+
+    @pytest.mark.parametrize("block_lines", [1, 3, 128])
+    def test_non_increasing_index_names_its_line(self, tmp_path, block_lines):
+        # the AP's previous packet sits in an earlier block unless blocks are long
+        path = tmp_path / "trace.txt"
+        write_trace(path, small_trace())
+        lines = path.read_text().splitlines()
+        number = len(lines) - 5  # ap2 of the last packet but one
+        fields = lines[number - 1].split()
+        fields[1] = str(int(fields[1]) - 1)
+        lines[number - 1] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(trace_io, "BLOCK_LINES", block_lines):
+            with pytest.raises(TraceParseError, match="not increasing") as info:
+                read_trace(path)
+        assert info.value.line_number == number
 
     def test_parse_throughput(self, tmp_path):
         # 10^4 packets x 4 APs parse in under 2 seconds
@@ -189,14 +209,14 @@ _TRACE_AP_NAMES = st.text(min_size=1, max_size=6).filter(
 
 
 @st.composite
-def trace_files(draw):
+def trace_files(draw, max_records=12):
     num_antennas = draw(st.integers(2, 4))
     ap_ids = draw(st.lists(_TRACE_AP_NAMES, min_size=1, max_size=4, unique=True))
     header = TraceHeader(ArrayGeometry.circular(num_antennas), ap_ids,
                          draw(st.floats(1e-6, 1.0)))
     next_index = dict.fromkeys(ap_ids, 0)
     records = []
-    for ap in draw(st.lists(st.sampled_from(ap_ids), max_size=12)):
+    for ap in draw(st.lists(st.sampled_from(ap_ids), max_size=max_records)):
         next_index[ap] += draw(st.integers(1, 3))
         values = draw(st.lists(_TRACE_FLOATS, min_size=2 * num_antennas,
                                max_size=2 * num_antennas))
@@ -219,6 +239,89 @@ def test_trace_round_trip_is_lossless(trace):
         assert (a.ap_id, a.packet_index) == (b.ap_id, b.packet_index)
         assert np.float64(a.timestamp).tobytes() == np.float64(b.timestamp).tobytes()
         assert a.csi.tobytes() == b.csi.tobytes()
+
+
+def line_parse(text: str, header: TraceHeader):
+    """The body of a trace written with ``header``, parsed line by line with
+    every check on its own line: (records, None), or (None, the number of the
+    first offending line). The reference for read_trace's blocks."""
+    width = 3 + 2 * header.num_antennas
+    records, last = [], {}
+    for number, line in enumerate(text.split("\n"), start=1):
+        parts = line.split()
+        if number <= 6 or not parts:  # write_trace's header is six lines
+            continue
+        try:
+            if len(parts) != width:
+                raise ValueError("field count")
+            values = [float(v) for v in parts[2:]]
+            record = CsiRecord(parts[0], int(parts[1]), values[0],
+                               np.array(values[1:]).view(complex).copy())
+            if not math.isfinite(record.timestamp) or record.ap_id not in header.ap_ids:
+                raise ValueError("timestamp or AP")
+            if record.packet_index <= last.get(record.ap_id, -math.inf):
+                raise ValueError("index")
+        except ValueError:
+            return None, number
+        last[record.ap_id] = record.packet_index
+        records.append(record)
+    return records, None
+
+
+_CORRUPTIONS = {
+    "drop a field": lambda fields, rng: fields[:-1],
+    "extra field": lambda fields, rng: fields + ["0.0"],
+    "nan csi": lambda fields, rng: fields[:3] + ["nan"] + fields[4:],
+    "inf csi": lambda fields, rng: fields[:-1] + ["-inf"],
+    "nan timestamp": lambda fields, rng: fields[:2] + ["nan"] + fields[3:],
+    "bad float": lambda fields, rng: fields[:4] + ["1.0.0"] + fields[5:],
+    "bad index": lambda fields, rng: fields[:1] + ["1.5"] + fields[2:],
+    "unknown AP": lambda fields, rng: ["not-an-ap"] + fields[1:],
+    # indices step by 1 to 3: back by 3 repeats or passes an earlier index of the AP
+    "index back": lambda fields, rng: fields[:1] + [str(int(fields[1]) - 3)] + fields[2:],
+    "index moved": lambda fields, rng: fields[:1] + [str(int(fields[1]) + rng.integers(-2, 3))]
+                                       + fields[2:],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=trace_files(max_records=40), block_lines=st.sampled_from([1, 2, 3, 128]),
+       blanks=st.lists(st.tuples(st.integers(0, 20), st.sampled_from(["", "  ", "\t "])),
+                       max_size=4),
+       corruption=st.none() | st.sampled_from(sorted(_CORRUPTIONS)), where=st.integers(0, 10**6))
+def test_block_parser_equals_the_line_parser(trace, block_lines, blanks, corruption, where):
+    # bit-equal records, or the same error class and line number, for any
+    # block size, with blank lines, and with one line corrupted in any block
+    with tempfile.TemporaryDirectory() as folder:
+        path = pathlib.Path(folder) / "trace.txt"
+        write_trace(path, trace)
+        lines = path.read_text().split("\n")[:-1]
+        for position, blank in blanks:
+            lines.insert(6 + position % (len(lines) - 5), blank)
+        body = [n for n, line in enumerate(lines) if n >= 6 and line.split()]
+        if corruption and body:
+            n = body[where % len(body)]
+            rng = np.random.default_rng(where)
+            lines[n] = " ".join(_CORRUPTIONS[corruption](lines[n].split(), rng))
+        text = "\n".join(lines) + "\n"
+        path.write_text(text)
+        expected, number = line_parse(text, trace.header)
+        with mock.patch.object(trace_io, "BLOCK_LINES", block_lines):
+            if expected is None:
+                with pytest.raises(TraceParseError) as info:
+                    read_trace(path)
+                assert type(info.value) is TraceParseError
+                assert info.value.line_number == number
+                return
+            loaded = read_trace(path)
+    assert loaded.header == trace.header
+    assert len(loaded.records) == len(expected)
+    for a, b in zip(loaded.records, expected):
+        assert (a.ap_id, a.packet_index, type(a.packet_index)) == (
+            b.ap_id, b.packet_index, type(b.packet_index))
+        assert type(a.timestamp) is type(b.timestamp) is float
+        assert np.float64(a.timestamp).tobytes() == np.float64(b.timestamp).tobytes()
+        assert a.csi.dtype == b.csi.dtype and a.csi.tobytes() == b.csi.tobytes()
 
 
 def test_trace_header_rejects_ap_ids_the_format_cannot_hold():

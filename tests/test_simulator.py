@@ -280,9 +280,9 @@ class TestSimulateTrajectory:
                                  grid.positions[p] - grid.positions[0])
                 csi = apply_offset(csi, p, model, config.packet_interval, walk[p])
                 csi = add_noise_and_quantize(csi, config.snr_db, config.quantize, rng)
-                assert (record.ap_id, record.packet_index) == (ap, p)
-                assert record.timestamp == grid.timestamps[p]
-                assert record.csi.tobytes() == csi.tobytes()
+                assert (record.ap_id, record.packet_index, type(record.packet_index)) == (ap, p, int)
+                assert record.timestamp == grid.timestamps[p] and type(record.timestamp) is float
+                assert record.csi.dtype == csi.dtype and record.csi.tobytes() == csi.tobytes()
 
     def test_amplitude_drift_flag_varies_magnitudes(self):
         base = make_sim_config(7, offsets="zero")
