@@ -15,7 +15,6 @@ from .core import (
     PathSet,
     Trajectory,
     circular_distance,
-    direction_unit_vector,
     steering_matrix,
     steering_vector,
     wrap_angle,
@@ -23,7 +22,6 @@ from .core import (
 from .displacement import (
     PathWeights,
     attenuation_change,
-    displacement_rows,
     estimate_displacement,
     path_weights,
 )

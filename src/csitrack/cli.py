@@ -1,8 +1,9 @@
 """Command-line entry points: simulate | track | evaluate | ablate | demo.
 
 Every subcommand is deterministic given its flags and seed. Exit codes:
-0 success, 2 configuration/usage error, 3 file parse error, 4 stream-order
-error, 5 degenerate/unobservable estimation input, 1 anything unexpected.
+0 success, 2 configuration/usage error, 3 malformed or unreadable file, 4
+stream-order error, 5 degenerate/unobservable estimation input, 1 anything
+unexpected.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import io as trace_io
 from .aod import estimate_paths
-from .core import TWO_PI, ArrayGeometry, circular_distance
+from .core import TWO_PI, ArrayGeometry, Trajectory, circular_distance
 from .errors import (
     ConfigError,
     CsiTrackError,
@@ -27,7 +28,7 @@ from .errors import (
     WeakPathError,
     WindowUnderfullError,
 )
-from .evaluation import align, error_cdf
+from .evaluation import align, error_cdf, rotation_matrix
 from .simulator import (
     ChannelSpec,
     OffsetModel,
@@ -215,9 +216,6 @@ def cmd_evaluate(args) -> int:
     cdf = error_cdf([result])
     trace_io.write_cdf(args.out, cdf)
     if args.aligned_out:
-        from .core import Trajectory
-        from .evaluation import rotation_matrix
-
         aligned = (estimate.positions - estimate.positions[0]) @ rotation_matrix(result.rotation).T
         trace_io.write_trajectory(args.aligned_out, Trajectory(aligned, estimate.timestamps))
     print(f"median error {cdf.median:.6g} m")
@@ -343,32 +341,29 @@ _COMMANDS = {
     "demo": cmd_demo,
 }
 
-_EXIT_CODES = (
-    ((ConfigError,), EXIT_CONFIG),
-    ((TraceParseError,), EXIT_PARSE),
-    ((StreamOrderError,), EXIT_STREAM),
-    ((DegenerateGeometryError, UnobservableDisplacementError, WeakPathError,
-      InsufficientPathsError, WindowUnderfullError), EXIT_DEGENERATE),
-)
+#: Exit code of each handled exception class; the first that matches wins.
+_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    TraceParseError: EXIT_PARSE,
+    OSError: EXIT_PARSE,  # a file that cannot be read or written
+    StreamOrderError: EXIT_STREAM,
+    DegenerateGeometryError: EXIT_DEGENERATE,
+    UnobservableDisplacementError: EXIT_DEGENERATE,
+    WeakPathError: EXIT_DEGENERATE,
+    InsufficientPathsError: EXIT_DEGENERATE,
+    WindowUnderfullError: EXIT_DEGENERATE,
+    CsiTrackError: EXIT_UNEXPECTED,
+    ValueError: EXIT_UNEXPECTED,  # numpy's LinAlgError too; config errors are ConfigError
+}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except CsiTrackError as exc:
-        for classes, code in _EXIT_CODES:
-            if isinstance(exc, classes):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
-    except ValueError as exc:  # numpy's LinAlgError too; config errors are ConfigError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

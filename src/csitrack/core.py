@@ -11,6 +11,7 @@ All types here are immutable after construction and all functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,11 +123,6 @@ def steering_vector(geometry: ArrayGeometry, theta: float) -> np.ndarray:
     return steering_matrix(geometry, [float(theta)])[:, 0]
 
 
-def direction_unit_vector(theta: float) -> np.ndarray:
-    """Unit vector (cos theta, sin theta) along a departure direction."""
-    return np.array([np.cos(theta), np.sin(theta)])
-
-
 @dataclass(frozen=True, slots=True)
 class CsiRecord:
     """One packet's CSI at one AP: a complex entry per transmit antenna."""
@@ -137,6 +133,8 @@ class CsiRecord:
     csi: np.ndarray
 
     def __post_init__(self):
+        if not math.isfinite(self.timestamp):
+            raise ValueError("timestamp must be finite")
         csi = np.asarray(self.csi, dtype=complex)
         if csi.ndim != 1 or csi.size == 0:
             raise ValueError("csi must be a non-empty 1-D complex vector")
@@ -153,6 +151,8 @@ def checked_records(ap_ids, packet_indices, timestamps, csi) -> list:
         raise ValueError("csi must be an (N, M) block of non-empty rows")
     if not np.isfinite(csi).all():
         raise ValueError("csi must be finite")
+    if not all(map(math.isfinite, timestamps)):
+        raise ValueError("timestamp must be finite")
     records = [object.__new__(CsiRecord) for _ in range(len(csi))]
     for name, values in zip(CsiRecord.__slots__, (ap_ids, packet_indices, timestamps, csi)):
         setter = getattr(CsiRecord, name).__set__  # what the frozen __init__ would set

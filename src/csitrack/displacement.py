@@ -9,12 +9,11 @@ displacement and are solved by least squares, stacking rows from all APs.
 
 The tracker factors each AP's steering matrix once per path-set estimate
 (:func:`factor_steering`) and projects each packet once (:func:`project`).
-:func:`displacement_rows` is a per-packet path selection
-(:func:`select_paths`) followed by the rows of that selection
-(:func:`row_geometry`); the tracker builds and factors (:func:`factor_rows`)
-the rows of a selection once and reuses them until the next estimate.
-:func:`path_weights` and :func:`attenuation_change` are the same math for a
-single packet pair.
+Each packet pair then selects its paths (:func:`select_paths`); the rows of a
+selection (:func:`row_geometry`) and their factors (:func:`factor_rows`) are
+made once and reused until the next estimate, and :func:`solve_factored`
+solves each pair's phases. :func:`path_weights` and
+:func:`attenuation_change` are the same math for a single packet pair.
 """
 
 from __future__ import annotations
@@ -116,42 +115,20 @@ def attenuation_change(first: PathWeights, second: PathWeights,
     return AttenuationChange(first.ap_id, _ratio(w1, w2))
 
 
-def displacement_rows(first: np.ndarray, second: np.ndarray, directions: np.ndarray,
-                      wavelength: float, weak_rtol: float = WEAK_PATH_RTOL,
-                      same_clock: bool = False):
-    """Offset-cancelled rows (R, s) of A APs at once, and the APs left out.
-
-    ``first`` and ``second`` are the (A, L) weights of two packets on each
-    AP's paths; ``directions`` holds the (A, L, 2) unit vectors [cos(theta),
-    sin(theta)] of the path AoDs. A path weaker than ``weak_rtol`` times the
-    norm of its AP's first weights, in either packet, is dropped (a transient
-    fade, not a fault). Each AP divides every kept path's attenuation ratio
-    by that of its reference path, the kept path strongest in both packets,
-    which cancels the clock phase and minimizes its noise amplification; row
-    k is (-2*pi/lambda) * (direction_k - direction_ref). No unwrapping is
-    applied: per-packet displacements stay well below lambda/2, so these
-    differential phases cannot wrap.
-
-    ``same_clock`` is the ablation that ignores the clock offset: each kept
-    path contributes phase(D_kk) directly against (-2*pi/lambda) *
-    direction_k, so any packet-to-packet clock phase leaks into every row.
-
-    Returns R (N, 2) and s (N,) in AP-then-path order, and a boolean (A,)
-    mask of the APs left with fewer usable paths than the rows need (two, or
-    one with ``same_clock``), which contribute nothing. The tracker keeps
-    :func:`row_geometry` of a :func:`select_paths` selection until it changes.
-    """
-    keep, ref, short, change = select_paths(first, second, weak_rtol, same_clock)
-    rows, index = row_geometry(directions, keep, ref, wavelength)
-    return rows, np.angle(change[index]), short
-
-
 def select_paths(first: np.ndarray, second: np.ndarray, weak_rtol: float = WEAK_PATH_RTOL,
                  same_clock: bool = False):
-    """The per-packet part of :func:`displacement_rows`: the (A, L) mask of
-    paths that give a row, each AP's reference path (None with ``same_clock``),
-    the (A,) mask of APs left short and the (A, L) attenuation ratios, divided
-    by the reference path's unless ``same_clock``."""
+    """Per-packet path selection of A APs from the (A, L) weights of two
+    packets on each AP's paths. A path weaker than ``weak_rtol`` times the norm
+    of its AP's first weights, in either packet, is dropped (a transient fade,
+    not a fault). Dividing each kept path's attenuation ratio by that of the
+    AP's reference path, its kept path strongest in both packets, cancels the
+    clock phase with the least noise amplification; the ``same_clock``
+    ablation divides by nothing, so the clock phase leaks into every ratio.
+
+    Returns the (A, L) mask of paths that give a row, each AP's reference
+    path (None with ``same_clock``), the (A,) mask of APs with fewer usable
+    paths than the rows need (two, or one with ``same_clock``), which keep
+    none, and the (A, L) ratios."""
     magnitude = np.abs(first)
     strength = np.minimum(magnitude, np.abs(second))
     keep = strength > weak_rtol * np.hypot.reduce(magnitude, axis=-1, keepdims=True)
@@ -168,34 +145,34 @@ def select_paths(first: np.ndarray, second: np.ndarray, weak_rtol: float = WEAK_
 
 
 def row_geometry(directions: np.ndarray, keep: np.ndarray, ref, wavelength: float):
-    """Rows R (N, 2) of a selection and the (AP, path) index of their ratios;
-    they change only with the path set or the selection."""
+    """Rows R (N, 2) of a :func:`select_paths` selection, in AP-then-path
+    order, and the (AP, path) index of their ratios, whose angles are the
+    phases s. ``directions`` holds the (A, L, 2) unit vectors [cos(theta),
+    sin(theta)] of the path AoDs; row k is (-2*pi/lambda) * (direction_k -
+    direction_ref), or (-2*pi/lambda) * direction_k with ``ref`` None. No
+    unwrapping is applied: per-packet displacements stay well below lambda/2,
+    so these differential phases cannot wrap. The rows change only with the
+    path set or the selection."""
     aps, paths = index = np.nonzero(keep)
     rows = directions[index] if ref is None else directions[index] - directions[aps, ref[aps]]
     return (-TWO_PI / wavelength) * rows, index
 
 
 def estimate_displacement(per_ap_rows, cond_limit: float = R_CONDITION_LIMIT) -> Displacement:
-    """:func:`solve_displacement` of the (R, s) pairs of ``per_ap_rows``,
+    """Least-squares displacement of the (R, s) pairs of ``per_ap_rows``,
     concatenated vertically across APs."""
     per_ap_rows = list(per_ap_rows)
     if not per_ap_rows:
         raise UnobservableDisplacementError("no contributing APs")
     rows = np.vstack([rows for rows, _ in per_ap_rows])
     phases = np.concatenate([np.atleast_1d(phases) for _, phases in per_ap_rows])
-    return Displacement(solve_displacement(rows, phases, cond_limit))
-
-
-def solve_displacement(rows: np.ndarray, phases: np.ndarray,
-                       cond_limit: float = R_CONDITION_LIMIT) -> np.ndarray:
-    """Least-squares 2D displacement of stacked rows R (N, 2) and phases s (N,);
-    UnobservableDisplacementError for fewer than two rows or a stack too close
-    to rank one. One SVD gives both the condition gate and the solution."""
-    return solve_factored(factor_rows(rows, cond_limit), phases)
+    return Displacement(solve_factored(factor_rows(rows, cond_limit), phases))
 
 
 def factor_rows(rows: np.ndarray, cond_limit: float = R_CONDITION_LIMIT):
-    """The SVD (u, s, vh) of stacked rows, gated as in :func:`solve_displacement`."""
+    """The SVD (u, s, vh) of stacked rows R (N, 2);
+    UnobservableDisplacementError for fewer than two rows or a stack too close
+    to rank one. One SVD gives both the condition gate and the solution."""
     if rows.shape[0] < 2:
         raise UnobservableDisplacementError("one equation cannot determine a 2D displacement")
     u, s, vh = np.linalg.svd(rows, full_matrices=False)
@@ -206,6 +183,7 @@ def factor_rows(rows: np.ndarray, cond_limit: float = R_CONDITION_LIMIT):
 
 
 def solve_factored(factors, phases: np.ndarray) -> np.ndarray:
-    """:func:`solve_displacement` of rows factored by :func:`factor_rows`."""
+    """Least-squares 2D displacement of phases s (N,) on rows factored by
+    :func:`factor_rows`."""
     u, s, vh = factors
     return vh.T @ ((u.T @ phases) / s)

@@ -43,9 +43,6 @@ class AlignedError:
     def median(self) -> float:
         return float(np.median(self.errors))
 
-    def percentile(self, q) -> float:
-        return float(np.percentile(self.errors, q))
-
 
 def rotation_matrix(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)

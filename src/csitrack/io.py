@@ -16,8 +16,10 @@ Trace format::
     ...
 
 Record lines carry ap_id, packet_index, timestamp and 2M float fields
-(real, imag per antenna). Trajectory and CDF files are single-header-line
-delimited tables. Run configs are JSON.
+(real, imag per antenna). ``read_trace`` parses the body in blocks, and one
+per-record check (header AP, CSI size, each AP's index increasing) serves
+both its blocks and an in-memory ``TraceFile``. Trajectory and CDF files are
+single-header-line delimited tables. Run configs are JSON.
 """
 
 from __future__ import annotations
@@ -80,35 +82,25 @@ class TraceFile:
     records: list
 
     def __post_init__(self):
-        sizes = {record.csi.size for record in self.records} - {self.header.num_antennas}
-        if sizes:
-            raise ValueError(f"record has {sizes.pop()} CSI entries, header says "
-                             f"{self.header.num_antennas}")
-        _check_order(self.header, [record.ap_id for record in self.records],
-                     [record.packet_index for record in self.records], {})
+        _check_records(self.header, self.records, {})
 
 
-def _check_order(header: TraceHeader, ap_ids: list, indices: list, last: dict) -> None:
-    """ValueError unless every AP id is in the header and each AP's packet
-    indices increase from its entry in ``last`` on; then brings ``last`` (AP
-    slot -> latest packet index) up to date. Checks all records at once."""
-    if not ap_ids:
-        return
-    slots = {ap: slot for slot, ap in enumerate(header.ap_ids)}
-    aps = list(map(slots.get, ap_ids))
-    if None in aps:
-        raise ValueError(f"record AP {ap_ids[aps.index(None)]!r} missing from header")
-    aps = np.array([*last, *aps])
-    order = np.argsort(aps, kind="stable")
-    aps, indices = aps[order], np.array([*last.values(), *indices], dtype=object)[order]
-    same = aps[1:] == aps[:-1]
-    faults = np.flatnonzero(same & (indices[1:] <= indices[:-1]))
-    if faults.size:
-        at = faults[0] + 1
-        raise ValueError(f"AP {header.ap_ids[aps[at]]!r}: packet_index {indices[at]} "
-                         f"not increasing after {indices[at - 1]}")
-    ends = np.append(~same, True)  # each AP's last row
-    last.update(zip(aps[ends].tolist(), indices[ends].tolist()))
+def _check_records(header: TraceHeader, records, last: dict) -> None:
+    """ValueError unless every record's AP is in the header, its CSI has one
+    entry per antenna and each AP's packet indices increase from its entry in
+    ``last`` on; only then brings ``last`` (AP id -> latest index) up to date."""
+    size, latest = header.num_antennas, dict.fromkeys(header.ap_ids, -math.inf) | last
+    for record in records:
+        ap, index = record.ap_id, record.packet_index
+        previous = latest.get(ap)
+        if previous is None:
+            raise ValueError(f"record AP {ap!r} missing from header")
+        if record.csi.size != size:
+            raise ValueError(f"record has {record.csi.size} CSI entries, header says {size}")
+        if index <= previous:
+            raise ValueError(f"AP {ap!r}: packet_index {index} not increasing after {previous}")
+        latest[ap] = index
+    last.update(latest)
 
 
 def write_trace(path, trace: TraceFile) -> None:
@@ -185,7 +177,7 @@ def _parse_trace(handle) -> TraceFile:
     geometry = parse_header("geometry", parse_geometry)
     header = parse_header("aps", lambda text: TraceHeader(geometry, text.split(), packet_interval))
 
-    records, last = [], {}  # last: each AP slot's latest packet index
+    records, last = [], {}  # last: each AP's latest packet index
     while rows := [line.split() for line in itertools.islice(body, BLOCK_LINES)]:
         try:
             records += _parse_block(rows, header, last)
@@ -213,12 +205,9 @@ def _parse_block(rows, header: TraceHeader, last: dict) -> list:
     if counts != {width}:
         raise ValueError(f"expected {width} fields, found {min(counts - {width})}")
     values = np.array([parts[2:] for parts in rows], dtype=float)
-    ap_ids, indices = [parts[0] for parts in rows], [int(parts[1]) for parts in rows]
-    if not np.isfinite(values[:, 0]).all():
-        raise ValueError("timestamp must be finite")
-    records = checked_records(ap_ids, indices, values[:, 0].tolist(),
-                              values[:, 1:].copy().view(complex))
-    _check_order(header, ap_ids, indices, last)
+    records = checked_records([parts[0] for parts in rows], [int(parts[1]) for parts in rows],
+                              values[:, 0].tolist(), values[:, 1:].copy().view(complex))
+    _check_records(header, records, last)
     return records
 
 

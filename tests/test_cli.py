@@ -7,6 +7,7 @@ from csitrack import cli
 from csitrack.cli import (
     EXIT_CONFIG, EXIT_PARSE, EXIT_STREAM, EXIT_UNEXPECTED, indoor_4ap_preset, main,
 )
+from csitrack.errors import CsiTrackError
 from csitrack.io import load_config, read_trace, read_trajectory
 
 
@@ -82,6 +83,46 @@ def test_bad_numbers_are_refused_by_the_parser(tmp_path, capsys, argv):
     assert not out.exists()
     err = capsys.readouterr().err
     assert argv[-2] in err and "Traceback" not in err
+
+
+#: README's exit code for each error a subcommand can raise; a new error class
+#: fails test_every_error_exits_with_its_documented_code until it is listed.
+DOCUMENTED_EXIT_CODES = {
+    "ConfigError": 2,
+    "TraceParseError": 3,
+    "TraceVersionError": 3,
+    "OSError": 3,
+    "StreamOrderError": 4,
+    "DegenerateGeometryError": 5,
+    "UnobservableDisplacementError": 5,
+    "WeakPathError": 5,
+    "InsufficientPathsError": 5,
+    "WindowUnderfullError": 5,
+    "ValueError": 1,
+    "LinAlgError": 1,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("error", [*_subclasses(CsiTrackError), ValueError,
+                                   np.linalg.LinAlgError, OSError],
+                         ids=lambda error: error.__name__)
+def test_every_error_exits_with_its_documented_code(monkeypatch, capsys, error):
+    assert error.__name__ in DOCUMENTED_EXIT_CODES, f"document the exit code of {error.__name__}"
+
+    def failing(args):
+        raise error("raised by the command")
+
+    monkeypatch.setitem(cli._COMMANDS, "track", failing)
+    code = run(["track", "--trace", "trace.txt", "--out", "out.txt"])
+    assert code == DOCUMENTED_EXIT_CODES[error.__name__]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "raised by the command" in err
 
 
 class TestTrackEvaluate:

@@ -13,7 +13,6 @@ from csitrack.core import (
     Trajectory,
     checked_records,
     circular_distance,
-    direction_unit_vector,
     steering_matrix,
     steering_vector,
     wrap_angle,
@@ -72,20 +71,6 @@ class TestSteeringVector:
         matrix = steering_matrix(geometry, thetas)
         for k, theta in enumerate(thetas):
             np.testing.assert_allclose(matrix[:, k], steering_vector(geometry, theta), atol=1e-14)
-
-
-class TestDirectionUnitVector:
-    @pytest.mark.parametrize(
-        "theta,expected",
-        [(0.0, (1.0, 0.0)), (np.pi / 2, (0.0, 1.0))],
-    )
-    def test_axis_directions(self, theta, expected):
-        np.testing.assert_allclose(direction_unit_vector(theta), expected, atol=1e-12)
-
-    def test_unit_norm(self):
-        vector = direction_unit_vector(0.7)
-        np.testing.assert_allclose(vector, [np.cos(0.7), np.sin(0.7)])
-        assert abs(np.linalg.norm(vector) - 1.0) < 1e-12
 
 
 class TestAngles:
@@ -164,6 +149,13 @@ class TestDomainTypes:
     def test_csi_record_rejects_non_finite_csi(self, bad):
         with pytest.raises(ValueError, match="finite"):
             CsiRecord("ap0", 0, 0.0, np.array([1.0, bad, 1j]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_records_reject_a_non_finite_timestamp(self, bad):
+        with pytest.raises(ValueError, match="timestamp must be finite"):
+            CsiRecord("ap0", 0, bad, np.ones(2))
+        with pytest.raises(ValueError, match="timestamp must be finite"):
+            checked_records(["a", "b"], [0, 1], [0.0, bad], np.ones((2, 2)))
 
     def test_checked_records_equal_records_built_one_by_one(self):
         csi = np.array([[1.0, -0.0j], [2.5 + 1j, 3.0]])

@@ -17,13 +17,14 @@ from csitrack.core import ArrayGeometry, CsiRecord, Displacement, PathSet, steer
 from csitrack.displacement import (
     PathWeights,
     attenuation_change,
-    displacement_rows,
     estimate_displacement,
     factor_rows,
     factor_steering,
     path_weights,
     project,
-    solve_displacement,
+    row_geometry,
+    select_paths,
+    solve_factored,
 )
 from csitrack.errors import (
     DegenerateGeometryError,
@@ -60,13 +61,15 @@ def pair_weights_for_displacement(path_set, gains, delta, nu=(0.0, 0.0)):
 
 
 def kernel(triples, same_clock=False):
-    """The row kernel over (path_set, first, second) triples, one per AP."""
+    """The row kernel over (path_set, first, second) triples, one per AP: the
+    rows R, the phases s and the mask of APs left short."""
     aods = np.stack([path_set.aods for path_set, _, _ in triples])
     first = np.stack([np.asarray(getattr(w, "weights", w), complex) for _, w, _ in triples])
     second = np.stack([np.asarray(getattr(w, "weights", w), complex) for _, _, w in triples])
     directions = np.stack([np.cos(aods), np.sin(aods)], axis=-1)
-    return displacement_rows(first, second, directions, triples[0][0].wavelength,
-                             same_clock=same_clock)
+    keep, ref, short, change = select_paths(first, second, same_clock=same_clock)
+    rows, index = row_geometry(directions, keep, ref, triples[0][0].wavelength)
+    return rows, np.angle(change[index]), short
 
 
 def ap_rows(path_set, first, second, same_clock=False):
@@ -564,23 +567,24 @@ def test_kernel_matches_per_ap_reference(monkeypatch, case, mode):
 
 
 class FreshRowsTracker(Tracker):
-    """The tracker with every packet's rows built by displacement_rows and
-    solved by solve_displacement afresh, reusing nothing between packets."""
+    """The tracker with every packet's rows built and factored afresh,
+    reusing nothing between packets."""
 
     def _pair_update(self, present, csi, now):
         first, second = project(self._pinv, np.array([self._previous_csi, csi]))
         pairs = present & self._previous_present & self._has_paths
         active = pairs & self._usable
-        rows, phases, short = displacement_rows(
-            first[active], second[active], self._directions[active], self.geometry.wavelength,
-            self.config.weak_path_rtol, same_clock=self.config.mode == "assume-same-clock")
+        keep, ref, short, change = select_paths(
+            first[active], second[active], self.config.weak_path_rtol,
+            same_clock=self.config.mode == "assume-same-clock")
+        rows, index = row_geometry(self._directions[active], keep, ref, self.geometry.wavelength)
         for error, mask in ((DegenerateGeometryError, pairs & ~self._usable),
                             (InsufficientPathsError, short)):
             if mask.any():
                 self.exclusions[error.__name__] += np.count_nonzero(mask)
         try:
-            displacement = Displacement(
-                solve_displacement(rows, phases, self.config.stacked_condition_limit))
+            displacement = Displacement(solve_factored(
+                factor_rows(rows, self.config.stacked_condition_limit), np.angle(change[index])))
         except UnobservableDisplacementError:
             self._emit(now, "dead-reckoned")
             return None

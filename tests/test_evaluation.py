@@ -160,7 +160,6 @@ class TestErrorCdf:
         with pytest.raises(ValueError):
             AlignedError(np.array([-0.1]), 0.0)
 
-    def test_percentile_accessor(self):
+    def test_median_accessor(self):
         result = AlignedError(np.linspace(0, 1, 101), 0.0)
-        assert result.percentile(80) == pytest.approx(0.8)
         assert result.median == pytest.approx(0.5)

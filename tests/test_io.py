@@ -324,6 +324,27 @@ def test_block_parser_equals_the_line_parser(trace, block_lines, blanks, corrupt
         assert a.csi.dtype == b.csi.dtype and a.csi.tobytes() == b.csi.tobytes()
 
 
+@pytest.mark.parametrize("fault,match", [
+    (None, None),
+    (("ap9", 3, 3), "'ap9' missing from header"),
+    (("ap1", 3, 2), "2 CSI entries, header says 3"),
+    (("ap1", 1, 3), "'ap1': packet_index 1 not increasing after 1"),
+    (("ap1", 0, 3), "'ap1': packet_index 0 not increasing after 1"),
+])
+def test_in_memory_trace_checks_each_record(fault, match):
+    # APs interleaved packet by packet, so indices repeat across APs; the fault
+    # follows ap1's packet 1 with ap2's packet 1 in between
+    header = TraceHeader(default_geometry(), AP_IDS, 0.006)
+    records = [CsiRecord(ap, p, 0.006 * p, np.ones(3)) for p in range(3) for ap in AP_IDS]
+    if fault is None:
+        assert TraceFile(header, records).records == records
+        return
+    ap, index, size = fault
+    records.insert(len(AP_IDS) + 3, CsiRecord(ap, index, 0.006 * index, np.ones(size)))
+    with pytest.raises(ValueError, match=match):
+        TraceFile(header, records)
+
+
 def test_trace_header_rejects_ap_ids_the_format_cannot_hold():
     for bad in (["#ap"], ["ap 0"], ["ap\t0"], ["ap0", "ap0"], []):
         with pytest.raises(ValueError):
