@@ -190,7 +190,12 @@ def cmd_simulate(args) -> int:
 
 def _run_tracker(trace: trace_io.TraceFile, tracker_config: TrackerConfig) -> Tracker:
     tracker = Tracker(trace.header.geometry, trace.header.ap_ids, tracker_config)
-    tracker.consume(trace_io.pair_streams(trace_io.records_by_ap(trace)))
+    groups = trace_io.pair_streams(trace_io.records_by_ap(trace))
+    for group in groups:  # Tracker.consume, without its trajectory
+        tracker.ingest(group.records)
+    if not tracker.flags:
+        raise WindowUnderfullError(f"the trace ends after {len(groups)} packets, before every AP "
+                                   f"holds min_packets={tracker_config.aod.min_packets}")
     return tracker
 
 

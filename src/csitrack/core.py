@@ -206,7 +206,7 @@ class Displacement:
         delta = np.asarray(self.delta, dtype=float)
         if delta.shape != (2,):
             raise ValueError("delta must be a 2-vector")
-        if not np.isfinite(delta).all():
+        if not all(map(math.isfinite, delta.tolist())):  # cheaper than numpy on 2 values
             raise ValueError("delta must be finite")
         object.__setattr__(self, "delta", delta)
 

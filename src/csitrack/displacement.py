@@ -8,12 +8,13 @@ cancels the clock term exactly; the remaining phases are linear in the
 displacement and are solved by least squares, stacking rows from all APs.
 
 The tracker factors each AP's steering matrix once per path-set estimate
-(:func:`factor_steering`) and projects each packet once (:func:`project`).
-Each packet pair then selects its paths (:func:`select_paths`); the rows of a
-selection (:func:`row_geometry`) and their factors (:func:`factor_rows`) are
-made once and reused until the next estimate, and :func:`solve_factored`
-solves each pair's phases. :func:`path_weights` and
-:func:`attenuation_change` are the same math for a single packet pair.
+(:func:`factor_steering`) and projects each packet once (:func:`project`):
+its :func:`path_strengths` serve its pairs with both neighbours. One pass over
+the full (A, L) arrays selects every AP's paths (:func:`select_paths`); the
+rows of a selection (:func:`row_geometry`) and their factors
+(:func:`factor_rows`) are made once per estimate, and :func:`solve_factored`
+solves each pair's phases. :func:`path_weights` and :func:`attenuation_change`
+are the same math for a single packet pair.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ def project(pinv: np.ndarray, csi: np.ndarray) -> np.ndarray:
     return (pinv @ csi[..., None])[..., 0]
 
 
-def _ratio(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """D_k = w2_k * conj(w1_k) / |w1_k|^2, element-wise.
+def _ratio(first: np.ndarray, second: np.ndarray, magnitude: np.ndarray, where=True):
+    """D_k = w2_k * conj(w1_k) / |w1_k|^2 where ``where`` holds, else undivided.
 
     Spelled out in real arithmetic: numpy's fused complex multiply leaves a
     rounding residue in Im(w * conj(w)), which must vanish exactly when the
@@ -84,8 +85,7 @@ def _ratio(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     ratio = np.empty(second.shape, dtype=complex)
     ratio.real = second.real * first.real + second.imag * first.imag
     ratio.imag = second.imag * first.real - second.real * first.imag
-    ratio /= np.abs(first) ** 2
-    return ratio
+    return np.divide(ratio, magnitude * magnitude, out=ratio, where=where)
 
 
 def path_weights(csi: np.ndarray, paths: PathSet, packet_index: int = -1,
@@ -105,43 +105,53 @@ def attenuation_change(first: PathWeights, second: PathWeights,
 
     The problem decouples per path: D_kk = w2_k * conj(w1_k) / |w1_k|^2.
     """
-    w1 = first.weights
-    w2 = second.weights
+    w1, w2 = first.weights, second.weights
     if w1.shape != w2.shape:
         raise ValueError("weight vectors must have equal length")
     weak = np.abs(w1) <= weak_rtol * np.linalg.norm(w1)
     if np.any(weak):
         raise WeakPathError(f"vanishing weight for path(s) {np.nonzero(weak)[0].tolist()}")
-    return AttenuationChange(first.ap_id, _ratio(w1, w2))
+    return AttenuationChange(first.ap_id, _ratio(w1, w2, np.abs(w1)))
 
 
-def select_paths(first: np.ndarray, second: np.ndarray, weak_rtol: float = WEAK_PATH_RTOL,
-                 same_clock: bool = False):
-    """Per-packet path selection of A APs from the (A, L) weights of two
-    packets on each AP's paths. A path weaker than ``weak_rtol`` times the norm
-    of its AP's first weights, in either packet, is dropped (a transient fade,
-    not a fault). Dividing each kept path's attenuation ratio by that of the
-    AP's reference path, its kept path strongest in both packets, cancels the
-    clock phase with the least noise amplification; the ``same_clock``
-    ablation divides by nothing, so the clock phase leaks into every ratio.
+def path_strengths(weights: np.ndarray, weak_rtol: float = WEAK_PATH_RTOL):
+    """(A, L) weights, their magnitudes and each AP's floor: ``weak_rtol`` times their norm."""
+    magnitude = np.abs(weights)
+    return weights, magnitude, weak_rtol * np.hypot.reduce(magnitude, axis=-1, keepdims=True)
+
+
+def select_paths(first, second, weak_rtol: float = WEAK_PATH_RTOL, same_clock: bool = False,
+                 active=None):
+    """Path selection of A APs in one pass over the (A, L) weights of two
+    packets on each AP's paths, or over their :func:`path_strengths`. Only
+    the APs of the (A,) mask ``active`` (all by default) give rows. A path
+    weaker than its AP's floor in either packet is dropped (a transient fade,
+    not a fault), and no dropped path's weight divides anything. Dividing
+    each kept path's attenuation ratio by that of the AP's reference path,
+    its kept path strongest in both packets, cancels the clock phase with the
+    least noise amplification; the ``same_clock`` ablation divides by nothing,
+    so the clock phase leaks into every ratio.
 
     Returns the (A, L) mask of paths that give a row, each AP's reference
-    path (None with ``same_clock``), the (A,) mask of APs with fewer usable
-    paths than the rows need (two, or one with ``same_clock``), which keep
-    none, and the (A, L) ratios."""
-    magnitude = np.abs(first)
-    strength = np.minimum(magnitude, np.abs(second))
-    keep = strength > weak_rtol * np.hypot.reduce(magnitude, axis=-1, keepdims=True)
-    short = keep.sum(axis=-1) < (1 if same_clock else 2)
-    keep[short] = False
-    change = np.ones(first.shape, dtype=complex)
-    change[keep] = _ratio(first[keep], second[keep])
+    path (None with ``same_clock``), the (A,) mask of active APs with fewer
+    kept paths than the rows need (two, or one with ``same_clock``), which
+    give none, and the (A, L) ratios, meaningful where a path gives a row."""
+    (first, magnitude, floor), (second, magnitude2, _) = (
+        w if isinstance(w, tuple) else path_strengths(w, weak_rtol) for w in (first, second))
+    strength = np.minimum(magnitude, magnitude2)
+    keep = strength > floor
+    short = np.add.reduce(keep, axis=-1) < (1 if same_clock else 2)
+    if active is not None:
+        keep &= active[:, None]
+        short &= active
+    change = _ratio(first, second, magnitude, keep)
     if same_clock:
         return keep, None, short, change
-    ref = (strength * keep).argmax(axis=-1)  # kept paths are all stronger than 0
+    ref = (strength * keep).argmax(axis=-1)  # kept paths are > 0; a short AP's lone one is ref
     at_ref = np.arange(ref.size), ref
+    np.divide(change, change[at_ref][:, None], out=change, where=keep)
     keep[at_ref] = False
-    return keep, ref, short, change / change[at_ref][:, None]
+    return keep, ref, short, change
 
 
 def row_geometry(directions: np.ndarray, keep: np.ndarray, ref, wavelength: float):

@@ -127,12 +127,28 @@ def _positive(text: str) -> float:
     return float(text)
 
 
+def _read_text(path, parse):
+    """``parse(handle)`` on text file ``path``; an undecodable byte is a parse error at its line."""
+    with open(path) as handle:
+        try:
+            return parse(handle)
+        except UnicodeDecodeError:  # its offset counts from the decoder's chunk
+            encoding = handle.encoding
+    with open(path, "rb") as handle:  # decoded line by line, the byte names its line
+        for number, line in enumerate(handle.read().splitlines(), start=1):
+            try:
+                line.decode(encoding)
+            except UnicodeDecodeError as exc:
+                raise TraceParseError(f"byte 0x{line[exc.start]:02x} is not {exc.encoding}",
+                                      number) from None
+    raise TraceParseError(f"not {encoding} text")
+
+
 def read_trace(path) -> TraceFile:
     """Parse a trace file; errors name the 1-based line. The body is parsed
     in blocks of BLOCK_LINES lines, each converted by one ``np.array`` call and
     checked as a whole; a block that fails is checked again line by line."""
-    with open(path) as handle:
-        return _parse_trace(handle)
+    return _read_text(path, _parse_trace)
 
 
 def _parse_trace(handle) -> TraceFile:
@@ -268,8 +284,7 @@ def write_trajectory(path, trajectory: Trajectory) -> None:
 
 
 def read_trajectory(path) -> Trajectory:
-    with open(path) as handle:
-        lines = handle.read().splitlines()
+    lines = _read_text(path, lambda handle: handle.read().splitlines())
     if not lines or not lines[0].startswith("#trajectory"):
         raise TraceParseError("missing trajectory header", 1)
     head = lines[0].split()
@@ -440,6 +455,6 @@ def load_config(path) -> RunConfig:
     with open(path) as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid JSON: {exc}") from None
     return config_from_dict(data)

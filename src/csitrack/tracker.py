@@ -7,9 +7,9 @@ one batch (:func:`~csitrack.aod.estimate_aods` on those sums, then
 :func:`continuity_order` and one stacked factorization), projects each packet
 pair onto the same paths, fuses the per-AP offset-cancelled rows into one
 displacement per packet (one array kernel for all APs, see
-:mod:`csitrack.displacement`) and integrates it from the origin. The rows of
-a path selection and their factorization are kept until the next estimate,
-so between estimates a packet pays only for its own phases. Samples whose
+:mod:`csitrack.displacement`) and integrates it from the origin. Until the
+next estimate the previous packet's weights, magnitudes and weak-path floor
+carry over, as do the rows of each path selection and their factors. Samples whose
 displacement is unobservable carry the previous position forward with a
 quality flag, so the trajectory keeps a uniform timebase for evaluation.
 """
@@ -31,6 +31,7 @@ from .displacement import (
     WEAK_PATH_RTOL,
     factor_rows,
     factor_steering,
+    path_strengths,
     project,
     row_geometry,
     select_paths,
@@ -107,7 +108,6 @@ class Tracker:
         # row a of each per-AP array below belongs to ap_ids[a]
         num_aps, num_paths, num_antennas = len(self.ap_ids), aod.num_paths, geometry.num_antennas
         self._slots = {ap: slot for slot, ap in enumerate(self.ap_ids)}
-        self._fill = np.zeros(num_aps, dtype=int)  # packets in each window
         # pushes since the last estimate; stride before the first, so it is due once warm
         self._since_estimate = np.full(num_aps, self.config.stride)
         self._aods = np.zeros((num_aps, num_paths))
@@ -116,14 +116,14 @@ class Tracker:
         self._directions = np.zeros((num_aps, num_paths, 2))  # [cos, sin] of each AoD
         self._has_paths = np.zeros(num_aps, dtype=bool)
         self._usable = np.zeros(num_aps, dtype=bool)  # steering condition gate passed
-        # (active, keep, ref) pattern -> row index and SVD factors, or the
+        # (keep, ref) pattern -> row index and SVD factors, or the
         # UnobservableDisplacementError they raise; valid until the next estimate
         self._plans = {}
+        self._carry = None  # the previous CSI and its path_strengths on the current paths
         self._previous_csi = np.zeros((num_aps, num_antennas), dtype=complex)
         self._previous_present = np.zeros(num_aps, dtype=bool)
         self._previous_index = None
         self._previous_time = None
-        self._started = False
         self._position = np.asarray(self.config.origin, dtype=float)
         self._positions = []
         self._times = []
@@ -133,14 +133,13 @@ class Tracker:
     # -- per-packet update ----------------------------------------------------
 
     def _update_paths(self) -> None:
-        """Re-estimate the paths of every AP that is due as one batch and factor
-        their steering matrices as one stack."""
+        """Re-estimate every due AP's paths as one batch; factor their steering matrices as one."""
         due = self._since_estimate >= self.config.stride
-        if np.count_nonzero(due):  # once warm, one packet in stride: the fills only then
-            due &= self._fill >= self.config.aod.min_packets
+        due &= [len(window) >= self.config.aod.min_packets for window in self._windows.values()]
         if not np.count_nonzero(due):
             return
         self._plans.clear()
+        self._carry = None
         slots = due.nonzero()[0].tolist()
         at = slots if len(slots) < len(due) else slice(None)  # all APs: a cheaper slice
         windows = [self._windows[self.ap_ids[slot]] for slot in slots]
@@ -175,12 +174,12 @@ class Tracker:
                 raise ValueError(f"unknown AP id {ap_id!r}")
             if record.ap_id != ap_id:
                 raise ValueError(f"record for {record.ap_id!r} filed under {ap_id!r}")
-            if record.csi.size != self.geometry.num_antennas:
+            if record.csi.size != csi.shape[1]:
                 raise ValueError(f"record for {ap_id!r} holds {record.csi.size} CSI entries, "
-                                 f"the array has {self.geometry.num_antennas} antennas")
+                                 f"the array has {csi.shape[1]} antennas")
             present[slot] = True
             csi[slot] = record.csi
-            pushes.append((slot, record))
+            pushes.append(record)
             indices.add(record.packet_index)
             now = max(now, record.timestamp)
         if len(indices) != 1:
@@ -194,21 +193,19 @@ class Tracker:
             )
 
         horizon = now - self.config.aod.window_seconds
-        for slot, record in pushes:
+        for record in pushes:
             window = self._windows[record.ap_id]
             window.append(record.csi, record.timestamp)
             window.expire(horizon)
-            self._fill[slot] = len(window)
         self._since_estimate += present
-        self._update_paths()
+        if np.count_nonzero(self._since_estimate >= self.config.stride):  # once warm, 1 in stride
+            self._update_paths()
 
         displacement = None
-        if not self._started:
-            if not ((self._fill > 0) & (self._fill < self.config.aod.min_packets)).any():
-                self._started = True
-                self._emit(now, "ok")
-        else:
+        if self.flags:  # started: one point per packet from the first on
             displacement = self._pair_update(present, csi, now)
+        elif not any(0 < len(w) < self.config.aod.min_packets for w in self._windows.values()):
+            self._emit(now, "ok")
 
         self._previous_csi = csi
         self._previous_present = present
@@ -217,25 +214,27 @@ class Tracker:
         return displacement
 
     def _pair_update(self, present, csi, now):
-        """Project both packets of the pair onto each AP's current paths in one
-        product and solve every AP's rows together; the rows of a path
-        selection and their factors are made once per path-set estimate."""
-        first, second = project(self._pinv, np.array([self._previous_csi, csi]))
+        """Select every AP's paths for the pair and solve their rows together; after
+        an estimate both packets are projected, else the previous one's strengths carry."""
+        weak_rtol = self.config.weak_path_rtol
+        if self._carry is not None and self._carry[0] is self._previous_csi:
+            first, second = self._carry[1], path_strengths(project(self._pinv, csi), weak_rtol)
+        else:
+            first, second = (path_strengths(weights, weak_rtol) for weights in
+                             project(self._pinv, np.array([self._previous_csi, csi])))
+        self._carry = csi, second
         pairs = present & self._previous_present & self._has_paths
         active = pairs & self._usable
         same_clock = self.config.mode == "assume-same-clock"
-        keep, ref, short, change = select_paths(first[active], second[active],
-                                                self.config.weak_path_rtol, same_clock)
-        for error, mask in ((DegenerateGeometryError, pairs & ~self._usable),
-                            (InsufficientPathsError, short)):
-            count = np.count_nonzero(mask)
+        keep, ref, short, change = select_paths(first, second, weak_rtol, same_clock, active)
+        counts = np.count_nonzero(pairs) - np.count_nonzero(active), np.count_nonzero(short)
+        for error, count in zip((DegenerateGeometryError, InsufficientPathsError), counts):
             if count:
                 self.exclusions[error.__name__] += count
-        key = (active.tobytes(), keep.tobytes(), None if same_clock else ref.tobytes())
+        key = (keep.tobytes(), None if same_clock else ref.tobytes())
         plan = self._plans.get(key)
         if plan is None:
-            rows, index = row_geometry(self._directions[active], keep, ref,
-                                       self.geometry.wavelength)
+            rows, index = row_geometry(self._directions, keep, ref, self.geometry.wavelength)
             try:
                 plan = index, factor_rows(rows, self.config.stacked_condition_limit)
             except UnobservableDisplacementError as error:
@@ -245,13 +244,14 @@ class Tracker:
             self._emit(now, "dead-reckoned")
             return None
         index, factors = plan
-        displacement = Displacement(solve_factored(factors, np.angle(change[index])))
+        change = change[index]
+        displacement = Displacement(solve_factored(factors, np.arctan2(change.imag, change.real)))
         self._position = self._position + displacement.delta
         self._emit(now, "ok")
         return displacement
 
     def _emit(self, timestamp, flag):
-        self._positions.append(self._position.copy())
+        self._positions.append(self._position)  # replaced, never changed in place
         self._times.append(timestamp)
         self.flags.append(flag)
 

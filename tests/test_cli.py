@@ -5,7 +5,8 @@ import pytest
 
 from csitrack import cli
 from csitrack.cli import (
-    EXIT_CONFIG, EXIT_PARSE, EXIT_STREAM, EXIT_UNEXPECTED, indoor_4ap_preset, main,
+    EXIT_CONFIG, EXIT_DEGENERATE, EXIT_PARSE, EXIT_STREAM, EXIT_UNEXPECTED, indoor_4ap_preset,
+    main,
 )
 from csitrack.errors import CsiTrackError
 from csitrack.io import load_config, read_trace, read_trajectory
@@ -245,6 +246,48 @@ class TestTrackEvaluate:
         path.write_text("\n".join(lines) + "\n")
         assert run(["track", "--trace", path, "--out", tmp_path / "out.txt"]) == EXIT_PARSE
         assert f"line {number}: #packet_interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, line", [("trace.txt", 3), ("trace.txt", 900),
+                                            ("estimate.txt", 700)])
+    def test_undecodable_byte_is_parse_error_at_its_line(self, demo_dir, tmp_path, capsys,
+                                                         name, line):
+        # line 3 is a header line; the other two lie past the decoder's first chunk
+        lines = (demo_dir / name).read_bytes().splitlines(keepends=True)
+        lines[line - 1] = lines[line - 1][:5] + b"\xff" + lines[line - 1][6:]
+        path = tmp_path / name
+        path.write_bytes(b"".join(lines))
+        if name == "trace.txt":
+            argv = ["track", "--trace", path, "--out", tmp_path / "out.txt"]
+        else:
+            argv = ["evaluate", "--estimate", path, "--truth", demo_dir / "truth.txt",
+                    "--out", tmp_path / "cdf.txt"]
+        assert run(argv) == EXIT_PARSE
+        assert f"error: line {line}: byte 0xff is not" in capsys.readouterr().err
+
+    def test_undecodable_config_is_config_error(self, demo_dir, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff" + (demo_dir / "config.json").read_bytes())
+        argv = ["track", "--trace", demo_dir / "trace.txt", "--config", path,
+                "--out", tmp_path / "out.txt"]
+        assert run(argv) == EXIT_CONFIG
+        assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["track", "ablate"])
+    @pytest.mark.parametrize("records", [0, 40])
+    def test_trace_too_short_to_warm_up_is_underfull(self, demo_dir, tmp_path, capsys,
+                                                     command, records):
+        lines = (demo_dir / "trace.txt").read_text().splitlines(keepends=True)
+        body = [line for line in lines if not line.startswith("#")]
+        path = tmp_path / "short.txt"
+        path.write_text("".join(line for line in lines if line.startswith("#"))
+                        + "".join(body[:records]))
+        argv = [command, "--trace", path, "--out", tmp_path / "out.txt"]
+        if command == "ablate":
+            argv += ["--mode", "assume-same-clock", "--truth", demo_dir / "truth.txt"]
+        assert run(argv) == EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert f"after {records // 4} packets" in err and "min_packets=20" in err
+        assert not (tmp_path / "out.txt").exists()
 
     def test_backwards_timestamp_is_stream_error(self, demo_dir, tmp_path, capsys):
         def rewind(fields):

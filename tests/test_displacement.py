@@ -446,6 +446,43 @@ class TestFactorization:
             np.testing.assert_array_equal(project(pinv[a], csi[a]), together[a])
 
 
+# -- one selection kernel on full arrays and on the gathered active rows ----------
+
+
+def drawn_weights(rng, kinds):
+    """Weights of the shape of ``kinds``: 0 strong, 1 zero, 2 faded, 3 as
+    strong as path 0 of its AP (its parts swapped, so |w| is bit-equal)."""
+    weights = rng.uniform(0.5, 1.5, kinds.shape) * np.exp(1j * rng.uniform(-np.pi, np.pi, kinds.shape))
+    weights[kinds == 1] = 0
+    weights[kinds == 2] *= 1e-13
+    tied = kinds == 3
+    weights[tied] = np.broadcast_to(weights[..., :1].imag + 1j * weights[..., :1].real,
+                                    kinds.shape)[tied]
+    return weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 3)), data=st.data(),
+       seed=st.integers(0, 2**32 - 1), weak_rtol=st.sampled_from([0.0, 1e-9, 0.3]),
+       same_clock=st.booleans())
+@pytest.mark.filterwarnings("error")
+def test_selection_on_full_arrays_equals_selection_on_active_rows(shape, data, seed, weak_rtol,
+                                                                  same_clock):
+    kinds = data.draw(hnp.arrays(int, (2,) + shape, elements=st.integers(0, 3)))
+    active = data.draw(hnp.arrays(bool, shape[:1]))
+    first, second = drawn_weights(np.random.default_rng(seed), kinds)
+    keep, ref, short, change = select_paths(first, second, weak_rtol, same_clock, active)
+    gathered = select_paths(first[active], second[active], weak_rtol, same_clock)
+    assert not keep[~active | short].any() and not short[~active].any()
+    np.testing.assert_array_equal(keep[active], gathered[0])
+    np.testing.assert_array_equal(short[active], gathered[2])
+    if not same_clock:
+        rows = active & (keep.sum(axis=-1) > 0)
+        np.testing.assert_array_equal(ref[rows], gathered[1][rows[active]])
+    assert np.array_equal(change[keep].view(float), gathered[3][keep[active]].view(float))
+    assert np.isfinite(change[keep]).all()
+
+
 # -- the tracker's kernel against the per-AP computation it replaced -------------
 
 
