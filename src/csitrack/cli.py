@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import pathlib
 import sys
 
 import numpy as np
 
 from . import io as trace_io
-from .aod import estimate_paths
-from .core import TWO_PI, ArrayGeometry, Trajectory, circular_distance
+from .core import TWO_PI, ArrayGeometry, Trajectory
 from .errors import (
     ConfigError,
     CsiTrackError,
@@ -28,7 +28,7 @@ from .errors import (
     WeakPathError,
     WindowUnderfullError,
 )
-from .evaluation import align, error_cdf, rotation_matrix
+from .evaluation import aod_error_cdfs, align, error_cdf, rotation_matrix
 from .simulator import (
     ChannelSpec,
     OffsetModel,
@@ -163,8 +163,8 @@ def _make_waypoints(args, packet_interval):
                             packet_interval=packet_interval, seed=seed)
 
 
-def _write_streams(path, streams, sim: SimConfig, ap_ids) -> None:
-    records = [r for group in trace_io.pair_streams(streams) for r in group.records.values()]
+def _write_groups(path, groups, sim: SimConfig, ap_ids) -> None:
+    records = [r for group in groups for r in group.records.values()]
     header = trace_io.TraceHeader(sim.geometry, ap_ids, sim.packet_interval)
     trace_io.write_trace(path, trace_io.TraceFile(header, records))
 
@@ -180,23 +180,13 @@ def cmd_simulate(args) -> int:
     if args.seed is not None and args.seed != sim.rng_seed:
         sim = dataclasses.replace(sim, rng_seed=args.seed)
     waypoints = _make_waypoints(args, sim.packet_interval)
-    _write_streams(args.out, simulate_trajectory(sim, waypoints), sim, config.ap_ids)
+    groups = trace_io.pair_streams(simulate_trajectory(sim, waypoints))
+    _write_groups(args.out, groups, sim, config.ap_ids)
     if args.truth:
         trace_io.write_trajectory(args.truth, resample_waypoints(waypoints, sim.packet_interval))
     print(f"seed {sim.rng_seed}")
     print(f"wrote {args.out}" + (f" and {args.truth}" if args.truth else ""))
     return EXIT_OK
-
-
-def _run_tracker(trace: trace_io.TraceFile, tracker_config: TrackerConfig) -> Tracker:
-    tracker = Tracker(trace.header.geometry, trace.header.ap_ids, tracker_config)
-    groups = trace_io.pair_streams(trace_io.records_by_ap(trace))
-    for group in groups:  # Tracker.consume, without its trajectory
-        tracker.ingest(group.records)
-    if not tracker.flags:
-        raise WindowUnderfullError(f"the trace ends after {len(groups)} packets, before every AP "
-                                   f"holds min_packets={tracker_config.aod.min_packets}")
-    return tracker
 
 
 def cmd_track(args) -> int:
@@ -206,8 +196,9 @@ def cmd_track(args) -> int:
         tracker_config = trace_io.load_config(args.config).tracker
     if args.mode:
         tracker_config = dataclasses.replace(tracker_config, mode=args.mode)
-    tracker = _run_tracker(trace, tracker_config)
-    trace_io.write_trajectory(args.out, tracker.trajectory())
+    tracker = Tracker(trace.header.geometry, trace.header.ap_ids, tracker_config)
+    trajectory = tracker.consume(trace_io.pair_streams(trace_io.records_by_ap(trace)))
+    trace_io.write_trajectory(args.out, trajectory)
     print(f"wrote {args.out}")
     for flag, count in sorted(tracker.flag_summary().items()):
         print(f"{flag}: {count}")
@@ -234,20 +225,15 @@ def _ablate_same_clock(args) -> int:
     trace = trace_io.read_trace(args.trace)
     truth = trace_io.read_trajectory(args.truth)
     base = trace_io.load_config(args.config).tracker if args.config else TrackerConfig()
+    groups = trace_io.pair_streams(trace_io.records_by_ap(trace))
     results = {}
-    for mode in ("full", "assume-same-clock"):
-        tracker = _run_tracker(trace, dataclasses.replace(base, mode=mode))
-        results[mode] = error_cdf([align(tracker.trajectory(), truth)])
+    for mode in MODES:
+        tracker = Tracker(trace.header.geometry, trace.header.ap_ids,
+                          dataclasses.replace(base, mode=mode))
+        results[mode] = error_cdf([align(tracker.consume(groups), truth)])
     ratio = results["assume-same-clock"].median / results["full"].median
-    with open(args.out, "w") as handle:
-        handle.write("#ablation v1 assume-same-clock\n")
-        for mode, cdf in results.items():
-            handle.write(f"#median {mode} {cdf.median!r}\n")
-        handle.write(f"#ratio {ratio!r}\n")
-        handle.write("#columns method error cumulative_fraction\n")
-        for mode, cdf in results.items():
-            for level, fraction in zip(cdf.levels, cdf.fractions):
-                handle.write(f"{mode} {level!r} {fraction!r}\n")
+    summary = {f"median {mode}": cdf.median for mode, cdf in results.items()} | {"ratio": ratio}
+    trace_io.write_ablation(args.out, "assume-same-clock", summary, "error", results)
     for mode, cdf in results.items():
         print(f"median error [{mode}] {cdf.median:.6g} m")
     print(f"error ratio {ratio:.3g}x")
@@ -255,79 +241,45 @@ def _ablate_same_clock(args) -> int:
     return EXIT_OK
 
 
-def _direct_aods(config: trace_io.RunConfig) -> dict:
-    """Strongest path per AP: the simulated stand-in for the direct path."""
-    if config.sim is None:
-        raise ConfigError("sim: single-packet-aod ablation needs the simulated channel")
-    return {
-        ap: max(paths, key=lambda p: abs(p.gain)).aod
-        for ap, paths in config.sim.channel.paths.items()
-    }
-
-
 def _ablate_single_packet(args) -> int:
     if not args.config:
         raise ConfigError("--config is required for single-packet-aod ablation")
     config = trace_io.load_config(args.config)
-    truth_aods = _direct_aods(config)
+    if config.sim is None:
+        raise ConfigError("sim: single-packet-aod ablation needs the simulated channel")
+    # each AP's strongest path is the simulated stand-in for its direct path
+    truth_aods = {ap: max(paths, key=lambda p: abs(p.gain)).aod
+                  for ap, paths in config.sim.channel.paths.items()}
     trace = trace_io.read_trace(args.trace)
-    streams = trace_io.records_by_ap(trace)
-    window_config = config.tracker.aod
-    single_config = dataclasses.replace(window_config, min_packets=1)
-    geometry = trace.header.geometry
-    horizon = window_config.window_seconds
-    errors = {"multi-packet": [], "single-packet": []}
-    for ap, records in streams.items():
-        if ap not in truth_aods or len(records) < window_config.min_packets:
-            continue
-        truth = truth_aods[ap]
-        stride = max(1, len(records) // 20)
-        for end in range(window_config.min_packets, len(records) + 1, stride):
-            window = [r for r in records[:end]
-                      if r.timestamp >= records[end - 1].timestamp - horizon]
-            multi = estimate_paths(window, geometry, single_config)
-            single = estimate_paths(records[end - 1:end], geometry, single_config)
-            errors["multi-packet"].append(np.min(circular_distance(multi.aods, truth)))
-            errors["single-packet"].append(np.min(circular_distance(single.aods, truth)))
-    cdfs = {name: error_cdf([np.array(vals)]) for name, vals in errors.items()}
-    with open(args.out, "w") as handle:
-        handle.write("#ablation v1 single-packet-aod\n")
-        for name, cdf in cdfs.items():
-            p80 = float(np.percentile(cdf.levels, 80))
-            handle.write(f"#p80 {name} {p80!r}\n")
-        handle.write("#columns method aod_error_rad cumulative_fraction\n")
-        for name, cdf in cdfs.items():
-            for level, fraction in zip(cdf.levels, cdf.fractions):
-                handle.write(f"{name} {level!r} {fraction!r}\n")
-    for name, cdf in cdfs.items():
-        print(f"80th percentile AoD error [{name}] "
-              f"{np.percentile(cdf.levels, 80):.4g} rad")
+    cdfs = aod_error_cdfs(trace_io.records_by_ap(trace), trace.header.geometry, config.tracker.aod,
+                          truth_aods)
+    p80 = {name: float(np.percentile(cdf.levels, 80)) for name, cdf in cdfs.items()}
+    trace_io.write_ablation(args.out, "single-packet-aod",
+                            {f"p80 {name}": value for name, value in p80.items()},
+                            "aod_error_rad", cdfs)
+    for name, value in p80.items():
+        print(f"80th percentile AoD error [{name}] {value:.4g} rad")
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
-    if args.mode == "assume-same-clock":
-        return _ablate_same_clock(args)
-    return _ablate_single_packet(args)
+    ablate = _ablate_same_clock if args.mode == "assume-same-clock" else _ablate_single_packet
+    return ablate(args)
 
 
 def cmd_demo(args) -> int:
-    import pathlib
-
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     config = indoor_4ap_preset(args.seed)
     trace_io.save_config(outdir / "config.json", config)
     waypoints = square_waypoints(side=0.1, speed=0.05)
-    streams = simulate_trajectory(config.sim, waypoints)
-    _write_streams(outdir / "trace.txt", streams, config.sim, config.ap_ids)
+    groups = trace_io.pair_streams(simulate_trajectory(config.sim, waypoints))
+    _write_groups(outdir / "trace.txt", groups, config.sim, config.ap_ids)
     truth = resample_waypoints(waypoints, config.sim.packet_interval)
     trace_io.write_trajectory(outdir / "truth.txt", truth)
 
-    tracker = Tracker(config.geometry, config.ap_ids, config.tracker)
-    tracker.consume(trace_io.pair_streams(streams))
-    estimate = tracker.trajectory()
+    estimate = Tracker(config.geometry, config.ap_ids, config.tracker).consume(groups)
     trace_io.write_trajectory(outdir / "estimate.txt", estimate)
 
     cdf = error_cdf([align(estimate, truth)])

@@ -1,4 +1,4 @@
-"""Trajectory quality metrics: stationary jitter and aligned trajectory error.
+"""Quality metrics: stationary jitter, aligned trajectory error, AoD error.
 
 Estimated and ground-truth trajectories come from systems with unrelated
 coordinate frames, so before differencing them both are translated to start
@@ -8,11 +8,12 @@ minimize the RMSE against the truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Trajectory
+from .aod import AodConfig, estimate_paths
+from .core import ArrayGeometry, Trajectory, circular_distance
 
 
 def jitter(trajectory: Trajectory) -> float:
@@ -113,3 +114,23 @@ def error_cdf(results) -> ErrorCdf:
     pooled = np.sort(np.concatenate(pools))
     fractions = np.arange(1, pooled.size + 1) / pooled.size
     return ErrorCdf(pooled, fractions, float(np.median(pooled)))
+
+
+def aod_error_cdfs(streams, geometry: ArrayGeometry, config: AodConfig, truth_aods) -> dict:
+    """AoD-error CDFs of paths estimated from a window of packets
+    ("multi-packet") and from its last packet alone ("single-packet"). Each
+    error is that of the estimated path nearest the AP's ``truth_aods``
+    entry; each AP's windows end at about 20 of its records, from ``min_packets`` on."""
+    single = replace(config, min_packets=1)
+    errors = {"multi-packet": [], "single-packet": []}
+    for ap, records in streams.items():
+        if ap not in truth_aods or len(records) < config.min_packets:
+            continue
+        stride = max(1, len(records) // 20)
+        for end in range(config.min_packets, len(records) + 1, stride):
+            window = [r for r in records[:end]
+                      if r.timestamp >= records[end - 1].timestamp - config.window_seconds]
+            for name, packets in zip(errors, (window, records[end - 1:end])):
+                aods = estimate_paths(packets, geometry, single).aods
+                errors[name].append(np.min(circular_distance(aods, truth_aods[ap])))
+    return {name: error_cdf([np.array(values)]) for name, values in errors.items()}

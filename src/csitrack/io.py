@@ -18,8 +18,8 @@ Trace format::
 Record lines carry ap_id, packet_index, timestamp and 2M float fields
 (real, imag per antenna). ``read_trace`` parses the body in blocks, and one
 per-record check (header AP, CSI size, each AP's index increasing) serves
-both its blocks and an in-memory ``TraceFile``. Trajectory and CDF files are
-single-header-line delimited tables. Run configs are JSON.
+both its blocks and an in-memory ``TraceFile``. Trajectory, CDF and ablation
+files are header lines over rows, all from one writer. Run configs are JSON.
 """
 
 from __future__ import annotations
@@ -276,11 +276,19 @@ def pair_streams(streams) -> list:
     return groups
 
 
-def write_trajectory(path, trajectory: Trajectory) -> None:
+def _write_table(path, header, values, names=None) -> None:
+    """The ``header`` lines, then one line per row of the 2-D ``values``, each
+    number written by _fmt and the row led by its entry of ``names`` if given."""
+    prefixes = itertools.repeat("") if names is None else (f"{name} " for name in names)
     with open(path, "w") as handle:
-        handle.write(TRAJECTORY_HEADER + "\n")
-        for (x, y), t in zip(trajectory.positions, trajectory.timestamps):
-            handle.write(f"{_fmt(t)} {_fmt(x)} {_fmt(y)}\n")
+        handle.writelines(line + "\n" for line in header)
+        for prefix, row in zip(prefixes, np.asarray(values, dtype=float)):
+            handle.write(prefix + " ".join(map(_fmt, row.tolist())) + "\n")
+
+
+def write_trajectory(path, trajectory: Trajectory) -> None:
+    _write_table(path, [TRAJECTORY_HEADER],
+                 np.column_stack([trajectory.timestamps, trajectory.positions]))
 
 
 def read_trajectory(path) -> Trajectory:
@@ -301,6 +309,10 @@ def read_trajectory(path) -> Trajectory:
             t, x, y = (float(v) for v in parts)
         except ValueError as exc:
             raise TraceParseError(str(exc), number) from None
+        if not all(map(math.isfinite, (t, x, y))):
+            raise TraceParseError("values must be finite", number)
+        if points and t <= points[-1][1]:
+            raise TraceParseError(f"time {t!r} does not follow {points[-1][1]!r}", number)
         points.append(((x, y), t))
     if not points:
         raise TraceParseError("trajectory file holds no points")
@@ -308,10 +320,17 @@ def read_trajectory(path) -> Trajectory:
 
 
 def write_cdf(path, cdf: ErrorCdf) -> None:
-    with open(path, "w") as handle:
-        handle.write(CDF_HEADER + "\n")
-        for level, fraction in zip(cdf.levels, cdf.fractions):
-            handle.write(f"{_fmt(level)} {_fmt(fraction)}\n")
+    _write_table(path, [CDF_HEADER], np.column_stack([cdf.levels, cdf.fractions]))
+
+
+def write_ablation(path, mode: str, summary, column: str, cdfs: dict) -> None:
+    """``#ablation v1 <mode>``, ``#<name> <value>`` per item of ``summary``, ``#columns
+    method <column> cumulative_fraction``, then each CDF's rows led by its key in ``cdfs``."""
+    header = [f"#ablation v1 {mode}", *(f"#{name} {_fmt(v)}" for name, v in summary.items()),
+              f"#columns method {column} cumulative_fraction"]
+    _write_table(path, header,
+                 np.concatenate([np.column_stack([c.levels, c.fractions]) for c in cdfs.values()]),
+                 [method for method, cdf in cdfs.items() for _ in cdf.levels])
 
 
 # -- run configuration ---------------------------------------------------------

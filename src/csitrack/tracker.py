@@ -42,6 +42,7 @@ from .errors import (
     InsufficientPathsError,
     StreamOrderError,
     UnobservableDisplacementError,
+    WindowUnderfullError,
 )
 
 MODES = ("full", "assume-same-clock")
@@ -91,8 +92,8 @@ class Tracker:
     :meth:`ingest`. No point is emitted until every AP that appears in the
     stream has ``min_packets`` in its window; from then on one point is
     appended per packet, dead-reckoned (position carried, flagged) whenever
-    the displacement cannot be solved. An AP that never transmits, or that
-    misses individual packets, is simply excluded from the affected updates.
+    the displacement cannot be solved. An AP absent from a packet pair is left
+    out of its update; if it has paths, it counts in ``exclusions["absent"]``.
     """
 
     def __init__(self, geometry: ArrayGeometry, ap_ids, config: TrackerConfig = None):
@@ -122,6 +123,7 @@ class Tracker:
         self._carry = None  # the previous CSI and its path_strengths on the current paths
         self._previous_csi = np.zeros((num_aps, num_antennas), dtype=complex)
         self._previous_present = np.zeros(num_aps, dtype=bool)
+        self._previous_short = True  # the previous packet lacks an AP
         self._previous_index = None
         self._previous_time = None
         self._position = np.asarray(self.config.origin, dtype=float)
@@ -167,7 +169,7 @@ class Tracker:
             raise ValueError("records must not be empty")
         present = np.zeros(len(self.ap_ids), dtype=bool)
         csi = np.zeros(self._previous_csi.shape, dtype=complex)
-        pushes, indices, now = [], set(), -math.inf
+        indices, now = set(), -math.inf
         for ap_id, record in records.items():
             slot = self._slots.get(ap_id)
             if slot is None:
@@ -179,7 +181,6 @@ class Tracker:
                                  f"the array has {csi.shape[1]} antennas")
             present[slot] = True
             csi[slot] = record.csi
-            pushes.append(record)
             indices.add(record.packet_index)
             now = max(now, record.timestamp)
         if len(indices) != 1:
@@ -193,7 +194,7 @@ class Tracker:
             )
 
         horizon = now - self.config.aod.window_seconds
-        for record in pushes:
+        for record in records.values():
             window = self._windows[record.ap_id]
             window.append(record.csi, record.timestamp)
             window.expire(horizon)
@@ -203,12 +204,16 @@ class Tracker:
 
         displacement = None
         if self.flags:  # started: one point per packet from the first on
+            if len(records) < len(self.ap_ids) or self._previous_short:  # an AP may be absent
+                if absent := np.count_nonzero(self._has_paths > present & self._previous_present):
+                    self.exclusions["absent"] += absent
             displacement = self._pair_update(present, csi, now)
         elif not any(0 < len(w) < self.config.aod.min_packets for w in self._windows.values()):
             self._emit(now, "ok")
 
         self._previous_csi = csi
         self._previous_present = present
+        self._previous_short = len(records) < len(self.ap_ids)
         self._previous_index = packet_index
         self._previous_time = now
         return displacement
@@ -258,12 +263,14 @@ class Tracker:
     # -- results ---------------------------------------------------------------
 
     def consume(self, groups) -> Trajectory:
-        """Ingest a sequence of packet groups and return the trajectory."""
-        for group in groups:
-            records = getattr(group, "records", group)
-            present = {ap: r for ap, r in records.items() if r is not None}
-            if present:
-                self.ingest(present)
+        """:meth:`ingest` each PacketGroup (or mapping ap_id -> CsiRecord) and return the
+        trajectory; :class:`WindowUnderfullError` if they end before the first point."""
+        seen = 0
+        for seen, group in enumerate(groups, start=1):
+            self.ingest(getattr(group, "records", group))
+        if not self.flags:
+            raise WindowUnderfullError(f"the stream ends after {seen} packets, before every AP "
+                                       f"holds min_packets={self.config.aod.min_packets}")
         return self.trajectory()
 
     def trajectory(self) -> Trajectory:

@@ -1,5 +1,7 @@
 """CLI subcommands: files produced, determinism, exit codes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,15 @@ from csitrack.cli import (
     EXIT_CONFIG, EXIT_DEGENERATE, EXIT_PARSE, EXIT_STREAM, EXIT_UNEXPECTED, indoor_4ap_preset,
     main,
 )
+from csitrack.core import Trajectory
 from csitrack.errors import CsiTrackError
-from csitrack.io import load_config, read_trace, read_trajectory
+from csitrack.evaluation import align, aod_error_cdfs, error_cdf
+from csitrack.io import (
+    RunConfig, load_config, pair_streams, read_trace, read_trajectory, records_by_ap, save_config,
+    write_trajectory,
+)
+from csitrack.simulator import random_waypoints, resample_waypoints, stationary_waypoints
+from csitrack.tracker import MODES, Tracker
 
 
 def run(argv):
@@ -21,6 +30,15 @@ def demo_dir(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("demo")
     assert run(["demo", "--outdir", outdir, "--seed", "77"]) == 0
     return outdir
+
+
+def short_trace(demo_dir, tmp_path, packets):
+    """The demo trace cut after its first ``packets`` packets (4 records each)."""
+    lines = (demo_dir / "trace.txt").read_text().splitlines(keepends=True)
+    header = [line for line in lines if line.startswith("#")]
+    path = tmp_path / "short.txt"
+    path.write_text("".join(header + lines[len(header):len(header) + 4 * packets]))
+    return path
 
 
 class TestSimulate:
@@ -60,6 +78,89 @@ class TestSimulate:
         with pytest.raises(SystemExit) as info:
             run(["simulate", "--out", "x.txt"])
         assert info.value.code == 2
+
+    def simulate(self, tmp_path, *flags):
+        trace, truth = tmp_path / "trace.txt", tmp_path / "truth.txt"
+        code = run(["simulate", "--preset", "indoor-4ap", *flags, "--out", trace, "--truth", truth])
+        return code, trace, truth
+
+    def test_waypoints_file_sets_the_motion(self, tmp_path):
+        waypoints = Trajectory(np.array([[0.0, 0.0], [0.02, 0.01], [0.0, 0.03]]),
+                               np.array([0.0, 0.1, 0.3]))
+        path = tmp_path / "waypoints.txt"
+        write_trajectory(path, waypoints)
+        code, trace, truth = self.simulate(tmp_path, "--waypoints", path)
+        assert code == 0
+        expected = resample_waypoints(waypoints, 0.006)
+        written = read_trajectory(truth)
+        np.testing.assert_array_equal(written.positions, expected.positions)
+        np.testing.assert_array_equal(written.timestamps, expected.timestamps)
+        assert len(read_trace(trace).records) == 4 * len(expected)
+
+    @pytest.mark.parametrize("motion", ["stationary", "random"])
+    def test_generated_motion_follows_its_flags(self, tmp_path, motion):
+        code, _, truth = self.simulate(tmp_path, "--motion", motion, "--motion-scale", "0.02",
+                                       "--motion-duration", "0.3", "--seed", "4")
+        assert code == 0
+        if motion == "stationary":
+            waypoints = stationary_waypoints(0.3)
+        else:
+            waypoints = random_waypoints(scale=0.02, duration=0.3, packet_interval=0.006, seed=4)
+        np.testing.assert_array_equal(read_trajectory(truth).positions,
+                                      resample_waypoints(waypoints, 0.006).positions)
+
+    def test_waypoints_and_motion_together_are_config_error(self, tmp_path, capsys):
+        code, trace, _ = self.simulate(tmp_path, "--waypoints", tmp_path / "w.txt",
+                                       "--motion", "square")
+        assert code == EXIT_CONFIG
+        assert "either --waypoints or --motion" in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_seed_overrides_the_config_seed(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        save_config(config, indoor_4ap_preset(1))
+        motion = ["--motion", "stationary", "--motion-duration", "0.1"]
+        paths = [tmp_path / f"{name}.txt" for name in ("config9", "preset9", "config1")]
+        assert run(["simulate", "--config", config, *motion, "--seed", "9", "--out", paths[0]]) == 0
+        assert "seed 9" in capsys.readouterr().out
+        assert run(["simulate", "--preset", "indoor-4ap", *motion, "--seed", "9",
+                    "--out", paths[1]]) == 0
+        assert run(["simulate", "--config", config, *motion, "--out", paths[2]]) == 0
+        assert "seed 1" in capsys.readouterr().out.splitlines()[-2]
+        assert paths[0].read_bytes() == paths[1].read_bytes() != paths[2].read_bytes()
+
+
+TRAJECTORY = "#trajectory v1 time x y\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+@pytest.mark.parametrize("text, line, message", [
+    ("", 1, "missing trajectory header"),
+    ("0.0 0.0 0.0\n", 1, "missing trajectory header"),
+    ("#trajectory v2 time x y\n0.0 0.0 0.0\n", 1, "unsupported trajectory header"),
+    (TRAJECTORY + "0.0 0.0\n", 2, "expected 3 fields, found 2"),
+    (TRAJECTORY + "0.0 0.0 x\n", 2, "could not convert"),
+    (TRAJECTORY + "\n", None, "trajectory file holds no points"),
+    (TRAJECTORY + "0.0 0.0 0.0\n0.1 nan 0.0\n", 3, "values must be finite"),
+    (TRAJECTORY + "0.0 0.0 0.0\nnan 0.0 0.0\n", 3, "values must be finite"),
+    (TRAJECTORY + "0.0 0.0 0.0\n0.1 0.0 -inf\n", 3, "values must be finite"),
+    (TRAJECTORY + "0.0 0.0 0.0\n0.1 0.0 0.0\n0.05 0.0 0.0\n", 4, "time 0.05 does not follow 0.1"),
+    (TRAJECTORY + "0.0 0.0 0.0\n\n0.0 0.0 0.0\n", 4, "time 0.0 does not follow 0.0"),
+], ids=["empty", "no-header", "version", "fields", "number", "no-points", "nan-x", "nan-time",
+        "inf-y", "time-back", "time-repeats"])
+def test_bad_trajectory_file_is_parse_error_at_its_line(demo_dir, tmp_path, capsys, command,
+                                                        text, line, message):
+    path = tmp_path / "trajectory.txt"
+    path.write_text(text)
+    out = tmp_path / "out.txt"
+    if command == "evaluate":
+        argv = ["evaluate", "--estimate", path, "--truth", demo_dir / "truth.txt", "--out", out]
+    else:
+        argv = ["simulate", "--preset", "indoor-4ap", "--waypoints", path, "--out", out]
+    assert run(argv) == EXIT_PARSE
+    where = "" if line is None else f"line {line}: "
+    assert f"error: {where}{message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 SIMULATE = ["simulate", "--preset", "indoor-4ap", "--motion", "random"]
@@ -196,6 +297,30 @@ class TestTrackEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "cdf.txt").exists()
+
+    def test_mode_flag_overrides_the_config_mode(self, demo_dir, tmp_path):
+        trace_path = short_trace(demo_dir, tmp_path, 200)
+        out, expected = tmp_path / "out.txt", tmp_path / "expected.txt"
+        assert run(["track", "--trace", trace_path, "--config", demo_dir / "config.json",
+                    "--mode", "assume-same-clock", "--out", out]) == 0
+        trace = read_trace(trace_path)
+        config = dataclasses.replace(load_config(demo_dir / "config.json").tracker,
+                                     mode="assume-same-clock")
+        tracker = Tracker(trace.header.geometry, trace.header.ap_ids, config)
+        write_trajectory(expected, tracker.consume(pair_streams(records_by_ap(trace))))
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "empty trace file"),
+        ("#csi-trace v1\n#antennas 3\n#wavelength 0.06\n#packet_interval 0.006\n"
+         "#geometry 0.0,0.0 0.026,0.0\n#aps ap0\n", 5, "#geometry: does not match #antennas"),
+    ], ids=["empty", "geometry-count"])
+    def test_bad_trace_header_is_parse_error_at_its_line(self, tmp_path, capsys, text, line,
+                                                         message):
+        path = tmp_path / "trace.txt"
+        path.write_text(text)
+        assert run(["track", "--trace", path, "--out", tmp_path / "out.txt"]) == EXIT_PARSE
+        assert f"error: line {line}: {message}" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -357,6 +482,58 @@ class TestAblate:
     def test_same_clock_needs_truth(self, tmp_path, capsys):
         code = run(["ablate", "--trace", "x", "--mode", "assume-same-clock", "--out", "y"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("config", ["none", "without-sim"])
+    def test_single_packet_mode_needs_a_simulated_config(self, demo_dir, tmp_path, capsys,
+                                                         config):
+        out = tmp_path / "out.txt"
+        argv = ["ablate", "--trace", demo_dir / "trace.txt", "--mode", "single-packet-aod",
+                "--out", out]
+        if config == "without-sim":
+            loaded = load_config(demo_dir / "config.json")
+            path = tmp_path / "nosim.json"
+            save_config(path, RunConfig(loaded.ap_ids, loaded.geometry, loaded.tracker, sim=None))
+            argv += ["--config", path]
+        assert run(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        if config == "none":
+            assert "--config is required for single-packet-aod ablation" in err
+        else:
+            assert "single-packet-aod ablation needs the simulated channel" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["assume-same-clock", "single-packet-aod"])
+    def test_report_rows_are_a_method_and_two_floats(self, demo_dir, tmp_path, mode):
+        trace_path = short_trace(demo_dir, tmp_path, 200)
+        report = tmp_path / "report.txt"
+        argv = ["ablate", "--trace", trace_path, "--mode", mode,
+                "--config", demo_dir / "config.json", "--out", report]
+        if mode == "assume-same-clock":
+            argv += ["--truth", demo_dir / "truth.txt"]
+        assert run(argv) == 0
+        trace, config = read_trace(trace_path), load_config(demo_dir / "config.json")
+        if mode == "assume-same-clock":
+            truth = read_trajectory(demo_dir / "truth.txt")
+            groups = pair_streams(records_by_ap(trace))
+            cdfs = {}
+            for method in MODES:
+                tracker = Tracker(trace.header.geometry, trace.header.ap_ids,
+                                  dataclasses.replace(config.tracker, mode=method))
+                cdfs[method] = error_cdf([align(tracker.consume(groups), truth)])
+            ratio = cdfs["assume-same-clock"].median / cdfs["full"].median
+            summary = [f"#median {method} {cdf.median!r}" for method, cdf in cdfs.items()]
+            summary += [f"#ratio {ratio!r}", "#columns method error cumulative_fraction"]
+        else:
+            truth_aods = {ap: max(paths, key=lambda p: abs(p.gain)).aod
+                          for ap, paths in config.sim.channel.paths.items()}
+            cdfs = aod_error_cdfs(records_by_ap(trace), trace.header.geometry,
+                                  config.tracker.aod, truth_aods)
+            summary = [f"#p80 {method} {float(np.percentile(cdf.levels, 80))!r}"
+                       for method, cdf in cdfs.items()]
+            summary += ["#columns method aod_error_rad cumulative_fraction"]
+        rows = [f"{method} {float(level)!r} {float(fraction)!r}" for method, cdf in cdfs.items()
+                for level, fraction in zip(cdf.levels, cdf.fractions)]
+        assert report.read_text().splitlines() == [f"#ablation v1 {mode}", *summary, *rows]
 
     def test_single_packet_mode_emits_both_cdfs(self, demo_dir, tmp_path):
         report = tmp_path / "aod_report.txt"

@@ -488,11 +488,15 @@ def test_selection_on_full_arrays_equals_selection_on_active_rows(shape, data, s
 
 def reference_update(path_sets, previous, current, config):
     """One packet pair the way the tracker solved it before the kernel, AP by
-    AP: lstsq projection, weak-path subset, reference path, rows, stack."""
+    AP: lstsq projection, weak-path subset, reference path, rows, stack. An AP
+    with paths but absent from either packet is excluded as "absent"."""
     same_clock = config.mode == "assume-same-clock"
     blocks, excluded = [], Counter()
     for ap, paths in path_sets.items():
-        if ap not in previous or ap not in current or paths is None:
+        if paths is None:
+            continue
+        if ap not in previous or ap not in current:
+            excluded["absent"] += 1
             continue
         matrix = paths.steering_matrix
         if np.linalg.cond(matrix) >= config.steering_condition_limit:
@@ -537,7 +541,7 @@ def kernel_case(name, seed=40):
                 aods[ap] = np.sort(rng.uniform(0, 2 * np.pi, 3))
         fades = {"ap0": [1], "ap1": [0, 2]}  # ap1 keeps one path: too few
         snr_db = np.inf  # noise would lift the faded weights over the threshold
-        expected = {"InsufficientPathsError"}
+        expected = {"InsufficientPathsError", "absent"}
     else:  # "collinear": ap2's two AoDs trip the steering condition gate
         geometry = default_geometry()
         aods = {ap: np.sort(rng.uniform(0, 2 * np.pi, 2)) for ap in AP_IDS}
@@ -547,7 +551,7 @@ def kernel_case(name, seed=40):
         aods["ap2"] = np.array([1.0, 1.0 + 1e-9])
         fades = {}
         snr_db = 30.0
-        expected = {"DegenerateGeometryError"}
+        expected = {"DegenerateGeometryError", "absent"}
     paths = {}
     for ap in AP_IDS:
         gains = rng.uniform(0.6, 1.0, aods[ap].size) * np.exp(1j * rng.uniform(0, 2 * np.pi, aods[ap].size))

@@ -393,6 +393,12 @@ class TestPairStreams:
         with pytest.raises(ValueError):
             pair_streams({"ap0": records})
 
+    def test_record_in_another_aps_stream_rejected(self):
+        streams = {ap: self.make_records(ap, range(3)) for ap in AP_IDS}
+        streams["ap1"][2] = streams["ap0"][2]
+        with pytest.raises(ValueError, match="record for 'ap0' in stream 'ap1'"):
+            pair_streams(streams)
+
 
 class TestTrajectoryFiles:
     def test_roundtrip(self, tmp_path):

@@ -11,7 +11,7 @@ from conftest import AP_IDS, default_geometry, make_sim_config
 from csitrack import aod
 from csitrack.aod import AodConfig
 from csitrack.core import ArrayGeometry, CsiRecord, circular_distance, steering_matrix
-from csitrack.errors import StreamOrderError
+from csitrack.errors import StreamOrderError, WindowUnderfullError
 from csitrack.io import pair_streams
 from csitrack.simulator import (
     random_waypoints,
@@ -334,6 +334,25 @@ class TestStreamValidation:
         tracker = Tracker(default_geometry(), AP_IDS)
         with pytest.raises(ValueError):
             tracker.ingest({"nope": CsiRecord("nope", 0, 0.0, np.ones(3, dtype=complex))})
+
+    def test_duplicate_ap_ids_rejected(self):
+        with pytest.raises(ValueError, match="duplicate AP ids"):
+            Tracker(default_geometry(), ["ap0", "ap1", "ap0"])
+
+    def test_record_filed_under_another_ap_rejected(self):
+        tracker = Tracker(default_geometry(), AP_IDS)
+        group = self.records_at(0)
+        group[AP_IDS[1]] = group[AP_IDS[0]]
+        with pytest.raises(ValueError, match=f"record for '{AP_IDS[0]}' filed under '{AP_IDS[1]}'"):
+            tracker.ingest(group)
+        assert all(len(tracker._windows[ap]) == 0 for ap in AP_IDS)
+
+    @pytest.mark.parametrize("packets", [0, 5])
+    def test_consume_of_a_stream_too_short_to_start_is_underfull(self, packets):
+        tracker = Tracker(default_geometry(), AP_IDS)
+        groups = [self.records_at(index) for index in range(packets)]
+        with pytest.raises(WindowUnderfullError, match=f"after {packets} packets.*min_packets=20"):
+            tracker.consume(groups)
 
     def test_empty_group_rejected(self):
         tracker = Tracker(default_geometry(), AP_IDS)
