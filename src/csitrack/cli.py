@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import io as trace_io
-from .core import TWO_PI, ArrayGeometry, Trajectory
+from .core import TWO_PI, ArrayGeometry
 from .errors import (
     ConfigError,
     CsiTrackError,
@@ -28,7 +28,7 @@ from .errors import (
     WeakPathError,
     WindowUnderfullError,
 )
-from .evaluation import aod_error_cdfs, align, error_cdf, rotation_matrix
+from .evaluation import aod_error_cdfs, align, error_cdf
 from .simulator import (
     ChannelSpec,
     OffsetModel,
@@ -189,11 +189,21 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _tracker_config(config, geometry: ArrayGeometry) -> TrackerConfig:
+    """The tracker section of the run config ``config`` (defaults for None);
+    ConfigError if its paths need more antennas than the trace's ``geometry`` has."""
+    tracker = config.tracker if config is not None else TrackerConfig()
+    num_paths, antennas = tracker.aod.num_paths, geometry.num_antennas
+    if num_paths > antennas - 1:
+        raise ConfigError(f"tracker.num_paths: {num_paths} paths need at least {num_paths + 1} "
+                          f"antennas, the trace has {antennas}")
+    return tracker
+
+
 def cmd_track(args) -> int:
     trace = trace_io.read_trace(args.trace)
-    tracker_config = TrackerConfig()
-    if args.config:
-        tracker_config = trace_io.load_config(args.config).tracker
+    config = trace_io.load_config(args.config) if args.config else None
+    tracker_config = _tracker_config(config, trace.header.geometry)
     if args.mode:
         tracker_config = dataclasses.replace(tracker_config, mode=args.mode)
     tracker = Tracker(trace.header.geometry, trace.header.ap_ids, tracker_config)
@@ -212,8 +222,7 @@ def cmd_evaluate(args) -> int:
     cdf = error_cdf([result])
     trace_io.write_cdf(args.out, cdf)
     if args.aligned_out:
-        aligned = (estimate.positions - estimate.positions[0]) @ rotation_matrix(result.rotation).T
-        trace_io.write_trajectory(args.aligned_out, Trajectory(aligned, estimate.timestamps))
+        trace_io.write_trajectory(args.aligned_out, result.aligned)
     print(f"median error {cdf.median:.6g} m")
     print(f"wrote {args.out}" + (f" and {args.aligned_out}" if args.aligned_out else ""))
     return EXIT_OK
@@ -224,7 +233,8 @@ def _ablate_same_clock(args) -> int:
         raise ConfigError("--truth is required for assume-same-clock ablation")
     trace = trace_io.read_trace(args.trace)
     truth = trace_io.read_trajectory(args.truth)
-    base = trace_io.load_config(args.config).tracker if args.config else TrackerConfig()
+    config = trace_io.load_config(args.config) if args.config else None
+    base = _tracker_config(config, trace.header.geometry)
     groups = trace_io.pair_streams(trace_io.records_by_ap(trace))
     results = {}
     for mode in MODES:
@@ -251,8 +261,8 @@ def _ablate_single_packet(args) -> int:
     truth_aods = {ap: max(paths, key=lambda p: abs(p.gain)).aod
                   for ap, paths in config.sim.channel.paths.items()}
     trace = trace_io.read_trace(args.trace)
-    cdfs = aod_error_cdfs(trace_io.records_by_ap(trace), trace.header.geometry, config.tracker.aod,
-                          truth_aods)
+    aod = _tracker_config(config, trace.header.geometry).aod
+    cdfs = aod_error_cdfs(trace_io.records_by_ap(trace), trace.header.geometry, aod, truth_aods)
     p80 = {name: float(np.percentile(cdf.levels, 80)) for name, cdf in cdfs.items()}
     trace_io.write_ablation(args.out, "single-packet-aod",
                             {f"p80 {name}": value for name, value in p80.items()},

@@ -232,13 +232,5 @@ class Trajectory:
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "timestamps", timestamps)
 
-    @classmethod
-    def from_points(cls, points):
-        """Build from an iterable of ((x, y), timestamp) pairs."""
-        points = list(points)
-        positions = np.array([p for p, _ in points], dtype=float)
-        timestamps = np.array([t for _, t in points], dtype=float)
-        return cls(positions, timestamps)
-
     def __len__(self) -> int:
         return self.positions.shape[0]

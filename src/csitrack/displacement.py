@@ -10,11 +10,12 @@ displacement and are solved by least squares, stacking rows from all APs.
 The tracker factors each AP's steering matrix once per path-set estimate
 (:func:`factor_steering`) and projects each packet once (:func:`project`):
 its :func:`path_strengths` serve its pairs with both neighbours. One pass over
-the full (A, L) arrays selects every AP's paths (:func:`select_paths`); the
+two packets' strengths selects every AP's paths (:func:`select_paths`); the
 rows of a selection (:func:`row_geometry`) and their factors
 (:func:`factor_rows`) are made once per estimate, and :func:`solve_factored`
-solves each pair's phases. :func:`path_weights` and :func:`attenuation_change`
-are the same math for a single packet pair.
+solves each pair's phases. :func:`path_weights`, :func:`attenuation_change`
+and :func:`estimate_displacement` are the same math for a single packet pair,
+gated by the module's fixed limits.
 """
 
 from __future__ import annotations
@@ -88,19 +89,17 @@ def _ratio(first: np.ndarray, second: np.ndarray, magnitude: np.ndarray, where=T
     return np.divide(ratio, magnitude * magnitude, out=ratio, where=where)
 
 
-def path_weights(csi: np.ndarray, paths: PathSet, packet_index: int = -1,
-                 cond_limit: float = A_CONDITION_LIMIT) -> PathWeights:
+def path_weights(csi: np.ndarray, paths: PathSet, packet_index: int = -1) -> PathWeights:
     """Least-squares combination weights of ``csi`` over the steering matrix."""
     pinv, cond = factor_steering(paths.steering_matrix)
-    if cond >= cond_limit:
+    if cond >= A_CONDITION_LIMIT:
         raise DegenerateGeometryError(
-            f"steering matrix condition number exceeds {cond_limit:g}"
+            f"steering matrix condition number exceeds {A_CONDITION_LIMIT:g}"
         )
     return PathWeights(paths.ap_id, packet_index, project(pinv, np.asarray(csi, dtype=complex)))
 
 
-def attenuation_change(first: PathWeights, second: PathWeights,
-                       weak_rtol: float = WEAK_PATH_RTOL) -> AttenuationChange:
+def attenuation_change(first: PathWeights, second: PathWeights) -> AttenuationChange:
     """Closed-form minimizer of ||w2 - D w1|| over diagonal D.
 
     The problem decouples per path: D_kk = w2_k * conj(w1_k) / |w1_k|^2.
@@ -108,36 +107,35 @@ def attenuation_change(first: PathWeights, second: PathWeights,
     w1, w2 = first.weights, second.weights
     if w1.shape != w2.shape:
         raise ValueError("weight vectors must have equal length")
-    weak = np.abs(w1) <= weak_rtol * np.linalg.norm(w1)
+    weak = np.abs(w1) <= WEAK_PATH_RTOL * np.linalg.norm(w1)
     if np.any(weak):
         raise WeakPathError(f"vanishing weight for path(s) {np.nonzero(weak)[0].tolist()}")
     return AttenuationChange(first.ap_id, _ratio(w1, w2, np.abs(w1)))
 
 
-def path_strengths(weights: np.ndarray, weak_rtol: float = WEAK_PATH_RTOL):
+def path_strengths(weights: np.ndarray, weak_rtol: float):
     """(A, L) weights, their magnitudes and each AP's floor: ``weak_rtol`` times their norm."""
     magnitude = np.abs(weights)
     return weights, magnitude, weak_rtol * np.hypot.reduce(magnitude, axis=-1, keepdims=True)
 
 
-def select_paths(first, second, weak_rtol: float = WEAK_PATH_RTOL, same_clock: bool = False,
-                 active=None):
-    """Path selection of A APs in one pass over the (A, L) weights of two
-    packets on each AP's paths, or over their :func:`path_strengths`. Only
-    the APs of the (A,) mask ``active`` (all by default) give rows. A path
-    weaker than its AP's floor in either packet is dropped (a transient fade,
-    not a fault), and no dropped path's weight divides anything. Dividing
-    each kept path's attenuation ratio by that of the AP's reference path,
-    its kept path strongest in both packets, cancels the clock phase with the
-    least noise amplification; the ``same_clock`` ablation divides by nothing,
-    so the clock phase leaks into every ratio.
+def select_paths(first, second, same_clock: bool = False, active=None):
+    """Path selection of A APs in one pass over two packets'
+    :func:`path_strengths` on each AP's paths: (A, L) weights, their
+    magnitudes and each AP's weak-path floor. Only the APs of the (A,) mask
+    ``active`` (all by default) give rows. A path weaker than its AP's floor
+    in either packet is dropped (a transient fade, not a fault), and no
+    dropped path's weight divides anything. Dividing each kept path's
+    attenuation ratio by that of the AP's reference path, its kept path
+    strongest in both packets, cancels the clock phase with the least noise
+    amplification; the ``same_clock`` ablation divides by nothing, so the
+    clock phase leaks into every ratio.
 
     Returns the (A, L) mask of paths that give a row, each AP's reference
     path (None with ``same_clock``), the (A,) mask of active APs with fewer
     kept paths than the rows need (two, or one with ``same_clock``), which
     give none, and the (A, L) ratios, meaningful where a path gives a row."""
-    (first, magnitude, floor), (second, magnitude2, _) = (
-        w if isinstance(w, tuple) else path_strengths(w, weak_rtol) for w in (first, second))
+    (first, magnitude, floor), (second, magnitude2, _) = first, second
     strength = np.minimum(magnitude, magnitude2)
     keep = strength > floor
     short = np.add.reduce(keep, axis=-1) < (1 if same_clock else 2)
@@ -168,7 +166,7 @@ def row_geometry(directions: np.ndarray, keep: np.ndarray, ref, wavelength: floa
     return (-TWO_PI / wavelength) * rows, index
 
 
-def estimate_displacement(per_ap_rows, cond_limit: float = R_CONDITION_LIMIT) -> Displacement:
+def estimate_displacement(per_ap_rows) -> Displacement:
     """Least-squares displacement of the (R, s) pairs of ``per_ap_rows``,
     concatenated vertically across APs."""
     per_ap_rows = list(per_ap_rows)
@@ -176,10 +174,10 @@ def estimate_displacement(per_ap_rows, cond_limit: float = R_CONDITION_LIMIT) ->
         raise UnobservableDisplacementError("no contributing APs")
     rows = np.vstack([rows for rows, _ in per_ap_rows])
     phases = np.concatenate([np.atleast_1d(phases) for _, phases in per_ap_rows])
-    return Displacement(solve_factored(factor_rows(rows, cond_limit), phases))
+    return Displacement(solve_factored(factor_rows(rows, R_CONDITION_LIMIT), phases))
 
 
-def factor_rows(rows: np.ndarray, cond_limit: float = R_CONDITION_LIMIT):
+def factor_rows(rows: np.ndarray, cond_limit: float):
     """The SVD (u, s, vh) of stacked rows R (N, 2);
     UnobservableDisplacementError for fewer than two rows or a stack too close
     to rank one. One SVD gives both the condition gate and the solution."""

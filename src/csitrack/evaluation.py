@@ -29,10 +29,11 @@ def jitter(trajectory: Trajectory) -> float:
 
 @dataclass(frozen=True)
 class AlignedError:
-    """Per-point position errors after translate+rotate alignment."""
+    """Per-point position errors after translate+rotate alignment, and the aligned estimate."""
 
     errors: np.ndarray
     rotation: float
+    aligned: Trajectory | None = None
 
     def __post_init__(self):
         errors = np.asarray(self.errors, dtype=float)
@@ -90,8 +91,10 @@ def align(estimate: Trajectory, truth: Trajectory) -> AlignedError:
     source = estimate.positions - estimate.positions[0]
     target = truth_positions - truth_positions[0]
     angle = fit_rotation(source, target)
-    residual = source @ rotation_matrix(angle).T - target
-    return AlignedError(np.hypot(residual[:, 0], residual[:, 1]), angle)
+    aligned = source @ rotation_matrix(angle).T
+    residual = aligned - target
+    return AlignedError(np.hypot(residual[:, 0], residual[:, 1]), angle,
+                        Trajectory(aligned, estimate.timestamps))
 
 
 @dataclass(frozen=True)

@@ -67,14 +67,6 @@ class TraceHeader:
             raise ValueError("packet_interval must be positive")
         object.__setattr__(self, "ap_ids", ap_ids)
 
-    @property
-    def num_antennas(self) -> int:
-        return self.geometry.num_antennas
-
-    @property
-    def wavelength(self) -> float:
-        return self.geometry.wavelength
-
 
 @dataclass(frozen=True)
 class TraceFile:
@@ -89,7 +81,7 @@ def _check_records(header: TraceHeader, records, last: dict) -> None:
     """ValueError unless every record's AP is in the header, its CSI has one
     entry per antenna and each AP's packet indices increase from its entry in
     ``last`` on; only then brings ``last`` (AP id -> latest index) up to date."""
-    size, latest = header.num_antennas, dict.fromkeys(header.ap_ids, -math.inf) | last
+    size, latest = header.geometry.num_antennas, dict.fromkeys(header.ap_ids, -math.inf) | last
     for record in records:
         ap, index = record.ap_id, record.packet_index
         previous = latest.get(ap)
@@ -104,12 +96,12 @@ def _check_records(header: TraceHeader, records, last: dict) -> None:
 
 
 def write_trace(path, trace: TraceFile) -> None:
-    header = trace.header
-    positions = header.geometry.antenna_positions
+    header, geometry = trace.header, trace.header.geometry
+    positions = geometry.antenna_positions
     with open(path, "w") as handle:
         handle.write(f"{TRACE_MAGIC} {TRACE_VERSION}\n")
-        handle.write(f"#antennas {header.num_antennas}\n")
-        handle.write(f"#wavelength {_fmt(header.wavelength)}\n")
+        handle.write(f"#antennas {geometry.num_antennas}\n")
+        handle.write(f"#wavelength {_fmt(geometry.wavelength)}\n")
         handle.write(f"#packet_interval {_fmt(header.packet_interval)}\n")
         handle.write(
             "#geometry " + " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in positions) + "\n"
@@ -216,7 +208,7 @@ def _parse_block(rows, header: TraceHeader, last: dict) -> list:
     rows = [parts for parts in rows if parts]  # a blank line holds no record
     if not rows:
         return []
-    width = 3 + 2 * header.num_antennas
+    width = 3 + 2 * header.geometry.num_antennas
     counts = set(map(len, rows))
     if counts != {width}:
         raise ValueError(f"expected {width} fields, found {min(counts - {width})}")
@@ -237,24 +229,23 @@ def records_by_ap(trace: TraceFile) -> dict:
 
 @dataclass(frozen=True, slots=True)
 class PacketGroup:
-    """Records sharing one packet index, with absentee APs marked."""
+    """Records sharing one packet index, keyed by AP id in sorted AP order."""
 
     packet_index: int
     records: dict
-    missing: tuple
 
 
 def pair_streams(streams) -> list:
-    """Group records by packet index across APs.
+    """Group records by packet index across APs, in one pass over the streams
+    in sorted AP order, so each group's records come out in that order.
 
-    Gaps are data, not faults: packets missing at some AP are emitted with
-    that AP listed in ``missing``. The result depends only on the multiset of
-    input records, not on their arrival order.
+    Gaps are data, not faults: a packet missing at some AP gives a group
+    without that AP's key. The result depends only on the multiset of input
+    records, not on their arrival order.
     """
-    universe = sorted(streams)
     by_index = {}
-    for ap_id, records in streams.items():
-        for record in records:
+    for ap_id in sorted(streams):
+        for record in streams[ap_id]:
             if record.ap_id != ap_id:
                 raise ValueError(f"record for {record.ap_id!r} in stream {ap_id!r}")
             slot = by_index.setdefault(record.packet_index, {})
@@ -263,17 +254,7 @@ def pair_streams(streams) -> list:
                     f"duplicate record for AP {ap_id!r} packet {record.packet_index}"
                 )
             slot[ap_id] = record
-    groups = []
-    for index in sorted(by_index):
-        present = by_index[index]
-        groups.append(
-            PacketGroup(
-                packet_index=index,
-                records={ap: present[ap] for ap in universe if ap in present},
-                missing=tuple(ap for ap in universe if ap not in present),
-            )
-        )
-    return groups
+    return [PacketGroup(index, by_index[index]) for index in sorted(by_index)]
 
 
 def _write_table(path, header, values, names=None) -> None:
@@ -298,7 +279,7 @@ def read_trajectory(path) -> Trajectory:
     head = lines[0].split()
     if len(head) < 2 or head[1] != "v1":
         raise TraceVersionError(f"unsupported trajectory header {lines[0]!r}", 1)
-    points = []
+    positions, times = [], []
     for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -311,12 +292,13 @@ def read_trajectory(path) -> Trajectory:
             raise TraceParseError(str(exc), number) from None
         if not all(map(math.isfinite, (t, x, y))):
             raise TraceParseError("values must be finite", number)
-        if points and t <= points[-1][1]:
-            raise TraceParseError(f"time {t!r} does not follow {points[-1][1]!r}", number)
-        points.append(((x, y), t))
-    if not points:
+        if times and t <= times[-1]:
+            raise TraceParseError(f"time {t!r} does not follow {times[-1]!r}", number)
+        positions.append((x, y))
+        times.append(t)
+    if not times:
         raise TraceParseError("trajectory file holds no points")
-    return Trajectory.from_points(points)
+    return Trajectory(np.array(positions), np.array(times))
 
 
 def write_cdf(path, cdf: ErrorCdf) -> None:

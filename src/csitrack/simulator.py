@@ -240,32 +240,23 @@ def _amplitude_drift(config: SimConfig, num_paths: int, num_packets: int,
     return np.exp(log_walk)
 
 
-def square_waypoints(side=0.1, speed=0.05, start=(0.0, 0.0), start_time=0.0) -> Trajectory:
-    """Counter-clockwise square path traversed at constant speed."""
+def square_waypoints(side=0.1, speed=0.05) -> Trajectory:
+    """Counter-clockwise square path from the origin at time 0, traversed at constant speed."""
     if side <= 0 or speed <= 0:
         raise ValueError("side and speed must be positive")
-    x0, y0 = start
-    corners = np.array([
-        [x0, y0],
-        [x0 + side, y0],
-        [x0 + side, y0 + side],
-        [x0, y0 + side],
-        [x0, y0],
-    ])
-    times = start_time + (side / speed) * np.arange(5)
-    return Trajectory(corners, times)
+    corners = side * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+    return Trajectory(corners, (side / speed) * np.arange(5))
 
 
-def stationary_waypoints(duration, position=(0.0, 0.0), start_time=0.0) -> Trajectory:
-    """Target that does not move for ``duration`` seconds."""
+def stationary_waypoints(duration, position=(0.0, 0.0)) -> Trajectory:
+    """Target that does not move for ``duration`` seconds from time 0."""
     if duration <= 0:
         raise ValueError("duration must be positive")
     pos = np.asarray(position, dtype=float)
-    return Trajectory(np.vstack([pos, pos]), np.array([start_time, start_time + duration]))
+    return Trajectory(np.vstack([pos, pos]), np.array([0.0, duration]))
 
 
-def random_waypoints(scale=0.5, duration=6.0, packet_interval=0.006, seed=0,
-                     start_time=0.0) -> Trajectory:
+def random_waypoints(scale=0.5, duration=6.0, packet_interval=0.006, seed=0) -> Trajectory:
     """Smooth random wander: a few low-frequency sinusoids per axis.
 
     The combined x/y span is normalized to ``scale`` meters, keeping
@@ -284,4 +275,4 @@ def random_waypoints(scale=0.5, duration=6.0, packet_interval=0.006, seed=0,
         )
     span = positions.max(axis=0) - positions.min(axis=0)
     positions *= scale / max(np.max(span), 1e-12)
-    return Trajectory(positions - positions[0], start_time + t)
+    return Trajectory(positions - positions[0], t)

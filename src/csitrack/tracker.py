@@ -206,7 +206,7 @@ class Tracker:
         if self.flags:  # started: one point per packet from the first on
             if len(records) < len(self.ap_ids) or self._previous_short:  # an AP may be absent
                 if absent := np.count_nonzero(self._has_paths > present & self._previous_present):
-                    self.exclusions["absent"] += absent
+                    self.exclusions["absent"] += int(absent)
             displacement = self._pair_update(present, csi, now)
         elif not any(0 < len(w) < self.config.aod.min_packets for w in self._windows.values()):
             self._emit(now, "ok")
@@ -231,11 +231,11 @@ class Tracker:
         pairs = present & self._previous_present & self._has_paths
         active = pairs & self._usable
         same_clock = self.config.mode == "assume-same-clock"
-        keep, ref, short, change = select_paths(first, second, weak_rtol, same_clock, active)
+        keep, ref, short, change = select_paths(first, second, same_clock, active)
         counts = np.count_nonzero(pairs) - np.count_nonzero(active), np.count_nonzero(short)
         for error, count in zip((DegenerateGeometryError, InsufficientPathsError), counts):
             if count:
-                self.exclusions[error.__name__] += count
+                self.exclusions[error.__name__] += int(count)  # JSON-ready counts
         key = (keep.tobytes(), None if same_clock else ref.tobytes())
         plan = self._plans.get(key)
         if plan is None:

@@ -1,6 +1,7 @@
 """CLI subcommands: files produced, determinism, exit codes."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -272,6 +273,17 @@ class TestTrackEvaluate:
         assert len(aligned) == len(estimate)
         np.testing.assert_array_equal(aligned.positions[0], [0.0, 0.0])
 
+    def test_aligned_out_is_the_aligned_estimate(self, demo_dir, tmp_path):
+        aligned_path = tmp_path / "aligned.txt"
+        assert run(["evaluate", "--estimate", demo_dir / "estimate.txt", "--truth",
+                    demo_dir / "truth.txt", "--out", tmp_path / "cdf.txt",
+                    "--aligned-out", aligned_path]) == 0
+        result = align(read_trajectory(demo_dir / "estimate.txt"),
+                       read_trajectory(demo_dir / "truth.txt"))
+        aligned = read_trajectory(aligned_path)
+        assert aligned.positions.tobytes() == result.aligned.positions.tobytes()
+        assert aligned.timestamps.tobytes() == result.aligned.timestamps.tobytes()
+
     def test_linalg_error_is_unexpected_not_configuration(self, monkeypatch, capsys):
         # numpy's LinAlgError subclasses ValueError, which means exit 2
         def failing(args):
@@ -445,6 +457,22 @@ class TestTrackEvaluate:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "sim.paths.ap0[0].aod" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["track", "assume-same-clock", "single-packet-aod"])
+def test_more_paths_than_the_trace_antennas_allow_is_config_error(demo_dir, tmp_path, capsys,
+                                                                  command):
+    data = json.loads((demo_dir / "config.json").read_text())
+    data["tracker"]["num_paths"] = 3  # the demo trace has 3 antennas: at most 2 paths
+    config, out = tmp_path / "paths3.json", tmp_path / "out.txt"
+    config.write_text(json.dumps(data))
+    argv = (["track"] if command == "track" else
+            ["ablate", "--mode", command, "--truth", demo_dir / "truth.txt"])
+    assert run([*argv, "--trace", demo_dir / "trace.txt", "--config", config,
+                "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "tracker.num_paths: 3 paths" in err and "the trace has 3" in err, err
+    assert not out.exists()
 
 
 class TestAblate:

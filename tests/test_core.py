@@ -187,11 +187,6 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Trajectory(np.zeros((2, 2)), np.array([0.0, 0.0]))
 
-    def test_trajectory_from_points_roundtrip(self):
-        trajectory = Trajectory.from_points([((0.0, 0.0), 0.0), ((1.0, 2.0), 0.5)])
-        assert len(trajectory) == 2
-        np.testing.assert_array_equal(trajectory.positions[1], [1.0, 2.0])
-
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
             Trajectory(np.zeros((0, 2)), np.zeros(0))

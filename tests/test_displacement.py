@@ -1,6 +1,7 @@
 """Displacement recovery: weights, attenuation ratios, the row kernel,
 stacked least squares."""
 
+import json
 from collections import Counter
 from unittest import mock
 
@@ -15,11 +16,13 @@ from conftest import AP_IDS, default_geometry, make_sim_config, random_offsets
 from csitrack import tracker as tracker_module
 from csitrack.core import ArrayGeometry, CsiRecord, Displacement, PathSet, steering_matrix
 from csitrack.displacement import (
+    WEAK_PATH_RTOL,
     PathWeights,
     attenuation_change,
     estimate_displacement,
     factor_rows,
     factor_steering,
+    path_strengths,
     path_weights,
     project,
     row_geometry,
@@ -67,7 +70,9 @@ def kernel(triples, same_clock=False):
     first = np.stack([np.asarray(getattr(w, "weights", w), complex) for _, w, _ in triples])
     second = np.stack([np.asarray(getattr(w, "weights", w), complex) for _, _, w in triples])
     directions = np.stack([np.cos(aods), np.sin(aods)], axis=-1)
-    keep, ref, short, change = select_paths(first, second, same_clock=same_clock)
+    keep, ref, short, change = select_paths(path_strengths(first, WEAK_PATH_RTOL),
+                                            path_strengths(second, WEAK_PATH_RTOL),
+                                            same_clock=same_clock)
     rows, index = row_geometry(directions, keep, ref, triples[0][0].wavelength)
     return rows, np.angle(change[index]), short
 
@@ -471,8 +476,10 @@ def test_selection_on_full_arrays_equals_selection_on_active_rows(shape, data, s
     kinds = data.draw(hnp.arrays(int, (2,) + shape, elements=st.integers(0, 3)))
     active = data.draw(hnp.arrays(bool, shape[:1]))
     first, second = drawn_weights(np.random.default_rng(seed), kinds)
-    keep, ref, short, change = select_paths(first, second, weak_rtol, same_clock, active)
-    gathered = select_paths(first[active], second[active], weak_rtol, same_clock)
+    keep, ref, short, change = select_paths(path_strengths(first, weak_rtol),
+                                            path_strengths(second, weak_rtol), same_clock, active)
+    gathered = select_paths(path_strengths(first[active], weak_rtol),
+                            path_strengths(second[active], weak_rtol), same_clock)
     assert not keep[~active | short].any() and not short[~active].any()
     np.testing.assert_array_equal(keep[active], gathered[0])
     np.testing.assert_array_equal(short[active], gathered[2])
@@ -604,6 +611,18 @@ def test_kernel_matches_per_ap_reference(monkeypatch, case, mode):
         assert set(excluded) == expected
 
 
+def test_flag_summary_counts_are_plain_ints(monkeypatch):
+    streams, geometry, aods, _, _ = kernel_case("collinear")
+    monkeypatch.setattr(tracker_module, "estimate_aods", lambda windows, geometry, config: (
+        np.array([aods[window.ap_id] for window in windows]), np.zeros(len(windows), dtype=bool)))
+    tracker = Tracker(geometry, AP_IDS, TrackerConfig(stride=3))
+    tracker.consume(pair_streams(streams))
+    summary = tracker.flag_summary()
+    assert {"excluded:absent", "excluded:DegenerateGeometryError"} <= set(summary)
+    assert all(type(count) is int for count in summary.values()), summary
+    assert json.loads(json.dumps(summary)) == summary
+
+
 # -- the tracker's reused row plans against rows built afresh on every packet ------
 
 
@@ -615,8 +634,9 @@ class FreshRowsTracker(Tracker):
         first, second = project(self._pinv, np.array([self._previous_csi, csi]))
         pairs = present & self._previous_present & self._has_paths
         active = pairs & self._usable
+        weak_rtol = self.config.weak_path_rtol
         keep, ref, short, change = select_paths(
-            first[active], second[active], self.config.weak_path_rtol,
+            path_strengths(first[active], weak_rtol), path_strengths(second[active], weak_rtol),
             same_clock=self.config.mode == "assume-same-clock")
         rows, index = row_geometry(self._directions[active], keep, ref, self.geometry.wavelength)
         for error, mask in ((DegenerateGeometryError, pairs & ~self._usable),
