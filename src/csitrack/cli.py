@@ -86,8 +86,7 @@ def indoor_4ap_preset(seed: int = 1234) -> trace_io.RunConfig:
         quantize=True,
         rng_seed=seed,
     )
-    return trace_io.RunConfig(ap_ids=ap_ids, geometry=geometry, sim=sim,
-                              tracker=TrackerConfig())
+    return trace_io.RunConfig(ap_ids=ap_ids, geometry=geometry, sim=sim)
 
 
 PRESETS = {"indoor-4ap": indoor_4ap_preset}
@@ -100,9 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         return int(text)
 
     parser = argparse.ArgumentParser(
-        prog="csitrack",
-        description="WiFi-CSI motion tracking: simulate, track, evaluate, ablate.",
-    )
+        prog="csitrack", description="WiFi-CSI motion tracking: simulate, track, evaluate, ablate.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="synthesize a CSI trace for a moving target")
@@ -123,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     trk = sub.add_parser("track", help="reconstruct a trajectory from a trace")
     trk.add_argument("--trace", required=True)
     trk.add_argument("--config", help="run config JSON (tracker section)")
-    trk.add_argument("--mode", choices=MODES,
-                     help="override the tracker mode")
+    trk.add_argument("--mode", choices=MODES, help="override the tracker mode")
     trk.add_argument("--out", required=True, help="output trajectory file")
 
     ev = sub.add_parser("evaluate", help="aligned error of an estimate vs. ground truth")
@@ -135,8 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ab = sub.add_parser("ablate", help="compare the full method against a degraded one")
     ab.add_argument("--trace", required=True)
-    ab.add_argument("--mode", required=True,
-                    choices=["assume-same-clock", "single-packet-aod"])
+    ab.add_argument("--mode", required=True, choices=["assume-same-clock", "single-packet-aod"])
     ab.add_argument("--truth", help="ground-truth trajectory (assume-same-clock mode)")
     ab.add_argument("--config", help="run config JSON (required for single-packet-aod)")
     ab.add_argument("--out", required=True, help="output comparison report")
@@ -241,7 +236,8 @@ def _ablate_same_clock(args) -> int:
         tracker = Tracker(trace.header.geometry, trace.header.ap_ids,
                           dataclasses.replace(base, mode=mode))
         results[mode] = error_cdf([align(tracker.consume(groups), truth)])
-    ratio = results["assume-same-clock"].median / results["full"].median
+    full, same_clock = results["full"].median, results["assume-same-clock"].median
+    ratio = same_clock / full if full else np.inf if same_clock else np.nan
     summary = {f"median {mode}": cdf.median for mode, cdf in results.items()} | {"ratio": ratio}
     trace_io.write_ablation(args.out, "assume-same-clock", summary, "error", results)
     for mode, cdf in results.items():

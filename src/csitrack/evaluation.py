@@ -14,6 +14,7 @@ import numpy as np
 
 from .aod import AodConfig, estimate_paths
 from .core import ArrayGeometry, Trajectory, circular_distance
+from .errors import WindowUnderfullError
 
 
 def jitter(trajectory: Trajectory) -> float:
@@ -123,7 +124,8 @@ def aod_error_cdfs(streams, geometry: ArrayGeometry, config: AodConfig, truth_ao
     """AoD-error CDFs of paths estimated from a window of packets
     ("multi-packet") and from its last packet alone ("single-packet"). Each
     error is that of the estimated path nearest the AP's ``truth_aods``
-    entry; each AP's windows end at about 20 of its records, from ``min_packets`` on."""
+    entry; each AP's windows end at about 20 of its records, from ``min_packets`` on;
+    :class:`WindowUnderfullError` if no AP of ``truth_aods`` holds that many."""
     single = replace(config, min_packets=1)
     errors = {"multi-packet": [], "single-packet": []}
     for ap, records in streams.items():
@@ -136,4 +138,6 @@ def aod_error_cdfs(streams, geometry: ArrayGeometry, config: AodConfig, truth_ao
             for name, packets in zip(errors, (window, records[end - 1:end])):
                 aods = estimate_paths(packets, geometry, single).aods
                 errors[name].append(np.min(circular_distance(aods, truth_aods[ap])))
+    if not errors["multi-packet"]:
+        raise WindowUnderfullError(f"no AP holds min_packets={config.min_packets} records")
     return {name: error_cdf([np.array(values)]) for name, values in errors.items()}

@@ -5,13 +5,14 @@ Maintains a sliding window of recent packets per AP (a
 its packets), re-estimates the paths of every AP that is due on a packet in
 one batch (:func:`~csitrack.aod.estimate_aods` on those sums, then
 :func:`continuity_order` and one stacked factorization), projects each packet
-pair onto the same paths, fuses the per-AP offset-cancelled rows into one
-displacement per packet (one array kernel for all APs, see
-:mod:`csitrack.displacement`) and integrates it from the origin. Until the
-next estimate the previous packet's weights, magnitudes and weak-path floor
-carry over, as do the rows of each path selection and their factors. Samples whose
-displacement is unobservable carry the previous position forward with a
-quality flag, so the trajectory keeps a uniform timebase for evaluation.
+once onto the paths, fuses the per-AP offset-cancelled rows of each packet
+pair into one displacement (one array kernel for all APs, see
+:mod:`csitrack.displacement`) and integrates it from the origin. The last
+packet is kept as one record (CSI, APs present, path strengths), re-projected
+only if the paths change; each selection's rows and factors last until the
+next estimate. Samples whose displacement is unobservable carry the previous
+position forward with a quality flag, so the trajectory keeps a uniform
+timebase for evaluation.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ class Tracker:
     appended per packet, dead-reckoned (position carried, flagged) whenever
     the displacement cannot be solved. An AP absent from a packet pair is left
     out of its update; if it has paths, it counts in ``exclusions["absent"]``.
+    A packet whose update raises stays in the windows but pairs with nothing,
+    so the next point is dead-reckoned with each AP that has paths absent.
     """
 
     def __init__(self, geometry: ArrayGeometry, ap_ids, config: TrackerConfig = None):
@@ -120,12 +123,10 @@ class Tracker:
         # (keep, ref) pattern -> row index and SVD factors, or the
         # UnobservableDisplacementError they raise; valid until the next estimate
         self._plans = {}
-        self._carry = None  # the previous CSI and its path_strengths on the current paths
-        self._previous_csi = np.zeros((num_aps, num_antennas), dtype=complex)
-        self._previous_present = np.zeros(num_aps, dtype=bool)
-        self._previous_short = True  # the previous packet lacks an AP
-        self._previous_index = None
-        self._previous_time = None
+        # the last whole packet, or after a raise one that holds no AP and so pairs with nothing
+        self._unpaired = self._last = self._packet(
+            np.zeros((num_aps, num_antennas), dtype=complex), np.zeros(num_aps, dtype=bool))
+        self._previous_index = self._previous_time = -math.inf
         self._position = np.asarray(self.config.origin, dtype=float)
         self._positions = []
         self._times = []
@@ -134,14 +135,17 @@ class Tracker:
 
     # -- per-packet update ----------------------------------------------------
 
-    def _update_paths(self) -> None:
-        """Re-estimate every due AP's paths as one batch; factor their steering matrices as one."""
+    def _packet(self, csi, present):
+        """A packet's record: its CSI, the APs it holds and its path_strengths on the paths."""
+        return csi, present, path_strengths(project(self._pinv, csi), self.config.weak_path_rtol)
+
+    def _update_paths(self, last):
+        """Re-estimate every due AP's paths as one batch; factor their steering
+        matrices as one. Returns the record ``last``, re-projected if the paths changed."""
         due = self._since_estimate >= self.config.stride
         due &= [len(window) >= self.config.aod.min_packets for window in self._windows.values()]
         if not np.count_nonzero(due):
-            return
-        self._plans.clear()
-        self._carry = None
+            return last
         slots = due.nonzero()[0].tolist()
         at = slots if len(slots) < len(due) else slice(None)  # all APs: a cheaper slice
         windows = [self._windows[self.ap_ids[slot]] for slot in slots]
@@ -155,20 +159,24 @@ class Tracker:
         self._directions[at] = np.array([np.cos(aods), np.sin(aods)]).transpose(1, 2, 0)
         self._has_paths[at] = True
         self._since_estimate[at] = 0
+        self._plans.clear()
+        return self._packet(*last[:2])
 
     def ingest(self, records) -> Displacement | None:
         """Push one packet's records (mapping ap_id -> CsiRecord).
 
         Each group must carry a higher packet index and a later timestamp
         (the latest of its records) than the group before it, else
-        :class:`StreamOrderError`; nothing of a rejected group is kept.
+        :class:`StreamOrderError`; nothing of a group rejected by these checks
+        is kept. A packet whose update raises stays in the windows but pairs
+        with nothing, and sending it again is a :class:`StreamOrderError`.
         Returns the accepted displacement, or None during warm-up and on
         dead-reckoned samples.
         """
         if not records:
             raise ValueError("records must not be empty")
         present = np.zeros(len(self.ap_ids), dtype=bool)
-        csi = np.zeros(self._previous_csi.shape, dtype=complex)
+        csi = np.zeros(self._unpaired[0].shape, dtype=complex)
         indices, now = set(), -math.inf
         for ap_id, record in records.items():
             slot = self._slots.get(ap_id)
@@ -186,13 +194,15 @@ class Tracker:
         if len(indices) != 1:
             raise StreamOrderError(f"group mixes packet indices {sorted(indices)}")
         packet_index = indices.pop()
-        if self._previous_index is not None and packet_index <= self._previous_index:
+        if packet_index <= self._previous_index:
             raise StreamOrderError(f"packet {packet_index} after {self._previous_index}")
-        if self._previous_time is not None and now <= self._previous_time:
-            raise StreamOrderError(
-                f"packet {packet_index} at t={now!r} does not follow t={self._previous_time!r}"
-            )
+        if now <= self._previous_time:
+            raise StreamOrderError(f"packet {packet_index} at t={now!r} does not follow "
+                                   f"t={self._previous_time!r}")
 
+        # the windows take the packet; it is the last whole packet only once it completes
+        last, self._last = self._last, self._unpaired
+        self._previous_index, self._previous_time = packet_index, now
         horizon = now - self.config.aod.window_seconds
         for record in records.values():
             window = self._windows[record.ap_id]
@@ -200,42 +210,31 @@ class Tracker:
             window.expire(horizon)
         self._since_estimate += present
         if np.count_nonzero(self._since_estimate >= self.config.stride):  # once warm, 1 in stride
-            self._update_paths()
+            last = self._update_paths(last)
+        packet = self._packet(csi, present)
 
         displacement = None
         if self.flags:  # started: one point per packet from the first on
-            if len(records) < len(self.ap_ids) or self._previous_short:  # an AP may be absent
-                if absent := np.count_nonzero(self._has_paths > present & self._previous_present):
-                    self.exclusions["absent"] += int(absent)
-            displacement = self._pair_update(present, csi, now)
+            displacement = self._pair_update(last, packet, now)
         elif not any(0 < len(w) < self.config.aod.min_packets for w in self._windows.values()):
             self._emit(now, "ok")
-
-        self._previous_csi = csi
-        self._previous_present = present
-        self._previous_short = len(records) < len(self.ap_ids)
-        self._previous_index = packet_index
-        self._previous_time = now
+        self._last = packet
         return displacement
 
-    def _pair_update(self, present, csi, now):
-        """Select every AP's paths for the pair and solve their rows together; after
-        an estimate both packets are projected, else the previous one's strengths carry."""
-        weak_rtol = self.config.weak_path_rtol
-        if self._carry is not None and self._carry[0] is self._previous_csi:
-            first, second = self._carry[1], path_strengths(project(self._pinv, csi), weak_rtol)
-        else:
-            first, second = (path_strengths(weights, weak_rtol) for weights in
-                             project(self._pinv, np.array([self._previous_csi, csi])))
-        self._carry = csi, second
-        pairs = present & self._previous_present & self._has_paths
+    def _pair_update(self, last, packet, now):
+        """Select every AP's paths for the records ``last`` and ``packet`` and
+        solve their rows together; count each AP with paths that gives no row."""
+        (_, last_present, first), (_, present, second) = last, packet
+        pairs = last_present & present & self._has_paths
         active = pairs & self._usable
         same_clock = self.config.mode == "assume-same-clock"
         keep, ref, short, change = select_paths(first, second, same_clock, active)
-        counts = np.count_nonzero(pairs) - np.count_nonzero(active), np.count_nonzero(short)
-        for error, count in zip((DegenerateGeometryError, InsufficientPathsError), counts):
+        num_pairs, num_active = np.count_nonzero(pairs), np.count_nonzero(active)
+        for reason, count in (("absent", np.count_nonzero(self._has_paths) - num_pairs),
+                              (DegenerateGeometryError.__name__, num_pairs - num_active),
+                              (InsufficientPathsError.__name__, np.count_nonzero(short))):
             if count:
-                self.exclusions[error.__name__] += int(count)  # JSON-ready counts
+                self.exclusions[reason] += int(count)  # JSON-ready counts
         key = (keep.tobytes(), None if same_clock else ref.tobytes())
         plan = self._plans.get(key)
         if plan is None:

@@ -287,6 +287,10 @@ class TestEstimatePaths:
             AodConfig(grid_step=0.0)
         with pytest.raises(ValueError):
             AodConfig(window_seconds=0.0)
+        with pytest.raises(ValueError, match="min_packets must be >= 1"):
+            AodConfig(min_packets=0)
+        with pytest.raises(ValueError, match="refine_iterations must be >= 0"):
+            AodConfig(refine_iterations=-1)
         geometry = default_geometry()
         X = synth_window(geometry, [0.8], 30, seed=13)
         with pytest.raises(ValueError):

@@ -507,6 +507,55 @@ class TestAblate:
         ratio = float(ratio_line.split()[1])
         assert 0.2 < ratio < 5.0
 
+    @pytest.fixture(scope="class")
+    def still_trace(self, tmp_path_factory):
+        """A noise-free, unquantized, clock-free trace of a target that stands
+        still: every packet's CSI is the same, so both methods track it exactly."""
+        from csitrack.io import config_to_dict
+
+        path = tmp_path_factory.mktemp("still")
+        data = config_to_dict(indoor_4ap_preset(11))
+        for ap in data["sim"]["offsets"]:
+            data["sim"]["offsets"][ap] = {
+                "initial_phase": 0.0, "frequency_offset": 0.0, "phase_jitter_std": 0.0,
+            }
+        data["sim"].update(snr_db=None, quantize=False)
+        (path / "config.json").write_text(json.dumps(data))
+        assert run(["simulate", "--config", path / "config.json", "--motion", "stationary",
+                    "--motion-duration", "0.3", "--out", path / "trace.txt",
+                    "--truth", path / "truth.txt"]) == 0
+        return path
+
+    @pytest.mark.parametrize("worse, ratio", [(0.0, "nan"), (1e-3, "inf")])
+    def test_zero_full_median_gives_an_infinite_or_undefined_ratio(
+            self, still_trace, tmp_path, monkeypatch, capsys, worse, ratio):
+        # both methods track the still target exactly; ``worse`` meters are
+        # added to the errors of the second method ablated, assume-same-clock
+        calls = []
+
+        def shifted_error_cdf(results):
+            calls.append(results)
+            return error_cdf([r.errors + worse * (len(calls) == 2) for r in results])
+
+        monkeypatch.setattr(cli, "error_cdf", shifted_error_cdf)
+        report = tmp_path / "report.txt"
+        assert run(["ablate", "--trace", still_trace / "trace.txt", "--mode", "assume-same-clock",
+                    "--truth", still_trace / "truth.txt", "--out", report]) == 0
+        assert [result.median for [result] in calls] == [0.0, 0.0]
+        lines = report.read_text().splitlines()
+        assert "#median full 0.0" in lines and f"#ratio {ratio}" in lines
+        assert f"error ratio {ratio}x" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["assume-same-clock", "single-packet-aod"])
+    def test_trace_shorter_than_min_packets_is_underfull(self, demo_dir, tmp_path, capsys, mode):
+        out = tmp_path / "out.txt"
+        argv = ["ablate", "--trace", short_trace(demo_dir, tmp_path, 10), "--mode", mode,
+                "--truth", demo_dir / "truth.txt", "--config", demo_dir / "config.json",
+                "--out", out]
+        assert run(argv) == EXIT_DEGENERATE
+        assert "min_packets=20" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_clock_needs_truth(self, tmp_path, capsys):
         code = run(["ablate", "--trace", "x", "--mode", "assume-same-clock", "--out", "y"])
         assert code == EXIT_CONFIG

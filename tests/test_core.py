@@ -10,6 +10,7 @@ from csitrack.core import (
     ArrayGeometry,
     CsiRecord,
     Displacement,
+    PathSet,
     Trajectory,
     checked_records,
     circular_distance,
@@ -99,6 +100,19 @@ class TestGeometryValidation:
         with pytest.raises(ValueError):
             ArrayGeometry([[0.0, 0.0], [0.01, 0.0]], wavelength=0.0)
 
+    @pytest.mark.parametrize("positions, match", [
+        (np.zeros((3, 3)), "must be an \\(M, 2\\) array"),
+        (np.zeros(4), "must be an \\(M, 2\\) array"),
+        ([[0.0, 0.0], [np.nan, 0.01]], "must be finite"),
+    ])
+    def test_rejects_malformed_positions(self, positions, match):
+        with pytest.raises(ValueError, match=match):
+            ArrayGeometry(positions)
+
+    def test_circular_rejects_a_single_antenna(self):
+        with pytest.raises(ValueError, match="need at least 2 antennas"):
+            ArrayGeometry.circular(1)
+
     def test_circular_spacing_is_pairwise_for_three(self):
         geometry = ArrayGeometry.circular(3, spacing=0.026)
         positions = geometry.antenna_positions
@@ -182,6 +196,26 @@ class TestDomainTypes:
             Displacement([1.0, np.nan])
         with pytest.raises(ValueError):
             Displacement([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("aods, wavelength, match", [
+        ([0.5], 0.06, "one column per AoD"),
+        ([0.5, 1.5, 2.5], 0.06, "one column per AoD"),
+        ([0.5, 1.5], 0.0, "wavelength must be positive"),
+        ([0.5, 1.5], np.inf, "wavelength must be positive"),
+    ])
+    def test_path_set_rejects_a_mismatched_matrix_or_wavelength(self, aods, wavelength, match):
+        matrix = steering_matrix(ArrayGeometry.circular(3), [0.5, 1.5])
+        with pytest.raises(ValueError, match=match):
+            PathSet("ap0", aods, matrix, wavelength)
+
+    @pytest.mark.parametrize("positions, timestamps, match", [
+        (np.zeros((2, 3)), [0.0, 1.0], "must be an \\(N, 2\\) array"),
+        (np.zeros((2, 2)), [0.0, 1.0, 2.0], "timestamps must match positions"),
+        (np.zeros((2, 2)), [[0.0, 1.0]], "timestamps must match positions"),
+    ])
+    def test_trajectory_rejects_malformed_arrays(self, positions, timestamps, match):
+        with pytest.raises(ValueError, match=match):
+            Trajectory(positions, np.array(timestamps))
 
     def test_trajectory_requires_increasing_timestamps(self):
         with pytest.raises(ValueError):

@@ -187,6 +187,12 @@ class TestAttenuationChange:
         with pytest.raises(WeakPathError):
             attenuation_change(w1, w2)
 
+    def test_weight_vectors_of_unequal_length_raise(self):
+        w1 = PathWeights("ap0", 0, np.array([1.0 + 0j, 0.5j]))
+        w2 = PathWeights("ap0", 1, np.array([1.0 + 0j, 0.5j, 0.2 + 0j]))
+        with pytest.raises(ValueError, match="equal length"):
+            attenuation_change(w1, w2)
+
 
 class TestOffsetFreePhases:
     def test_pure_offset_change_cancels_to_zero(self):
@@ -630,19 +636,21 @@ class FreshRowsTracker(Tracker):
     """The tracker with every packet's rows built and factored afresh,
     reusing nothing between packets."""
 
-    def _pair_update(self, present, csi, now):
-        first, second = project(self._pinv, np.array([self._previous_csi, csi]))
-        pairs = present & self._previous_present & self._has_paths
+    def _pair_update(self, last, packet, now):
+        (previous_csi, previous_present, _), (csi, present, _) = last, packet
+        first, second = project(self._pinv, np.array([previous_csi, csi]))
+        pairs = present & previous_present & self._has_paths
         active = pairs & self._usable
         weak_rtol = self.config.weak_path_rtol
         keep, ref, short, change = select_paths(
             path_strengths(first[active], weak_rtol), path_strengths(second[active], weak_rtol),
             same_clock=self.config.mode == "assume-same-clock")
         rows, index = row_geometry(self._directions[active], keep, ref, self.geometry.wavelength)
-        for error, mask in ((DegenerateGeometryError, pairs & ~self._usable),
-                            (InsufficientPathsError, short)):
+        for reason, mask in (("absent", self._has_paths & ~pairs),
+                             (DegenerateGeometryError.__name__, pairs & ~self._usable),
+                             (InsufficientPathsError.__name__, short)):
             if mask.any():
-                self.exclusions[error.__name__] += np.count_nonzero(mask)
+                self.exclusions[reason] += np.count_nonzero(mask)
         try:
             displacement = Displacement(solve_factored(
                 factor_rows(rows, self.config.stacked_condition_limit), np.angle(change[index])))

@@ -351,6 +351,12 @@ def test_trace_header_rejects_ap_ids_the_format_cannot_hold():
             TraceHeader(default_geometry(), bad, 0.006)
 
 
+@pytest.mark.parametrize("interval", [0.0, -0.006, math.nan])
+def test_trace_header_rejects_a_packet_interval_that_is_not_positive(interval):
+    with pytest.raises(ValueError, match="packet_interval must be positive"):
+        TraceHeader(default_geometry(), AP_IDS, interval)
+
+
 class TestPairStreams:
     def make_records(self, ap, indices):
         return [CsiRecord(ap, i, i * 0.006, np.ones(3, dtype=complex)) for i in indices]
@@ -537,12 +543,38 @@ class TestConfigSchema:
         pytest.param("tracker.stride", lambda d: d["tracker"].update(stride=0), id="stride-zero"),
         pytest.param("geometry.wavelength", lambda d: d["geometry"].update(wavelength=-0.06),
                      id="wavelength-negative"),
+        pytest.param("tracker.min_packets", lambda d: d["tracker"].update(min_packets=0),
+                     id="min-packets-zero"),
+        pytest.param("tracker.refine_iterations",
+                     lambda d: d["tracker"].update(refine_iterations=-1), id="refine-negative"),
+        pytest.param("sim.paths.ap0[0].aod",
+                     lambda d: d["sim"]["paths"]["ap0"][0].update(aod=math.nan), id="aod-nan"),
+        pytest.param("sim.offsets.ap1.initial_phase",
+                     lambda d: d["sim"]["offsets"]["ap1"].update(initial_phase=math.inf),
+                     id="initial-phase-inf"),
+        pytest.param("sim.offsets.ap1.phase_jitter_std",
+                     lambda d: d["sim"]["offsets"]["ap1"].update(phase_jitter_std=-1.0),
+                     id="jitter-negative"),
+        pytest.param("sim.packet_interval", lambda d: d["sim"].update(packet_interval=0.0),
+                     id="packet-interval-zero"),
+        pytest.param("sim.amplitude_drift_std",
+                     lambda d: d["sim"].update(amplitude_drift_std=-1.0), id="drift-negative"),
+        pytest.param("ap_ids: must be non-empty", lambda d: d.update(ap_ids=[]),
+                     id="ap-ids-empty"),
+        pytest.param("ap_ids: must be non-empty and unique",
+                     lambda d: d.update(ap_ids=[*d["ap_ids"], "ap0"]), id="ap-ids-duplicate"),
     ])
     def test_malformed_value_names_its_path(self, path, change):
         data = config_to_dict(indoor_4ap_preset(1234))
         change(data)
         with pytest.raises(ConfigError, match=re.escape(path)):
             config_from_dict(data)
+
+    def test_integer_for_a_float_field_loads_as_a_float(self):
+        data = config_to_dict(indoor_4ap_preset(1234))
+        data["sim"]["packet_interval"] = 1
+        interval = config_from_dict(json.loads(json.dumps(data))).sim.packet_interval
+        assert type(interval) is float and interval == 1.0
 
     def test_null_snr_means_noise_off(self):
         data = config_to_dict(indoor_4ap_preset(1234))

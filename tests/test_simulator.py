@@ -316,6 +316,14 @@ class TestWaypoints:
         steps = np.linalg.norm(np.diff(trajectory.positions, axis=0), axis=1)
         assert steps.max() < 0.005  # stays well below lambda/2 per packet
 
+    @pytest.mark.parametrize("make", [
+        lambda: square_waypoints(side=0.0), lambda: square_waypoints(speed=-0.05),
+        lambda: stationary_waypoints(0.0),
+    ], ids=["square-side-zero", "square-speed-negative", "stationary-duration-zero"])
+    def test_waypoint_generators_reject_non_positive_sizes(self, make):
+        with pytest.raises(ValueError, match="must be positive"):
+            make()
+
     def test_empty_waypoints_rejected(self):
         with pytest.raises(ValueError):
             Trajectory(np.zeros((0, 2)), np.zeros(0))

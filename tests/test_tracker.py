@@ -288,6 +288,73 @@ class TestRunningSums:
         assert len(raised) > 10 and compared == 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered",
+                            "ignore:divide by zero encountered")
+class TestRaisingPacket:
+    """A packet whose update raises stays in the windows but pairs with nothing."""
+
+    def groups(self, scale, packets=300, at=150):
+        """A 0.5 m random track's packet groups, ap0's CSI at packet ``at`` scaled by ``scale``."""
+        streams = simulate_trajectory(make_sim_config(3, snr_db=25.0, quantize=True),
+                                      random_waypoints(0.5, 0.006 * (packets - 1), seed=3))
+        groups = [dict(group.records) for group in pair_streams(streams)]
+        record = groups[at]["ap0"]
+        groups[at]["ap0"] = CsiRecord("ap0", at, record.timestamp, record.csi * scale)
+        return groups
+
+    def outcomes(self, scale, stride):
+        """Per packet: the flag of the point it adds, "raised", or None during warm-up."""
+        tracker = Tracker(default_geometry(), AP_IDS,
+                          TrackerConfig(aod=AodConfig(window_seconds=0.5), stride=stride))
+        outcomes = []
+        for group in self.groups(scale):
+            emitted = len(tracker.flags)
+            try:
+                tracker.ingest(group)
+            except ValueError:
+                outcomes.append("raised")
+                continue
+            outcomes.append(tracker.flags[-1] if len(tracker.flags) > emitted else None)
+        return tracker, outcomes
+
+    def test_tiny_csi_raises_once_then_the_tracker_recovers(self):
+        # 1e-170 squared underflows, so the pair after it divides by zero
+        _, outcomes = self.outcomes(1e-170, stride=10)
+        first = outcomes.index("raised")
+        assert outcomes[first + 1] == "dead-reckoned"
+        assert set(outcomes[first + 2:]) == {"ok"} and set(outcomes[20:first]) == {"ok"}
+
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_no_ok_point_pairs_across_packets_that_raised(self, stride):
+        # a 1e200 row overflows every covariance it is in
+        tracker, outcomes = self.outcomes(1e200, stride)
+        raised = [p for p, outcome in enumerate(outcomes) if outcome == "raised"]
+        assert len(raised) > 50
+        after = [p + 1 for p in raised if p + 1 < len(outcomes) and outcomes[p + 1] != "raised"]
+        assert after and all(outcomes[p] == "dead-reckoned" for p in after)
+        assert tracker.exclusions["absent"] == len(AP_IDS) * len(after)
+
+    def test_resending_a_packet_that_raised_is_a_stream_order_error(self):
+        groups = self.groups(1e-170)
+        tracker = Tracker(default_geometry(), AP_IDS,
+                          TrackerConfig(aod=AodConfig(window_seconds=0.5), stride=10))
+        for raised, group in enumerate(groups):
+            try:
+                tracker.ingest(group)
+            except ValueError as exc:
+                assert str(exc) == "delta must be finite"
+                break
+        windows = {ap: window.matrix.copy() for ap, window in tracker._windows.items()}
+        flags = list(tracker.flags)
+        with pytest.raises(StreamOrderError, match=f"packet {raised} after {raised}"):
+            tracker.ingest(groups[raised])
+        for ap, window in tracker._windows.items():
+            np.testing.assert_array_equal(window.matrix, windows[ap])
+        assert tracker.flags == flags
+        tracker.ingest(groups[raised + 1])
+        assert tracker.flags[-1] == "dead-reckoned"
+
+
 class TestStreamValidation:
     def records_at(self, index, timestamp=None):
         timestamp = index * 0.006 if timestamp is None else timestamp
