@@ -1,9 +1,9 @@
 """Per-packet-pair displacement recovery with clock-offset cancellation.
 
 Projecting two consecutive CSI vectors onto the estimated steering matrix
-gives per-path weights whose element-wise ratio carries, for path k, the
-displacement phase -2*pi*(r_k . delta)/lambda plus a packet-wide clock term
-common to all paths. Dividing each path's ratio by a reference path's ratio
+gives per-path weights whose angle change (the angle of their ratio) is, for
+path k, the displacement phase -2*pi*(r_k . delta)/lambda plus a packet-wide
+clock term common to all paths. Subtracting a reference path's angle change
 cancels the clock term exactly; the remaining phases are linear in the
 displacement and are solved by least squares, stacking rows from all APs.
 
@@ -11,8 +11,8 @@ The tracker factors each AP's steering matrix once per path-set estimate
 (:func:`factor_steering`) and projects each packet once (:func:`project`):
 its :func:`path_strengths` serve its pairs with both neighbours. One pass over
 two packets' strengths selects every AP's paths (:func:`select_paths`); the
-rows of a selection (:func:`row_geometry`) and their factors
-(:func:`factor_rows`) are made once per estimate, and :func:`solve_factored`
+rows of a selection (:func:`row_geometry`) and their least-squares matrix
+(:func:`factor_rows`) are made once per estimate, and one product with it
 solves each pair's phases. :func:`path_weights`, :func:`attenuation_change`
 and :func:`estimate_displacement` are the same math for a single packet pair,
 gated by the module's fixed limits.
@@ -76,17 +76,16 @@ def project(pinv: np.ndarray, csi: np.ndarray) -> np.ndarray:
     return (pinv @ csi[..., None])[..., 0]
 
 
-def _ratio(first: np.ndarray, second: np.ndarray, magnitude: np.ndarray, where=True):
-    """D_k = w2_k * conj(w1_k) / |w1_k|^2 where ``where`` holds, else undivided.
-
-    Spelled out in real arithmetic: numpy's fused complex multiply leaves a
-    rounding residue in Im(w * conj(w)), which must vanish exactly when the
-    weights are identical (a stationary target must integrate to zero).
-    """
+def _ratio(first: np.ndarray, second: np.ndarray, magnitude: np.ndarray):
+    """D_k = w2_k * conj(w1_k) / |w1_k|^2, whose angle is the path-angle change
+    (the tracker takes it from :func:`path_strengths`, as |w1_k|^2 underflows
+    near 1e-160), spelled out in real arithmetic: numpy's fused complex
+    multiply leaves a rounding residue in Im(w * conj(w)), which must vanish
+    exactly for identical weights (a stationary target must integrate to zero)."""
     ratio = np.empty(second.shape, dtype=complex)
     ratio.real = second.real * first.real + second.imag * first.imag
     ratio.imag = second.imag * first.real - second.real * first.imag
-    return np.divide(ratio, magnitude * magnitude, out=ratio, where=where)
+    return np.divide(ratio, magnitude * magnitude, out=ratio)
 
 
 def path_weights(csi: np.ndarray, paths: PathSet, packet_index: int = -1) -> PathWeights:
@@ -114,53 +113,48 @@ def attenuation_change(first: PathWeights, second: PathWeights) -> AttenuationCh
 
 
 def path_strengths(weights: np.ndarray, weak_rtol: float):
-    """(A, L) weights, their magnitudes and each AP's floor: ``weak_rtol`` times their norm."""
+    """(A, L) weights' angles, their magnitudes and each AP's floor: ``weak_rtol`` times their norm."""
     magnitude = np.abs(weights)
-    return weights, magnitude, weak_rtol * np.hypot.reduce(magnitude, axis=-1, keepdims=True)
+    return (np.arctan2(weights.imag, weights.real), magnitude,
+            weak_rtol * np.hypot.reduce(magnitude, axis=-1, keepdims=True))
 
 
-def select_paths(first, second, same_clock: bool = False, active=None):
+def select_paths(first, second, same_clock: bool, active: np.ndarray):
     """Path selection of A APs in one pass over two packets'
-    :func:`path_strengths` on each AP's paths: (A, L) weights, their
+    :func:`path_strengths` on each AP's paths: (A, L) path angles, their
     magnitudes and each AP's weak-path floor. Only the APs of the (A,) mask
-    ``active`` (all by default) give rows. A path weaker than its AP's floor
-    in either packet is dropped (a transient fade, not a fault), and no
-    dropped path's weight divides anything. Dividing each kept path's
-    attenuation ratio by that of the AP's reference path, its kept path
-    strongest in both packets, cancels the clock phase with the least noise
-    amplification; the ``same_clock`` ablation divides by nothing, so the
-    clock phase leaks into every ratio.
+    ``active`` give rows. A path weaker than its AP's floor in either packet
+    is dropped (a transient fade, not a fault). Subtracting the angle change
+    (turn) of the AP's reference path, its kept path strongest in both
+    packets, cancels the clock phase with the least noise amplification;
+    ``same_clock`` subtracts nothing, leaving it in every turn.
 
     Returns the (A, L) mask of paths that give a row, each AP's reference
     path (None with ``same_clock``), the (A,) mask of active APs with fewer
     kept paths than the rows need (two, or one with ``same_clock``), which
-    give none, and the (A, L) ratios, meaningful where a path gives a row."""
-    (first, magnitude, floor), (second, magnitude2, _) = first, second
+    give none, and the (A, L) turns in [-pi, pi), meaningful where a path
+    gives a row."""
+    (angle, magnitude, floor), (angle2, magnitude2, _) = first, second
     strength = np.minimum(magnitude, magnitude2)
-    keep = strength > floor
-    short = np.add.reduce(keep, axis=-1) < (1 if same_clock else 2)
-    if active is not None:
-        keep &= active[:, None]
-        short &= active
-    change = _ratio(first, second, magnitude, keep)
-    if same_clock:
-        return keep, None, short, change
-    ref = (strength * keep).argmax(axis=-1)  # kept paths are > 0; a short AP's lone one is ref
-    at_ref = np.arange(ref.size), ref
-    np.divide(change, change[at_ref][:, None], out=change, where=keep)
-    keep[at_ref] = False
-    return keep, ref, short, change
+    keep = (strength > floor) & active[:, None]
+    short = (np.add.reduce(keep, axis=-1) < (1 if same_clock else 2)) & active
+    turn, ref = angle2 - angle, None
+    if not same_clock:
+        ref = (strength * keep).argmax(axis=-1)  # kept paths are > 0; a short AP's lone one is ref
+        at_ref = np.arange(ref.size), ref
+        turn -= turn[at_ref][:, None]
+        keep[at_ref] = False
+    return keep, ref, short, (turn + np.pi) % TWO_PI - np.pi
 
 
 def row_geometry(directions: np.ndarray, keep: np.ndarray, ref, wavelength: float):
     """Rows R (N, 2) of a :func:`select_paths` selection, in AP-then-path
-    order, and the (AP, path) index of their ratios, whose angles are the
-    phases s. ``directions`` holds the (A, L, 2) unit vectors [cos(theta),
-    sin(theta)] of the path AoDs; row k is (-2*pi/lambda) * (direction_k -
-    direction_ref), or (-2*pi/lambda) * direction_k with ``ref`` None. No
-    unwrapping is applied: per-packet displacements stay well below lambda/2,
-    so these differential phases cannot wrap. The rows change only with the
-    path set or the selection."""
+    order, and the (AP, path) index of their turns, the phases s. The (A, L,
+    2) ``directions`` are the unit vectors [cos(theta), sin(theta)] of the
+    path AoDs; row k is (-2*pi/lambda) * (direction_k - direction_ref), or
+    (-2*pi/lambda) * direction_k with ``ref`` None. No unwrapping is applied:
+    per-packet displacements stay well below lambda/2, so these differential
+    phases cannot wrap. The rows change only with the path set or selection."""
     aps, paths = index = np.nonzero(keep)
     rows = directions[index] if ref is None else directions[index] - directions[aps, ref[aps]]
     return (-TWO_PI / wavelength) * rows, index
@@ -174,24 +168,17 @@ def estimate_displacement(per_ap_rows) -> Displacement:
         raise UnobservableDisplacementError("no contributing APs")
     rows = np.vstack([rows for rows, _ in per_ap_rows])
     phases = np.concatenate([np.atleast_1d(phases) for _, phases in per_ap_rows])
-    return Displacement(solve_factored(factor_rows(rows, R_CONDITION_LIMIT), phases))
+    return Displacement(factor_rows(rows, R_CONDITION_LIMIT) @ phases)
 
 
-def factor_rows(rows: np.ndarray, cond_limit: float):
-    """The SVD (u, s, vh) of stacked rows R (N, 2);
-    UnobservableDisplacementError for fewer than two rows or a stack too close
-    to rank one. One SVD gives both the condition gate and the solution."""
+def factor_rows(rows: np.ndarray, cond_limit: float) -> np.ndarray:
+    """The (2, N) least-squares matrix V S^-1 U^T of stacked rows R (N, 2), which
+    maps their phases to the displacement; UnobservableDisplacementError for fewer
+    than two rows or a stack too close to rank one (one SVD gives both)."""
     if rows.shape[0] < 2:
         raise UnobservableDisplacementError("one equation cannot determine a 2D displacement")
     u, s, vh = np.linalg.svd(rows, full_matrices=False)
     if s[1] == 0 or s[0] / s[1] >= cond_limit:
         raise UnobservableDisplacementError(
             f"stacked geometry condition number exceeds {cond_limit:g}")
-    return u, s, vh
-
-
-def solve_factored(factors, phases: np.ndarray) -> np.ndarray:
-    """Least-squares 2D displacement of phases s (N,) on rows factored by
-    :func:`factor_rows`."""
-    u, s, vh = factors
-    return vh.T @ ((u.T @ phases) / s)
+    return (vh.T / s) @ u.T

@@ -9,10 +9,10 @@ once onto the paths, fuses the per-AP offset-cancelled rows of each packet
 pair into one displacement (one array kernel for all APs, see
 :mod:`csitrack.displacement`) and integrates it from the origin. The last
 packet is kept as one record (CSI, APs present, path strengths), re-projected
-only if the paths change; each selection's rows and factors last until the
-next estimate. Samples whose displacement is unobservable carry the previous
-position forward with a quality flag, so the trajectory keeps a uniform
-timebase for evaluation.
+only if the paths change; each selection's least-squares matrix lasts until
+the next estimate. Samples whose displacement is unobservable carry the
+previous position forward with a quality flag, so the trajectory keeps a
+uniform timebase for evaluation.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .displacement import (
     project,
     row_geometry,
     select_paths,
-    solve_factored,
 )
 from .errors import (
     DegenerateGeometryError,
@@ -120,7 +119,7 @@ class Tracker:
         self._directions = np.zeros((num_aps, num_paths, 2))  # [cos, sin] of each AoD
         self._has_paths = np.zeros(num_aps, dtype=bool)
         self._usable = np.zeros(num_aps, dtype=bool)  # steering condition gate passed
-        # (keep, ref) pattern -> row index and SVD factors, or the
+        # (keep, ref) pattern -> row index and least-squares matrix, or the
         # UnobservableDisplacementError they raise; valid until the next estimate
         self._plans = {}
         # the last whole packet, or after a raise one that holds no AP and so pairs with nothing
@@ -228,7 +227,7 @@ class Tracker:
         pairs = last_present & present & self._has_paths
         active = pairs & self._usable
         same_clock = self.config.mode == "assume-same-clock"
-        keep, ref, short, change = select_paths(first, second, same_clock, active)
+        keep, ref, short, turn = select_paths(first, second, same_clock, active)
         num_pairs, num_active = np.count_nonzero(pairs), np.count_nonzero(active)
         for reason, count in (("absent", np.count_nonzero(self._has_paths) - num_pairs),
                               (DegenerateGeometryError.__name__, num_pairs - num_active),
@@ -247,9 +246,8 @@ class Tracker:
         if isinstance(plan, UnobservableDisplacementError):
             self._emit(now, "dead-reckoned")
             return None
-        index, factors = plan
-        change = change[index]
-        displacement = Displacement(solve_factored(factors, np.arctan2(change.imag, change.real)))
+        index, solver = plan
+        displacement = Displacement(solver @ turn[index])
         self._position = self._position + displacement.delta
         self._emit(now, "ok")
         return displacement

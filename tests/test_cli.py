@@ -340,14 +340,15 @@ class TestTrackEvaluate:
         out = tmp_path / "out.txt"
         assert run(["track", "--trace", bad, "--out", out]) == EXIT_PARSE
 
-    def rewrite_trace(self, demo_dir, tmp_path, change):
+    def rewrite_trace(self, demo_dir, tmp_path, change, packet=30, ap=None):
         """Copy the demo trace with ``change(fields)`` applied to the body
-        lines of packet 30; returns the new path and the first such line."""
+        lines of ``packet`` (of AP ``ap`` alone, if given); returns the new
+        path and the first such line."""
         lines = (demo_dir / "trace.txt").read_text().splitlines()
         first = None
         for number, line in enumerate(lines, start=1):
             fields = line.split()
-            if not line.startswith("#") and fields[1] == "30":
+            if not line.startswith("#") and fields[1] == str(packet) and ap in (None, fields[0]):
                 change(fields)
                 lines[number - 1] = " ".join(fields)
                 first = first or number
@@ -362,6 +363,22 @@ class TestTrackEvaluate:
         path, first = self.rewrite_trace(demo_dir, tmp_path, poison)
         assert run(["track", "--trace", path, "--out", tmp_path / "out.txt"]) == EXIT_PARSE
         assert f"line {first}:" in capsys.readouterr().err
+
+    def test_tiny_csi_record_is_one_faded_pair_not_an_error(self, demo_dir, tmp_path, capsys):
+        # 1e-170 squared underflows; the pairs take path angles and divide by no weight
+        def shrink(fields):
+            fields[3:] = [repr(float(value) * 1e-170) for value in fields[3:]]
+
+        path, _ = self.rewrite_trace(demo_dir, tmp_path, shrink, packet=500, ap="ap0")
+        out = tmp_path / "out.txt"
+        assert run(["track", "--trace", path, "--config", demo_dir / "config.json",
+                    "--out", out]) == 0
+        flags = capsys.readouterr().out.splitlines()
+        assert [flag for flag in flags if flag.startswith("excluded:")] == [
+            "excluded:InsufficientPathsError: 1"]
+        clean, tiny = read_trajectory(demo_dir / "estimate.txt"), read_trajectory(out)
+        np.testing.assert_array_equal(tiny.timestamps, clean.timestamps)
+        assert np.linalg.norm(tiny.positions - clean.positions, axis=1).max() < 1e-4
 
     @pytest.mark.parametrize("field, value", [(0, "ap9"), (1, "29")])
     def test_body_record_against_the_header_is_parse_error_at_its_line(

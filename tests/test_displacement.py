@@ -14,10 +14,13 @@ from scipy import optimize
 from conftest import AP_IDS, default_geometry, make_sim_config, random_offsets
 
 from csitrack import tracker as tracker_module
-from csitrack.core import ArrayGeometry, CsiRecord, Displacement, PathSet, steering_matrix
+from csitrack.core import (
+    ArrayGeometry, CsiRecord, Displacement, PathSet, circular_distance, steering_matrix,
+)
 from csitrack.displacement import (
     WEAK_PATH_RTOL,
     PathWeights,
+    _ratio,
     attenuation_change,
     estimate_displacement,
     factor_rows,
@@ -27,7 +30,6 @@ from csitrack.displacement import (
     project,
     row_geometry,
     select_paths,
-    solve_factored,
 )
 from csitrack.errors import (
     DegenerateGeometryError,
@@ -63,6 +65,11 @@ def pair_weights_for_displacement(path_set, gains, delta, nu=(0.0, 0.0)):
     return (PathWeights(path_set.ap_id, 0, w1), PathWeights(path_set.ap_id, 1, w2))
 
 
+def select_every_ap(first, second, same_clock=False):
+    """:func:`select_paths` of two packets' path strengths with every AP active."""
+    return select_paths(first, second, same_clock, np.ones(len(first[1]), dtype=bool))
+
+
 def kernel(triples, same_clock=False):
     """The row kernel over (path_set, first, second) triples, one per AP: the
     rows R, the phases s and the mask of APs left short."""
@@ -70,11 +77,10 @@ def kernel(triples, same_clock=False):
     first = np.stack([np.asarray(getattr(w, "weights", w), complex) for _, w, _ in triples])
     second = np.stack([np.asarray(getattr(w, "weights", w), complex) for _, _, w in triples])
     directions = np.stack([np.cos(aods), np.sin(aods)], axis=-1)
-    keep, ref, short, change = select_paths(path_strengths(first, WEAK_PATH_RTOL),
-                                            path_strengths(second, WEAK_PATH_RTOL),
-                                            same_clock=same_clock)
+    keep, ref, short, turn = select_every_ap(path_strengths(first, WEAK_PATH_RTOL),
+                                             path_strengths(second, WEAK_PATH_RTOL), same_clock)
     rows, index = row_geometry(directions, keep, ref, triples[0][0].wavelength)
-    return rows, np.angle(change[index]), short
+    return rows, turn[index], short
 
 
 def ap_rows(path_set, first, second, same_clock=False):
@@ -482,18 +488,66 @@ def test_selection_on_full_arrays_equals_selection_on_active_rows(shape, data, s
     kinds = data.draw(hnp.arrays(int, (2,) + shape, elements=st.integers(0, 3)))
     active = data.draw(hnp.arrays(bool, shape[:1]))
     first, second = drawn_weights(np.random.default_rng(seed), kinds)
-    keep, ref, short, change = select_paths(path_strengths(first, weak_rtol),
-                                            path_strengths(second, weak_rtol), same_clock, active)
-    gathered = select_paths(path_strengths(first[active], weak_rtol),
-                            path_strengths(second[active], weak_rtol), same_clock)
+    keep, ref, short, turn = select_paths(path_strengths(first, weak_rtol),
+                                          path_strengths(second, weak_rtol), same_clock, active)
+    gathered = select_every_ap(path_strengths(first[active], weak_rtol),
+                               path_strengths(second[active], weak_rtol), same_clock)
     assert not keep[~active | short].any() and not short[~active].any()
     np.testing.assert_array_equal(keep[active], gathered[0])
     np.testing.assert_array_equal(short[active], gathered[2])
     if not same_clock:
         rows = active & (keep.sum(axis=-1) > 0)
         np.testing.assert_array_equal(ref[rows], gathered[1][rows[active]])
-    assert np.array_equal(change[keep].view(float), gathered[3][keep[active]].view(float))
-    assert np.isfinite(change[keep]).all()
+    assert np.array_equal(turn[keep], gathered[3][keep[active]])
+    assert np.isfinite(turn[keep]).all()
+
+
+# -- turns from path angles against the attenuation ratios they replace ----------
+
+
+def spread_weights(rng, shape):
+    """Weights of random phase with magnitudes from 1e-150 to 1e150."""
+    return 10.0 ** rng.uniform(-150, 150, shape) * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+
+
+def ratio_turns(first, second, ref):
+    """np.angle of D_k, or of D_k / D_ref with ``ref``, in the ratio form,
+    on weights scaled by powers of two so that no product leaves the float
+    range; a power of two moves no angle."""
+    first, second = (w * np.ldexp(1.0, -np.frexp(np.abs(w))[1]) for w in (first, second))
+    ratio = _ratio(first, second, np.abs(first))
+    if ref is not None:
+        ratio = ratio / ratio[np.arange(ref.size), ref][:, None]
+    return np.angle(ratio)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 3)), seed=st.integers(0, 2**32 - 1),
+       weak_rtol=st.sampled_from([0.0, WEAK_PATH_RTOL]), same_clock=st.booleans())
+def test_turns_are_the_angles_of_the_attenuation_ratios(shape, seed, weak_rtol, same_clock):
+    first, second = spread_weights(np.random.default_rng(seed), (2,) + shape)
+    strengths = path_strengths(first, weak_rtol), path_strengths(second, weak_rtol)
+    keep, ref, _, turn = select_every_ap(*strengths, same_clock)
+    assert np.all((-np.pi <= turn) & (turn < np.pi))
+    expected = ratio_turns(first, second, ref)
+    assert np.all(circular_distance(turn[keep], expected[keep]) <= 1e-12)
+    # a packet paired with itself turns by exactly nothing
+    for packet in strengths:
+        assert not select_every_ap(packet, packet, same_clock)[3].any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(2, 3)), seed=st.integers(0, 2**32 - 1),
+       weak_rtol=st.sampled_from([0.0, WEAK_PATH_RTOL]), data=st.data())
+def test_a_clock_phase_at_one_ap_moves_no_full_mode_turn(shape, seed, weak_rtol, data):
+    weights = spread_weights(np.random.default_rng(seed), (2,) + shape)
+    keep, ref, _, turn = select_every_ap(*(path_strengths(w, weak_rtol) for w in weights))
+    packet, ap = data.draw(st.integers(0, 1)), data.draw(st.integers(0, shape[0] - 1))
+    weights[packet, ap] *= np.exp(1j * data.draw(st.floats(-1e3, 1e3)))
+    keep2, ref2, _, turn2 = select_every_ap(*(path_strengths(w, weak_rtol) for w in weights))
+    np.testing.assert_array_equal(keep2, keep)
+    np.testing.assert_array_equal(ref2, ref)
+    assert np.all(circular_distance(turn2[keep], turn[keep]) <= 1e-12)
 
 
 # -- the tracker's kernel against the per-AP computation it replaced -------------
@@ -642,7 +696,7 @@ class FreshRowsTracker(Tracker):
         pairs = present & previous_present & self._has_paths
         active = pairs & self._usable
         weak_rtol = self.config.weak_path_rtol
-        keep, ref, short, change = select_paths(
+        keep, ref, short, turn = select_every_ap(
             path_strengths(first[active], weak_rtol), path_strengths(second[active], weak_rtol),
             same_clock=self.config.mode == "assume-same-clock")
         rows, index = row_geometry(self._directions[active], keep, ref, self.geometry.wavelength)
@@ -652,8 +706,8 @@ class FreshRowsTracker(Tracker):
             if mask.any():
                 self.exclusions[reason] += np.count_nonzero(mask)
         try:
-            displacement = Displacement(solve_factored(
-                factor_rows(rows, self.config.stacked_condition_limit), np.angle(change[index])))
+            displacement = Displacement(
+                factor_rows(rows, self.config.stacked_condition_limit) @ turn[index])
         except UnobservableDisplacementError:
             self._emit(now, "dead-reckoned")
             return None

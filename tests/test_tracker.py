@@ -317,12 +317,23 @@ class TestRaisingPacket:
             outcomes.append(tracker.flags[-1] if len(tracker.flags) > emitted else None)
         return tracker, outcomes
 
-    def test_tiny_csi_raises_once_then_the_tracker_recovers(self):
-        # 1e-170 squared underflows, so the pair after it divides by zero
-        _, outcomes = self.outcomes(1e-170, stride=10)
-        first = outcomes.index("raised")
-        assert outcomes[first + 1] == "dead-reckoned"
-        assert set(outcomes[first + 2:]) == {"ok"} and set(outcomes[20:first]) == {"ok"}
+    def test_tiny_csi_reads_ok_and_stays_on_the_clean_track(self):
+        # 1e-170 squared underflows, but the pairs take path angles and divide nothing
+        tracker, outcomes = self.outcomes(1e-170, stride=10)
+        clean, _ = self.outcomes(1.0, stride=10)
+        assert set(outcomes[19:]) == {"ok"} and set(outcomes[:19]) == {None}
+        assert tracker.exclusions == {"InsufficientPathsError": 1}  # the pair into it: faded
+        errors = np.linalg.norm(tracker.trajectory().positions - clean.trajectory().positions, axis=1)
+        assert errors.max() < 0.25e-3
+
+    def test_huge_csi_raises_until_it_leaves_the_window_then_the_tracker_recovers(self):
+        # a 1e200 row overflows every covariance it is in, so each due estimate raises
+        _, outcomes = self.outcomes(1e200, stride=10)
+        raised = [p for p, outcome in enumerate(outcomes) if outcome == "raised"]
+        first, last = raised[0], raised[-1]
+        assert raised == list(range(first, last + 1)) and first > 150
+        assert outcomes[last + 1] == "dead-reckoned"
+        assert set(outcomes[last + 2:]) == {"ok"} and set(outcomes[20:first]) == {"ok"}
 
     @pytest.mark.parametrize("stride", [1, 10])
     def test_no_ok_point_pairs_across_packets_that_raised(self, stride):
@@ -335,14 +346,14 @@ class TestRaisingPacket:
         assert tracker.exclusions["absent"] == len(AP_IDS) * len(after)
 
     def test_resending_a_packet_that_raised_is_a_stream_order_error(self):
-        groups = self.groups(1e-170)
+        groups = self.groups(1e200)
         tracker = Tracker(default_geometry(), AP_IDS,
                           TrackerConfig(aod=AodConfig(window_seconds=0.5), stride=10))
         for raised, group in enumerate(groups):
             try:
                 tracker.ingest(group)
             except ValueError as exc:
-                assert str(exc) == "delta must be finite"
+                assert str(exc) == "covariance contains non-finite values"
                 break
         windows = {ap: window.matrix.copy() for ap, window in tracker._windows.items()}
         flags = list(tracker.flags)
@@ -351,8 +362,13 @@ class TestRaisingPacket:
         for ap, window in tracker._windows.items():
             np.testing.assert_array_equal(window.matrix, windows[ap])
         assert tracker.flags == flags
-        tracker.ingest(groups[raised + 1])
-        assert tracker.flags[-1] == "dead-reckoned"
+        for group in groups[raised + 1:]:  # each raises until the 1e200 row leaves the window
+            try:
+                tracker.ingest(group)
+                break
+            except ValueError:
+                pass
+        assert tracker.flags[-1] == "dead-reckoned" and len(tracker.flags) == len(flags) + 1
 
 
 class TestStreamValidation:
