@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrayGeometry, PathSet, TWO_PI, steering_matrix
+from .core import ArrayGeometry, PathSet, TWO_PI, check_integer, steering_matrix
 from .errors import WindowUnderfullError
 
 
@@ -36,16 +36,13 @@ class AodConfig:
     refine_iterations: int = 3
 
     def __post_init__(self):
-        if self.num_paths < 1:
-            raise ValueError("num_paths must be >= 1")
+        check_integer("num_paths", self.num_paths, 1)
         if not 0 < self.window_seconds < math.inf:
             raise ValueError("window_seconds must be positive and finite")
         if not 0 < self.grid_step < math.inf:
             raise ValueError("grid_step must be positive and finite")
-        if self.min_packets < 1:
-            raise ValueError("min_packets must be >= 1")
-        if self.refine_iterations < 0:
-            raise ValueError("refine_iterations must be >= 0")
+        check_integer("min_packets", self.min_packets, 1)
+        check_integer("refine_iterations", self.refine_iterations, 0)
 
 
 def angle_grid(step: float) -> np.ndarray:

@@ -158,10 +158,16 @@ def _make_waypoints(args, packet_interval):
                             packet_interval=packet_interval, seed=seed)
 
 
-def _write_groups(path, groups, sim: SimConfig, ap_ids) -> None:
+def _simulate(sim: SimConfig, ap_ids, waypoints, trace_path, truth_path=None):
+    """Simulate, pair and write the trace (and truth); returns the groups and the truth."""
+    groups = trace_io.pair_streams(simulate_trajectory(sim, waypoints))
     records = [r for group in groups for r in group.records.values()]
     header = trace_io.TraceHeader(sim.geometry, ap_ids, sim.packet_interval)
-    trace_io.write_trace(path, trace_io.TraceFile(header, records))
+    trace_io.write_trace(trace_path, trace_io.TraceFile(header, records))
+    truth = resample_waypoints(waypoints, sim.packet_interval)
+    if truth_path:
+        trace_io.write_trajectory(truth_path, truth)
+    return groups, truth
 
 
 def cmd_simulate(args) -> int:
@@ -174,11 +180,7 @@ def cmd_simulate(args) -> int:
     sim = config.sim
     if args.seed is not None and args.seed != sim.rng_seed:
         sim = dataclasses.replace(sim, rng_seed=args.seed)
-    waypoints = _make_waypoints(args, sim.packet_interval)
-    groups = trace_io.pair_streams(simulate_trajectory(sim, waypoints))
-    _write_groups(args.out, groups, sim, config.ap_ids)
-    if args.truth:
-        trace_io.write_trajectory(args.truth, resample_waypoints(waypoints, sim.packet_interval))
+    _simulate(sim, config.ap_ids, _make_waypoints(args, sim.packet_interval), args.out, args.truth)
     print(f"seed {sim.rng_seed}")
     print(f"wrote {args.out}" + (f" and {args.truth}" if args.truth else ""))
     return EXIT_OK
@@ -279,11 +281,8 @@ def cmd_demo(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     config = indoor_4ap_preset(args.seed)
     trace_io.save_config(outdir / "config.json", config)
-    waypoints = square_waypoints(side=0.1, speed=0.05)
-    groups = trace_io.pair_streams(simulate_trajectory(config.sim, waypoints))
-    _write_groups(outdir / "trace.txt", groups, config.sim, config.ap_ids)
-    truth = resample_waypoints(waypoints, config.sim.packet_interval)
-    trace_io.write_trajectory(outdir / "truth.txt", truth)
+    groups, truth = _simulate(config.sim, config.ap_ids, square_waypoints(side=0.1, speed=0.05),
+                              outdir / "trace.txt", outdir / "truth.txt")
 
     estimate = Tracker(config.geometry, config.ap_ids, config.tracker).consume(groups)
     trace_io.write_trajectory(outdir / "estimate.txt", estimate)

@@ -34,6 +34,15 @@ def circular_distance(a, b):
     return np.abs(wrap_angle(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
 
 
+def check_integer(name: str, value, minimum: int) -> None:
+    """ValueError, naming the field ``name`` first, unless ``value`` is an
+    integer (a bool is not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
 @dataclass(frozen=True, eq=False)
 class ArrayGeometry:
     """Planar transmit-antenna layout plus the carrier wavelength.
@@ -234,3 +243,10 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.positions.shape[0]
+
+
+def resample_positions(trajectory: Trajectory, timestamps: np.ndarray) -> np.ndarray:
+    """Linearly interpolate a trajectory's positions at the given timestamps."""
+    x = np.interp(timestamps, trajectory.timestamps, trajectory.positions[:, 0])
+    y = np.interp(timestamps, trajectory.timestamps, trajectory.positions[:, 1])
+    return np.column_stack([x, y])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aod import AodConfig, estimate_paths
-from .core import ArrayGeometry, Trajectory, circular_distance
+from .core import ArrayGeometry, Trajectory, circular_distance, resample_positions
 from .errors import WindowUnderfullError
 
 
@@ -63,21 +63,14 @@ def fit_rotation(source: np.ndarray, target: np.ndarray) -> float:
     return float(np.arctan2(cross, dot))
 
 
-def resample_positions(trajectory: Trajectory, timestamps: np.ndarray) -> np.ndarray:
-    """Linearly interpolate a trajectory's positions at the given timestamps."""
-    x = np.interp(timestamps, trajectory.timestamps, trajectory.positions[:, 0])
-    y = np.interp(timestamps, trajectory.timestamps, trajectory.positions[:, 1])
-    return np.column_stack([x, y])
-
-
 def align(estimate: Trajectory, truth: Trajectory) -> AlignedError:
     """Point-by-point error after shift-and-rotate (never scale) alignment.
 
-    The truth is resampled onto the estimate's timestamps when the two
-    timebases differ, both are translated so their first points are the
-    origin, and the estimate is rotated by the RMSE-minimizing angle. An
-    estimate that starts or ends more than 1e-9 s outside the truth's time
-    range raises ValueError rather than being compared with a clamped truth.
+    The truth is resampled onto the estimate's timestamps (on an equal
+    timebase that returns its positions exactly), both are shifted to start
+    at the origin, and the estimate is rotated by the RMSE-minimizing angle.
+    An estimate that starts or ends more than 1e-9 s outside the truth's
+    time range raises ValueError rather than being compared with a clamped truth.
     """
     if len(estimate) < 2 or len(truth) < 2:
         raise ValueError("alignment needs at least 2 points per trajectory")
@@ -85,10 +78,7 @@ def align(estimate: Trajectory, truth: Trajectory) -> AlignedError:
     if start < truth.timestamps[0] - 1e-9 or end > truth.timestamps[-1] + 1e-9:
         raise ValueError(f"estimate spans {start:g}..{end:g} s, outside the truth's "
                          f"{truth.timestamps[0]:g}..{truth.timestamps[-1]:g} s")
-    if len(estimate) == len(truth) and np.array_equal(estimate.timestamps, truth.timestamps):
-        truth_positions = truth.positions
-    else:
-        truth_positions = resample_positions(truth, estimate.timestamps)
+    truth_positions = resample_positions(truth, estimate.timestamps)
     source = estimate.positions - estimate.positions[0]
     target = truth_positions - truth_positions[0]
     angle = fit_rotation(source, target)

@@ -3,11 +3,11 @@
 The channel is a static set of departure paths per AP; motion enters only
 through the per-path displacement phase, each AP's clock mismatch enters as a
 packet-wide phase (linear drift plus a random-walk jitter), and the receiver
-adds circular Gaussian noise and optional 8-bit quantization. Each AP's
-whole track is computed as arrays, one row per packet; the public helpers
-(channel_at, apply_offset, add_noise_and_quantize) are the one-packet case of
-the same code. This is the ground-truth oracle used by every estimator test:
-given the same config and seed the output is bit-identical.
+adds circular Gaussian noise and optional 8-bit quantization. The public
+helpers channel_at, apply_offset and add_noise_and_quantize take one packet
+or a whole track as arrays, one row per packet. This is the ground-truth
+oracle used by every estimator test: given the same config and seed the
+output is bit-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrayGeometry, Trajectory, TWO_PI, checked_records, steering_matrix
+from .core import (ArrayGeometry, Trajectory, TWO_PI, check_integer, checked_records,
+                   resample_positions, steering_matrix)
 
 #: Largest clock offset the WiFi standard tolerates, Hz.
 MAX_FREQUENCY_OFFSET = 200e3
@@ -102,30 +103,26 @@ class SimConfig:
             raise ValueError("snr_db must be finite or +inf (noise off)")
         if not (np.isfinite(self.amplitude_drift_std) and self.amplitude_drift_std >= 0):
             raise ValueError("amplitude_drift_std must be >= 0")
+        check_integer("rng_seed", self.rng_seed, 0)
         offsets = {str(k): v for k, v in self.offsets.items()}
         if set(offsets) != set(self.channel.paths):
             raise ValueError("offsets must provide a model for exactly the channel's APs")
         object.__setattr__(self, "offsets", offsets)
 
 
-def channel_at(paths, geometry: ArrayGeometry, position_offset=(0.0, 0.0)) -> np.ndarray:
+def channel_at(paths, geometry: ArrayGeometry, position_offset=(0.0, 0.0), drift=None) -> np.ndarray:
     """Wireless channel H for a transmitter displaced by ``position_offset``.
 
     H = A diag(exp(-2j*pi*(r_k . offset)/lambda)) F: each path's attenuation
     picks up the phase of the extra path length along its departure direction.
-    A zero offset returns the reference channel A F. This is the one-packet
-    case of :func:`_channels`.
+    A zero offset returns the reference channel A F. A (..., 2) offset gives
+    (..., M) channels, one per offset; ``drift`` (..., L) scales the gains.
     """
-    return _channels(paths, geometry, position_offset)
-
-
-def _channels(paths, geometry: ArrayGeometry, offsets, drift=None) -> np.ndarray:
-    """Channels for (..., 2) offsets as (..., M); ``drift`` (..., L) scales the gains."""
     aods = np.array([p.aod for p in paths], dtype=float)
     gains = np.array([p.gain for p in paths], dtype=complex)
     if drift is not None:
         gains = gains * drift
-    offsets = np.asarray(offsets, dtype=float)
+    offsets = np.asarray(position_offset, dtype=float)
     along_path = np.cos(aods) * offsets[..., :1] + np.sin(aods) * offsets[..., 1:]
     motion_phase = np.exp(-2j * np.pi * along_path / geometry.wavelength)
     weights = gains * motion_phase
@@ -152,10 +149,14 @@ def apply_offset(csi: np.ndarray, packet_index, model: OffsetModel,
 
 def jitter_walk(model: OffsetModel, num_packets: int, rng: np.random.Generator) -> np.ndarray:
     """Accumulated phase-jitter random walk, zero at the first packet."""
-    walk = np.zeros(num_packets)
-    if model.phase_jitter_std > 0 and num_packets > 1:
-        steps = rng.normal(0.0, model.phase_jitter_std, num_packets - 1)
-        walk[1:] = np.cumsum(steps)
+    return _random_walk(model.phase_jitter_std, (num_packets,), rng)
+
+
+def _random_walk(std: float, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Zero-start walk down axis 0 of ``shape`` from one normal draw, or none if ``std`` is 0."""
+    walk = np.zeros(shape)
+    if std > 0 and shape[0] > 1:
+        walk[1:] = np.cumsum(rng.normal(0.0, std, (shape[0] - 1, *shape[1:])), axis=0)
     return walk
 
 
@@ -190,21 +191,18 @@ def add_noise_and_quantize(csi: np.ndarray, snr_db: float, quantize: bool,
 def resample_waypoints(waypoints: Trajectory, packet_interval: float) -> Trajectory:
     """Linearly interpolate waypoints onto the packet-interval grid."""
     times = waypoints.timestamps
-    duration = times[-1] - times[0]
-    count = int(math.floor(duration / packet_interval + 1e-9)) + 1
+    count = int(math.floor((times[-1] - times[0]) / packet_interval + 1e-9)) + 1
     grid = times[0] + packet_interval * np.arange(count)
-    x = np.interp(grid, times, waypoints.positions[:, 0])
-    y = np.interp(grid, times, waypoints.positions[:, 1])
-    return Trajectory(np.column_stack([x, y]), grid)
+    return Trajectory(resample_positions(waypoints, grid), grid)
 
 
 def simulate_trajectory(config: SimConfig, waypoints: Trajectory) -> dict:
     """Emit one CsiRecord stream per AP for a transmitter following waypoints.
 
-    Each AP's whole packet grid is computed as arrays: channel_at ->
-    apply_offset -> add_noise_and_quantize on (P, M) CSI, with the same
-    numbers as composing those helpers packet by packet. Per AP the draws
-    are the jitter walk, the amplitude drift, then the noise. APs draw from
+    Each AP's whole packet grid is one call each of channel_at (P offsets)
+    -> apply_offset -> add_noise_and_quantize on (P, M) CSI, with the same
+    numbers as calling them packet by packet. Per AP the draws are the
+    jitter walk, the amplitude drift, then the noise. APs draw from
     independent child RNG streams of ``config.rng_seed`` (assigned in sorted
     AP order), so per-AP streams may be regenerated independently and the
     whole output is reproducible. Each AP's CSI is checked once, as a block.
@@ -223,7 +221,7 @@ def simulate_trajectory(config: SimConfig, waypoints: Trajectory) -> dict:
         paths = config.channel.paths[ap_id]
         walk = jitter_walk(model, num_packets, rng)
         drift = _amplitude_drift(config, len(paths), num_packets, rng)
-        csi = _channels(paths, config.geometry, offsets_from_start, drift)
+        csi = channel_at(paths, config.geometry, offsets_from_start, drift)
         csi = apply_offset(csi, packet_indices, model, config.packet_interval, walk)
         csi = add_noise_and_quantize(csi, config.snr_db, config.quantize, rng)
         streams[ap_id] = checked_records([ap_id] * num_packets, range(num_packets), timestamps, csi)
@@ -233,11 +231,8 @@ def simulate_trajectory(config: SimConfig, waypoints: Trajectory) -> dict:
 def _amplitude_drift(config: SimConfig, num_paths: int, num_packets: int,
                      rng: np.random.Generator):
     """Optional slow per-path |gain| random walk (robustness testing only)."""
-    if config.amplitude_drift_std == 0:
-        return None
-    steps = rng.normal(0.0, config.amplitude_drift_std, (num_packets - 1, num_paths))
-    log_walk = np.vstack([np.zeros(num_paths), np.cumsum(steps, axis=0)])
-    return np.exp(log_walk)
+    std = config.amplitude_drift_std
+    return np.exp(_random_walk(std, (num_packets, num_paths), rng)) if std > 0 else None
 
 
 def square_waypoints(side=0.1, speed=0.05) -> Trajectory:

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aod import AodConfig, PacketWindow, estimate_aods
-from .core import ArrayGeometry, Displacement, PathSet, Trajectory, circular_distance, steering_matrix
+from .core import (ArrayGeometry, Displacement, PathSet, Trajectory, check_integer,
+                   circular_distance, steering_matrix)
 from .displacement import (
     A_CONDITION_LIMIT,
     R_CONDITION_LIMIT,
@@ -61,8 +62,7 @@ class TrackerConfig:
     weak_path_rtol: float = WEAK_PATH_RTOL
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        check_integer("stride", self.stride, 1)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if len(self.origin) != 2 or not all(math.isfinite(v) for v in self.origin):

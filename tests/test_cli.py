@@ -475,6 +475,15 @@ class TestTrackEvaluate:
         err = capsys.readouterr().err
         assert "sim.paths.ap0[0].aod" in err and "Traceback" not in err
 
+    def test_negative_config_seed_is_config_error(self, demo_dir, tmp_path, capsys):
+        data = json.loads((demo_dir / "config.json").read_text())
+        data["sim"]["rng_seed"] = -3
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = run(["simulate", "--config", path, "--motion", "square", "--out", tmp_path / "t.txt"])
+        assert code == EXIT_CONFIG
+        assert "sim.rng_seed: rng_seed must be >= 0" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command", ["track", "assume-same-clock", "single-packet-aod"])
 def test_more_paths_than_the_trace_antennas_allow_is_config_error(demo_dir, tmp_path, capsys,

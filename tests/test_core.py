@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from csitrack.core import (
     ArrayGeometry,
@@ -14,6 +16,7 @@ from csitrack.core import (
     Trajectory,
     checked_records,
     circular_distance,
+    resample_positions,
     steering_matrix,
     steering_vector,
     wrap_angle,
@@ -224,3 +227,16 @@ class TestDomainTypes:
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
             Trajectory(np.zeros((0, 2)), np.zeros(0))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), count=st.integers(1, 40))
+def test_resampling_at_its_own_timestamps_returns_its_positions(data, count):
+    # what lets align resample the truth without a branch for an equal timebase
+    times = np.sort(data.draw(hnp.arrays(float, count, elements=_FINITE, unique=True)))
+    positions = data.draw(hnp.arrays(float, (count, 2), elements=_FINITE))
+    trajectory = Trajectory(positions, times)
+    assert np.array_equal(resample_positions(trajectory, trajectory.timestamps), positions)

@@ -482,7 +482,6 @@ def drawn_weights(rng, kinds):
 @given(shape=st.tuples(st.integers(1, 5), st.integers(1, 3)), data=st.data(),
        seed=st.integers(0, 2**32 - 1), weak_rtol=st.sampled_from([0.0, 1e-9, 0.3]),
        same_clock=st.booleans())
-@pytest.mark.filterwarnings("error")
 def test_selection_on_full_arrays_equals_selection_on_active_rows(shape, data, seed, weak_rtol,
                                                                   same_clock):
     kinds = data.draw(hnp.arrays(int, (2,) + shape, elements=st.integers(0, 3)))

@@ -1,5 +1,6 @@
 """Trace/config/trajectory round-trips, stream pairing, parse errors."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -563,12 +564,36 @@ class TestConfigSchema:
                      id="ap-ids-empty"),
         pytest.param("ap_ids: must be non-empty and unique",
                      lambda d: d.update(ap_ids=[*d["ap_ids"], "ap0"]), id="ap-ids-duplicate"),
+        # integer fields: a fraction, a bool or a negative seed
+        pytest.param("sim.rng_seed", lambda d: d["sim"].update(rng_seed=-3),
+                     id="rng-seed-negative"),
+        pytest.param("sim.rng_seed", lambda d: d["sim"].update(rng_seed=True), id="rng-seed-bool"),
+        pytest.param("tracker.num_paths", lambda d: d["tracker"].update(num_paths=1.5),
+                     id="num-paths-fraction"),
+        pytest.param("tracker.min_packets", lambda d: d["tracker"].update(min_packets=20.5),
+                     id="min-packets-fraction"),
+        pytest.param("tracker.refine_iterations",
+                     lambda d: d["tracker"].update(refine_iterations=2.5), id="refine-fraction"),
     ])
     def test_malformed_value_names_its_path(self, path, change):
         data = config_to_dict(indoor_4ap_preset(1234))
         change(data)
         with pytest.raises(ConfigError, match=re.escape(path)):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("value", [2.5, 20.0, True, -3])
+    @pytest.mark.parametrize("name, make", [pytest.param(name, make, id=name) for name, make in [
+        ("stride", lambda v: TrackerConfig(stride=v)),
+        ("num_paths", lambda v: AodConfig(num_paths=v)),
+        ("min_packets", lambda v: AodConfig(min_packets=v)),
+        ("refine_iterations", lambda v: AodConfig(refine_iterations=v)),
+        ("rng_seed", lambda v: dataclasses.replace(make_sim_config(0), rng_seed=v)),
+    ]])
+    def test_integer_field_refuses_a_non_integer_or_a_negative(self, name, make, value):
+        # the field's name leads the message, so a config loader can name its path
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            make(value)
+        assert getattr(make(np.int64(3)), name) == 3  # a numpy integer is an integer
 
     def test_integer_for_a_float_field_loads_as_a_float(self):
         data = config_to_dict(indoor_4ap_preset(1234))
