@@ -8,9 +8,9 @@ No spatial smoothing is applied: with three antennas there is no room for
 subarrays, and the packet diversity plays the decorrelation role instead.
 
 The tracker estimates every AP due on a packet in one batch (:func:`estimate_aods`:
-one ``eigh``, one grid scan, one refinement loop) on the running sums of x x^H
-that each :class:`PacketWindow` keeps; :func:`estimate_paths`, for one window,
-sums X X^H afresh.
+one ``eigh``, one grid scan that also gives the first refinement round, one
+refinement loop) on the running sums of x x^H that each :class:`PacketWindow`
+keeps; :func:`estimate_paths`, for one window, sums X X^H afresh.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrayGeometry, PathSet, TWO_PI, check_integer, steering_matrix
+from .core import ArrayGeometry, PathSet, TWO_PI, check_integer, steering_matrix, steering_vectors
 from .errors import WindowUnderfullError
 
 
@@ -193,10 +193,10 @@ def music_spectrum(X: np.ndarray, geometry: ArrayGeometry, grid,
 
 @functools.lru_cache(maxsize=16)
 def _build_grid_steering(geometry: ArrayGeometry, step: float):
-    """The angle grid and its M x K steering matrix, built once per
-    (geometry, step) and shared read-only between calls."""
+    """The K-point angle grid and the M x (K + 2) steering matrix of it and its stencil
+    ends -step and K * step, built once per (geometry, step), shared read-only."""
     grid = angle_grid(step)
-    steering = steering_matrix(geometry, grid)
+    steering = steering_matrix(geometry, np.arange(-1, grid.size + 1) * step)
     grid.flags.writeable = False
     steering.flags.writeable = False
     return grid, steering
@@ -211,23 +211,24 @@ def _cyclic_minima(values: np.ndarray) -> np.ndarray:
 _STENCIL = np.array([-1.0, 0.0, 1.0])
 
 
-def _refine_minima(adjoint, geometry, thetas, step, iterations) -> np.ndarray:
+def _refine_minima(adjoint, geometry, thetas, first, step, iterations) -> np.ndarray:
     """Sharpen (A, L) grid minima by repeated 3-point parabola fits, all at once.
 
     Fits the null power (smooth and locally quadratic at a path direction,
     unlike the sharply-peaked reciprocal spectrum) over a stencil that shrinks
     each round, so the grid-step bias that would otherwise swamp
-    millimeter-scale displacement phases is eliminated. Each round evaluates
-    the stencils of all A x L paths in one null-power call; a path stops for
-    good where its parabola is not convex.
+    millimeter-scale displacement phases is eliminated. Round 1 fits the (A, L, 3)
+    grid-scan values ``first``; each later round evaluates all A x L stencils in
+    one null-power call. A path stops for good where its parabola is not convex.
     """
     shape, h = thetas.shape, step
     thetas, active = thetas.ravel().tolist(), [True] * thetas.size
-    for _ in range(iterations):
-        stencil = np.array(thetas).reshape(shape)[..., None] + h * _STENCIL
-        steering = steering_matrix(geometry, stencil.reshape(shape[0], -1))
-        # A x L parabolas of three values each: plain floats cost less than array calls
-        g = _null_power(adjoint, steering).reshape(-1, 3).tolist()
+    g = first.reshape(-1, 3).tolist()  # plain floats cost less than array calls
+    for iteration in range(iterations):
+        if iteration:
+            stencil = (np.array(thetas)[:, None] + h * _STENCIL).reshape(shape[0], -1)
+            steering = steering_vectors(geometry, np.cos(stencil), np.sin(stencil))
+            g = _null_power(adjoint, steering).reshape(-1, 3).tolist()
         for k, (lower, middle, upper) in enumerate(g):
             denom = lower - 2.0 * middle + upper
             active[k] = active[k] and denom > 0
@@ -256,17 +257,20 @@ def estimate_aods(windows, geometry: ArrayGeometry, config: AodConfig):
 
 
 def _music_aods(sums, lengths, geometry: ArrayGeometry, config: AodConfig):
-    """:func:`estimate_aods` on (A, M, M) sums of x x^H over windows of ``lengths`` packets."""
+    """:func:`estimate_aods` on (A, M, M) sums of x x^H over windows of ``lengths`` packets;
+    minima come from the cyclic K-point grid, and grid k's first stencil is scan k..k+2."""
     _require_packets(min(lengths), config.min_packets)
     covariance = sums / np.array(lengths)[:, None, None]
     adjoint = _noise_subspaces(covariance, config.num_paths).conj().swapaxes(-1, -2)
     grid, grid_matrix = _build_grid_steering(geometry, config.grid_step)
-    power = _null_power(adjoint, grid_matrix)
+    scan = _null_power(adjoint, grid_matrix)
+    power = scan[:, 1:-1]  # grid k is scan k + 1
     minima = _cyclic_minima(power)
     degenerate = minima.sum(axis=-1) < config.num_paths
     minima[degenerate] = True  # rank among all grid values instead
-    order = np.where(minima, power, np.inf).argsort(axis=-1)
-    aods = _refine_minima(adjoint, geometry, grid[order[:, : config.num_paths]],
+    starts = np.where(minima, power, np.inf).argsort(axis=-1)[:, : config.num_paths]
+    first = scan[np.arange(len(scan))[:, None, None], starts[..., None] + np.arange(3)]
+    aods = _refine_minima(adjoint, geometry, grid[starts], first,
                           config.grid_step, config.refine_iterations)
     return np.sort(np.mod(aods, TWO_PI), axis=-1), degenerate
 

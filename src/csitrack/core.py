@@ -51,7 +51,7 @@ class ArrayGeometry:
     transmitter's local frame. A linear layout leaves the usual theta vs.
     -theta ambiguity; configurations that need full-plane angles should use a
     non-collinear (e.g. circular) layout. Geometries compare and hash by
-    value: equal positions (bit for bit) and wavelength.
+    value: equal positions (bit for bit) and wavelength, by a key and hash made once.
     """
 
     antenna_positions: np.ndarray
@@ -76,17 +76,16 @@ class ArrayGeometry:
             raise ValueError("wavelength must be positive and finite")
         positions.flags.writeable = False
         object.__setattr__(self, "antenna_positions", positions)
-        object.__setattr__(self, "_relative", positions - positions[0])  # for steering_matrix
-
-    def _key(self):
-        positions = self.antenna_positions
-        return positions.shape, positions.tobytes(), float(self.wavelength)
+        object.__setattr__(self, "_relative", positions - positions[0])  # for steering_vectors
+        object.__setattr__(self, "_key", (positions.tobytes(), float(self.wavelength)))
+        # hashed from floats, whose hash is the same in every process (unlike bytes')
+        object.__setattr__(self, "_hash", hash((*positions.ravel().tolist(), self._key[1])))
 
     def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, ArrayGeometry) else NotImplemented
+        return self._key == other._key if isinstance(other, ArrayGeometry) else NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     @property
     def num_antennas(self) -> int:
@@ -118,7 +117,12 @@ def steering_matrix(geometry: ArrayGeometry, thetas) -> np.ndarray:
     """Stack steering vectors for K angles into an (M, K) matrix, or for an
     (A, K) array of angles into an (A, M, K) stack."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    projection = geometry._relative @ np.array([np.cos(thetas), np.sin(thetas)]).swapaxes(0, -2)
+    return steering_vectors(geometry, np.cos(thetas), np.sin(thetas))
+
+
+def steering_vectors(geometry: ArrayGeometry, cos, sin) -> np.ndarray:
+    """:func:`steering_matrix` of the angles whose cosines and sines are ``cos`` and ``sin``."""
+    projection = geometry._relative @ np.array([cos, sin]).swapaxes(0, -2)
     return np.exp(-2j * np.pi * projection / geometry.wavelength)
 
 

@@ -12,14 +12,15 @@ The tracker factors each AP's steering matrix once per path-set estimate
 its :func:`path_strengths` serve its pairs with both neighbours. One pass over
 two packets' strengths selects every AP's paths (:func:`select_paths`); the
 rows of a selection (:func:`row_geometry`) and their least-squares matrix
-(:func:`factor_rows`) are made once per estimate, and one product with it
-solves each pair's phases. :func:`path_weights`, :func:`attenuation_change`
-and :func:`estimate_displacement` are the same math for a single packet pair,
-gated by the module's fixed limits.
+(:func:`factor_rows`, by Gram-Schmidt) are made once per estimate, and one
+product with it solves each pair's phases. :func:`path_weights`,
+:func:`attenuation_change` and :func:`estimate_displacement` are the same
+math for a single packet pair, gated by the module's fixed limits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +60,12 @@ class AttenuationChange:
 
 
 def factor_steering(matrix: np.ndarray):
-    """Pseudo-inverse (..., L, M) and 2-norm condition number of one M x L
-    steering matrix or a stack of them, both from one SVD."""
+    """Pseudo-inverse (..., L, M) and 2-norm condition number (inf if singular) of
+    one M x L steering matrix or a stack of them, both from one SVD."""
     u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    with np.errstate(divide="ignore"):
-        cond = s[..., 0] / s[..., -1]
-    inverse = np.divide(1.0, s, out=np.zeros(s.shape), where=s > 0)
+    positive = s > 0
+    inverse = 1.0 / np.where(positive, s, np.inf)  # 1 / s, and 0 where s is 0
+    cond = np.where(positive[..., -1], s[..., 0] * inverse[..., -1], np.inf)
     pinv = (vh.conj().swapaxes(-1, -2) * inverse[..., None, :]) @ u.conj().swapaxes(-1, -2)
     return pinv, cond
 
@@ -172,13 +173,23 @@ def estimate_displacement(per_ap_rows) -> Displacement:
 
 
 def factor_rows(rows: np.ndarray, cond_limit: float) -> np.ndarray:
-    """The (2, N) least-squares matrix V S^-1 U^T of stacked rows R (N, 2), which
+    """The (2, N) least-squares matrix T^-1 Q^T of stacked rows R = Q T (N, 2), which
     maps their phases to the displacement; UnobservableDisplacementError for fewer
-    than two rows or a stack too close to rank one (one SVD gives both)."""
+    than two rows or a 2-norm condition number of at least ``cond_limit``. Gram-Schmidt
+    gives Q = [q1 q2], T = [[r11, r12], [0, r22]], error eps * cond (normal equations:
+    eps * cond^2), and R's singular values: product r11 r22, squares' sum ||T||_F^2."""
     if rows.shape[0] < 2:
         raise UnobservableDisplacementError("one equation cannot determine a 2D displacement")
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s[1] == 0 or s[0] / s[1] >= cond_limit:
-        raise UnobservableDisplacementError(
-            f"stacked geometry condition number exceeds {cond_limit:g}")
-    return (vh.T / s) @ u.T
+    first, second = rows.T.tolist()  # a few rows: plain floats cost less than array calls
+    r11 = math.hypot(*first)
+    if r11 > 0:
+        q1 = [x / r11 for x in first]
+        r12 = sum([x * y for x, y in zip(q1, second)])
+        q2 = [y - r12 * x for x, y in zip(q1, second)]  # r22 * q2
+        r22 = math.hypot(*q2)
+        a, b, c = r11 * r11, r22 * r22, r12 * r12  # 2 s_max^2 = a + b + c + sqrt(...)
+        if a + b + c + math.sqrt((a - b) ** 2 + c * (c + 2 * (a + b))) < 2 * cond_limit * r11 * r22:
+            row = [y / r22 / r22 for y in q2]  # the second row of T^-1 Q^T
+            return np.array([[(x - r12 * y) / r11 for x, y in zip(q1, row)], row])
+    raise UnobservableDisplacementError(
+        f"stacked geometry condition number exceeds {cond_limit:g}")

@@ -17,6 +17,7 @@ uniform timebase for evaluation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -26,7 +27,7 @@ import numpy as np
 
 from .aod import AodConfig, PacketWindow, estimate_aods
 from .core import (ArrayGeometry, Displacement, PathSet, Trajectory, check_integer,
-                   circular_distance, steering_matrix)
+                   circular_distance, steering_matrix, steering_vectors)
 from .displacement import (
     A_CONDITION_LIMIT,
     R_CONDITION_LIMIT,
@@ -74,15 +75,19 @@ class TrackerConfig:
             raise ValueError("weak_path_rtol must be finite and >= 0")
 
 
+@functools.cache
+def _permutations(count: int) -> np.ndarray:  # the identity first, built once per path count
+    return np.array(list(itertools.permutations(range(count))))
+
+
 def continuity_order(previous: np.ndarray, current: np.ndarray) -> np.ndarray:
     """Per row of the (A, L) AoDs ``current``, the column order that keeps
     each path the identity it had in ``previous``: the permutation of least
     total circular distance, by exhaustive assignment (path counts are
     small); of equal costs the first wins, the identity first."""
-    paths = np.arange(current.shape[-1])
-    perms = np.array(list(itertools.permutations(paths)))  # the identity first
+    perms = _permutations(current.shape[-1])
     distance = circular_distance(previous[:, :, None], current[:, None, :])
-    return perms[distance[:, paths, perms].sum(axis=-1).argmin(axis=-1)]
+    return perms[distance[:, perms[0], perms].sum(axis=-1).argmin(axis=-1)]
 
 
 class Tracker:
@@ -152,10 +157,11 @@ class Tracker:
         # a first estimate follows itself, which keeps the estimator's order
         previous = np.where(self._has_paths[at, None], self._aods[at], aods)
         aods = aods[np.arange(len(slots))[:, None], continuity_order(previous, aods)]
-        self._pinv[at], cond = factor_steering(steering_matrix(self.geometry, aods))
+        cos, sin = np.cos(aods), np.sin(aods)
+        self._pinv[at], cond = factor_steering(steering_vectors(self.geometry, cos, sin))
         self._usable[at] = cond < self.config.steering_condition_limit
         self._aods[at], self._degenerate[at] = aods, degenerate
-        self._directions[at] = np.array([np.cos(aods), np.sin(aods)]).transpose(1, 2, 0)
+        self._directions[at] = np.array([cos, sin]).transpose(1, 2, 0)
         self._has_paths[at] = True
         self._since_estimate[at] = 0
         self._plans.clear()

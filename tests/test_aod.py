@@ -384,13 +384,31 @@ class TestBatchedKernel:
            kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=5),
            lengths=st.lists(st.integers(3, 250), min_size=5, max_size=5),
            seed=st.integers(0, 2**32 - 1),
-           refine_iterations=st.integers(0, 10))
+           refine_iterations=st.integers(0, 10),
+           grid_step=st.sampled_from(np.radians([0.5, 0.7, 1.3]).tolist())
+           | st.floats(np.radians(0.2), np.radians(3.0)))
     def test_batch_equals_each_window_alone(self, antennas, kinds, lengths, seed,
-                                            refine_iterations):
+                                            refine_iterations, grid_step):
         geometry, num_paths, windows = batch_of_windows(antennas, kinds, lengths, seed)
-        config = AodConfig(num_paths=num_paths, min_packets=3,
+        config = AodConfig(num_paths=num_paths, min_packets=3, grid_step=grid_step,
                            refine_iterations=refine_iterations)
         check_batch(geometry, windows, config)
+
+    @pytest.mark.parametrize("refine_iterations", [1, 3])
+    def test_refinement_starting_at_either_end_of_the_grid(self, refine_iterations):
+        # 0.7 degrees does not divide 360: grid points 0 and K - 1 lie 0.2
+        # degrees apart, so a first stencil there must reach -step or K * step
+        step = np.radians(0.7)
+        geometry = ArrayGeometry.circular(3)
+        config = AodConfig(min_packets=3, grid_step=step, refine_iterations=refine_iterations)
+        windows = [PacketWindow.from_records(make_records(
+            synth_window(geometry, [aod, 2.0], 200, seed=a), f"ap{a}"))
+            for a, aod in enumerate([0.3 * step, 2 * np.pi - 0.3 * step])]
+        aods, _ = check_batch(geometry, windows, config)
+        grid = angle_grid(step)
+        starts = [np.argmin(circular_distance(grid, row[np.argmin(circular_distance(row, 0.0))]))
+                  for row in aods]
+        assert starts == [0, grid.size - 1]
 
     def test_degenerate_and_early_stopping_paths_share_a_batch(self):
         # a 4-antenna L=3 batch: healthy windows next to stationary ones that

@@ -18,6 +18,7 @@ from csitrack.core import (
     ArrayGeometry, CsiRecord, Displacement, PathSet, circular_distance, steering_matrix,
 )
 from csitrack.displacement import (
+    R_CONDITION_LIMIT,
     WEAK_PATH_RTOL,
     PathWeights,
     _ratio,
@@ -461,6 +462,65 @@ class TestFactorization:
         for a in range(4):
             np.testing.assert_array_equal(project(pinv[[a]], csi[[a]])[0], together[a])
             np.testing.assert_array_equal(project(pinv[a], csi[a]), together[a])
+
+
+def conditioned_rows(num_rows, cond, seed):
+    """An (N, 2) stack U diag(s) V^T with random orthonormal U and rotation V,
+    unit-scale rows and s[0] / s[1] = ``cond``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(num_rows, 2)))
+    angle = rng.uniform(0, 2 * np.pi)
+    v = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    return (u * (np.array([1.0, 1.0 / cond]) * rng.uniform(0.5, 200.0))) @ v.T
+
+
+def svd_rows(rows):
+    """The least-squares matrix and condition number of ``rows`` from numpy's SVD."""
+    u, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return (vh.T / s) @ u.T, s[0] / s[1]
+
+
+class TestFactorRows:
+    @settings(max_examples=200, deadline=None)
+    @given(num_rows=st.integers(2, 12), log_cond=st.floats(0.0, 8.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_least_squares_matrix_matches_the_svd(self, num_rows, log_cond, seed):
+        rows = conditioned_rows(num_rows, 10.0**log_cond, seed)
+        expected, cond = svd_rows(rows)
+        solver = factor_rows(rows, 1e9)
+        error = np.linalg.norm(solver - expected) / np.linalg.norm(expected)
+        assert error <= 1e-13 * cond
+
+    # both condition numbers carry relative errors of about eps * cond, far
+    # inside the 1e-9 band for limits up to 1e5 (the default is 1e4)
+    @settings(max_examples=300, deadline=None)
+    @given(num_rows=st.integers(2, 12), log_limit=st.floats(0.2, 5.0),
+           offset=st.floats(-1e-5, 1e-5) | st.floats(-0.5, 0.5), seed=st.integers(0, 2**32 - 1))
+    @example(num_rows=4, log_limit=4.0, offset=1e-8, seed=1)
+    @example(num_rows=4, log_limit=4.0, offset=-1e-8, seed=1)
+    def test_raises_where_the_svd_condition_number_reaches_the_limit(self, num_rows, log_limit,
+                                                                     offset, seed):
+        limit = 10.0**log_limit
+        rows = conditioned_rows(num_rows, max(1.0, limit * (1.0 + offset)), seed)
+        _, cond = svd_rows(rows)
+        if abs(cond / limit - 1.0) <= 1e-9:
+            return  # inside the band where rounding may decide either way
+        if cond >= limit:
+            with pytest.raises(UnobservableDisplacementError):
+                factor_rows(rows, limit)
+        else:
+            factor_rows(rows, limit)
+
+    @pytest.mark.parametrize("rows", [
+        np.zeros((4, 2)),
+        np.array([[0.0, 1.0], [0.0, -2.0], [0.0, 0.5]]),
+        np.array([[1.0, 0.0], [-2.0, 0.0], [0.5, 0.0]]),
+        np.outer([1.0, -3.0, 0.25, 2.0], [40.0, -70.0]),
+        np.array([[3.0, 4.0]]),
+    ], ids=["all-zero", "zero-first-column", "zero-second-column", "rank-one", "single-row"])
+    def test_unobservable_stacks_raise(self, rows):
+        with pytest.raises(UnobservableDisplacementError):
+            factor_rows(rows, R_CONDITION_LIMIT)
 
 
 # -- one selection kernel on full arrays and on the gathered active rows ----------

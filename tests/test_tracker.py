@@ -211,7 +211,7 @@ class TestGridSteeringCache:
         coarse = TrackerConfig(aod=AodConfig(grid_step=np.radians(1.0)))
         run_tracker(streams, coarse)
         run_tracker(streams, coarse)
-        assert built == [720, 720, 360]
+        assert built == [722, 722, 362]  # each grid and its two stencil ends
 
 
 def fresh_sum(window):
