@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrayGeometry, PathSet, TWO_PI, check_integer, steering_matrix, steering_vectors
+from .core import (ArrayGeometry, PathSet, TWO_PI, check_integer, check_positive, steering_matrix,
+                   steering_vectors)
 from .errors import WindowUnderfullError
 
 
@@ -37,10 +38,8 @@ class AodConfig:
 
     def __post_init__(self):
         check_integer("num_paths", self.num_paths, 1)
-        if not 0 < self.window_seconds < math.inf:
-            raise ValueError("window_seconds must be positive and finite")
-        if not 0 < self.grid_step < math.inf:
-            raise ValueError("grid_step must be positive and finite")
+        check_positive("window_seconds", self.window_seconds)
+        check_positive("grid_step", self.grid_step)
         check_integer("min_packets", self.min_packets, 1)
         check_integer("refine_iterations", self.refine_iterations, 0)
 
@@ -133,7 +132,9 @@ class PacketWindow:
         call. Sums afresh on a first call, after the live rows moved, when no
         fewer rows changed than are live, when the sum is not finite, and once
         the power subtracted since the last fresh sum exceeds its trace. The
-        array returned is never modified afterwards.
+        array returned is never modified afterwards. Powers are plain-float sums
+        of real diagonals, ``trace().real`` bit for bit up to 3 antennas; from 4
+        on numpy sums a trace pairwise, so a re-sum on a tie to the last bit may differ.
         """
         start, end = self._start, self._end
         old, self._summed = self._summed, (start, end)
@@ -141,8 +142,8 @@ class PacketWindow:
             pushed, expired = self._csi[old[1]:end], self._csi[old[0]:start]
             loss = expired.T @ expired.conj()
             self._sum = self._sum + (pushed.T @ pushed.conj() - loss)
-            self._taken += loss.trace().real
-            if self._taken <= self._sum.trace().real < math.inf:
+            self._taken += sum(loss.real.diagonal().tolist())
+            if self._taken <= sum(self._sum.real.diagonal().tolist()) < math.inf:
                 return self._sum
         self._sum = _fresh_sum(self.matrix)
         self._taken = 0.0

@@ -31,7 +31,9 @@ def wrap_angle(theta):
 
 def circular_distance(a, b):
     """Absolute angular separation, respecting the 2*pi wrap-around."""
-    return np.abs(wrap_angle(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+    d = np.mod(np.subtract(a, b, dtype=float), TWO_PI)
+    distance = np.minimum(d, TWO_PI - d)
+    return float(distance) if distance.ndim == 0 else distance
 
 
 def check_integer(name: str, value, minimum: int) -> None:
@@ -41,6 +43,18 @@ def check_integer(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer, not {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+
+
+def check_positive(name: str, value) -> None:
+    """ValueError, naming the field ``name`` first, unless ``value`` is finite and above 0."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, not {value!r}")
+
+
+def check_finite(name: str, value, minimum: float = -math.inf, maximum: float = math.inf) -> None:
+    """As check_positive, for any finite ``value`` from ``minimum`` to ``maximum``."""
+    if not (math.isfinite(value) and minimum <= value <= maximum):
+        raise ValueError(f"{name} must be finite and in [{minimum:g}, {maximum:g}], not {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +86,7 @@ class ArrayGeometry:
         np.fill_diagonal(separations, np.inf)
         if np.any(separations < 1e-12):
             raise ValueError("antenna positions must be pairwise distinct")
-        if not (np.isfinite(self.wavelength) and self.wavelength > 0):
-            raise ValueError("wavelength must be positive and finite")
+        check_positive("wavelength", self.wavelength)
         positions.flags.writeable = False
         object.__setattr__(self, "antenna_positions", positions)
         object.__setattr__(self, "_relative", positions - positions[0])  # for steering_vectors
@@ -146,14 +159,19 @@ class CsiRecord:
     csi: np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.timestamp):
-            raise ValueError("timestamp must be finite")
         csi = np.asarray(self.csi, dtype=complex)
         if csi.ndim != 1 or csi.size == 0:
             raise ValueError("csi must be a non-empty 1-D complex vector")
-        if not np.isfinite(csi).all():
-            raise ValueError("csi must be finite")
+        _check_samples((self.timestamp,), csi)
         object.__setattr__(self, "csi", csi)
+
+
+def _check_samples(timestamps, csi: np.ndarray) -> None:
+    """ValueError unless every CSI entry and every timestamp is finite."""
+    if not np.isfinite(csi).all():
+        raise ValueError("csi must be finite")
+    if not all(map(math.isfinite, timestamps)):
+        raise ValueError("timestamp must be finite")
 
 
 def checked_records(ap_ids, packet_indices, timestamps, csi) -> list:
@@ -162,10 +180,7 @@ def checked_records(ap_ids, packet_indices, timestamps, csi) -> list:
     csi = np.asarray(csi, dtype=complex)
     if csi.ndim != 2 or csi.shape[1] == 0:
         raise ValueError("csi must be an (N, M) block of non-empty rows")
-    if not np.isfinite(csi).all():
-        raise ValueError("csi must be finite")
-    if not all(map(math.isfinite, timestamps)):
-        raise ValueError("timestamp must be finite")
+    _check_samples(timestamps, csi)
     records = [object.__new__(CsiRecord) for _ in range(len(csi))]
     for name, values in zip(CsiRecord.__slots__, (ap_ids, packet_indices, timestamps, csi)):
         setter = getattr(CsiRecord, name).__set__  # what the frozen __init__ would set
@@ -194,8 +209,7 @@ class PathSet:
         matrix = np.asarray(self.steering_matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[1] != aods.size:
             raise ValueError("steering_matrix must have one column per AoD")
-        if not (np.isfinite(self.wavelength) and self.wavelength > 0):
-            raise ValueError("wavelength must be positive and finite")
+        check_positive("wavelength", self.wavelength)
         object.__setattr__(self, "aods", aods)
         object.__setattr__(self, "steering_matrix", matrix)
 
@@ -240,6 +254,8 @@ class Trajectory:
             raise ValueError("timestamps must match positions")
         if positions.shape[0] == 0:
             raise ValueError("trajectory must hold at least one point")
+        if not (np.isfinite(positions).all() and np.isfinite(timestamps).all()):
+            raise ValueError("positions and timestamps must be finite")
         if np.any(np.diff(timestamps) <= 0):
             raise ValueError("timestamps must be strictly increasing")
         object.__setattr__(self, "positions", positions)

@@ -33,7 +33,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .core import ArrayGeometry, Trajectory, checked_records
+from .core import ArrayGeometry, Trajectory, check_positive, checked_records
 from .errors import ConfigError, TraceParseError, TraceVersionError
 from .evaluation import ErrorCdf
 from .simulator import SimConfig
@@ -63,8 +63,7 @@ class TraceHeader:
             raise ValueError("ap_ids must be non-empty and unique")
         if any(ap.startswith("#") or any(c.isspace() for c in ap) for ap in ap_ids):
             raise ValueError("ap_ids must not contain whitespace or start with '#'")
-        if not self.packet_interval > 0:
-            raise ValueError("packet_interval must be positive")
+        check_positive("packet_interval", self.packet_interval)
         object.__setattr__(self, "ap_ids", ap_ids)
 
 
@@ -114,8 +113,7 @@ def write_trace(path, trace: TraceFile) -> None:
 
 
 def _positive(text: str) -> float:
-    if not 0 < float(text) < math.inf:
-        raise ValueError(f"must be positive and finite, not {text!r}")
+    check_positive("value", float(text))
     return float(text)
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ArrayGeometry, Trajectory, TWO_PI, check_integer, checked_records,
-                   resample_positions, steering_matrix)
+from .core import (ArrayGeometry, Trajectory, TWO_PI, check_finite, check_integer, check_positive,
+                   checked_records, resample_positions, steering_matrix)
 
 #: Largest clock offset the WiFi standard tolerates, Hz.
 MAX_FREQUENCY_OFFSET = 200e3
@@ -32,8 +32,7 @@ class PropagationPath:
     gain: complex
 
     def __post_init__(self):
-        if not np.isfinite(self.aod):
-            raise ValueError("aod must be finite")
+        check_finite("aod", self.aod)
         gain = complex(self.gain)
         if not (np.isfinite(gain.real) and np.isfinite(gain.imag)) or abs(gain) == 0:
             raise ValueError("gain must be finite and nonzero")
@@ -75,12 +74,10 @@ class OffsetModel:
     phase_jitter_std: float = 0.05
 
     def __post_init__(self):
-        if abs(self.frequency_offset) > MAX_FREQUENCY_OFFSET:
-            raise ValueError(f"|frequency_offset| must be <= {MAX_FREQUENCY_OFFSET:g} Hz")
-        if not np.isfinite(self.initial_phase):
-            raise ValueError("initial_phase must be finite")
-        if not (np.isfinite(self.phase_jitter_std) and self.phase_jitter_std >= 0):
-            raise ValueError("phase_jitter_std must be >= 0")
+        check_finite("frequency_offset", self.frequency_offset, -MAX_FREQUENCY_OFFSET,
+                     MAX_FREQUENCY_OFFSET)
+        check_finite("initial_phase", self.initial_phase)
+        check_finite("phase_jitter_std", self.phase_jitter_std, 0.0)
 
 
 @dataclass(frozen=True)
@@ -97,12 +94,10 @@ class SimConfig:
     amplitude_drift_std: float = 0.0
 
     def __post_init__(self):
-        if not self.packet_interval > 0:
-            raise ValueError("packet_interval must be positive")
+        check_positive("packet_interval", self.packet_interval)
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError("snr_db must be finite or +inf (noise off)")
-        if not (np.isfinite(self.amplitude_drift_std) and self.amplitude_drift_std >= 0):
-            raise ValueError("amplitude_drift_std must be >= 0")
+        check_finite("amplitude_drift_std", self.amplitude_drift_std, 0.0)
         check_integer("rng_seed", self.rng_seed, 0)
         offsets = {str(k): v for k, v in self.offsets.items()}
         if set(offsets) != set(self.channel.paths):
@@ -237,16 +232,15 @@ def _amplitude_drift(config: SimConfig, num_paths: int, num_packets: int,
 
 def square_waypoints(side=0.1, speed=0.05) -> Trajectory:
     """Counter-clockwise square path from the origin at time 0, traversed at constant speed."""
-    if side <= 0 or speed <= 0:
-        raise ValueError("side and speed must be positive")
+    check_positive("side", side)
+    check_positive("speed", speed)
     corners = side * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
     return Trajectory(corners, (side / speed) * np.arange(5))
 
 
 def stationary_waypoints(duration, position=(0.0, 0.0)) -> Trajectory:
     """Target that does not move for ``duration`` seconds from time 0."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    check_positive("duration", duration)
     pos = np.asarray(position, dtype=float)
     return Trajectory(np.vstack([pos, pos]), np.array([0.0, duration]))
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aod import AodConfig, PacketWindow, estimate_aods
-from .core import (ArrayGeometry, Displacement, PathSet, Trajectory, check_integer,
+from .core import (ArrayGeometry, Displacement, PathSet, Trajectory, check_finite, check_integer,
                    circular_distance, steering_matrix, steering_vectors)
 from .displacement import (
     A_CONDITION_LIMIT,
@@ -71,8 +71,7 @@ class TrackerConfig:
         for name in ("steering_condition_limit", "stacked_condition_limit"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0 <= self.weak_path_rtol < math.inf:
-            raise ValueError("weak_path_rtol must be finite and >= 0")
+        check_finite("weak_path_rtol", self.weak_path_rtol, 0.0)
 
 
 @functools.cache

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -483,6 +484,22 @@ class TestTrackEvaluate:
         code = run(["simulate", "--config", path, "--motion", "square", "--out", tmp_path / "t.txt"])
         assert code == EXIT_CONFIG
         assert "sim.rng_seed: rng_seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, change", [
+        ("sim.packet_interval", lambda d: d["sim"].update(packet_interval=math.inf)),
+        ("sim.offsets.ap0.frequency_offset",
+         lambda d: d["sim"]["offsets"]["ap0"].update(frequency_offset=math.nan)),
+    ], ids=["packet-interval-inf", "frequency-offset-nan"])
+    def test_non_finite_config_value_is_config_error(self, demo_dir, tmp_path, capsys, path,
+                                                     change):
+        data = json.loads((demo_dir / "config.json").read_text())
+        change(data)
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(data))  # written as Infinity and NaN
+        code = run(["simulate", "--config", config, "--motion", "square", "--out", tmp_path / "t.txt"])
+        assert code == EXIT_CONFIG
+        assert f"error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
 
 
 @pytest.mark.parametrize("command", ["track", "assume-same-clock", "single-packet-aod"])

@@ -88,6 +88,17 @@ class TestAngles:
 
     def test_circular_distance_wraps(self):
         assert circular_distance(0.1, 2 * np.pi - 0.1) == pytest.approx(0.2, abs=1e-12)
+        assert type(circular_distance(0.1, 0.3)) is float
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=hnp.arrays(float, st.integers(1, 8), elements=st.one_of(
+        st.floats(-1e6, 1e6), st.sampled_from([np.pi, -np.pi, 0.0, -0.0]),
+        st.integers(-1000, 1000).map(lambda k: k * 2 * np.pi))), shift=st.floats(-1e6, 1e6))
+    def test_circular_distance_is_the_magnitude_of_the_wrapped_difference(self, a, shift):
+        # min(d, 2*pi - d) rounds to the same magnitude as d - 2*pi, so the two agree bit for bit
+        for b in (np.zeros_like(a), np.full_like(a, shift), a[::-1], a + np.pi, a - 2 * np.pi):
+            assert np.array_equal(circular_distance(a, b), np.abs(wrap_angle(a - b)))
+            assert circular_distance(a[0], b[0]) == abs(wrap_angle(a[0] - b[0]))
 
 
 class TestGeometryValidation:
@@ -215,6 +226,10 @@ class TestDomainTypes:
         (np.zeros((2, 3)), [0.0, 1.0], "must be an \\(N, 2\\) array"),
         (np.zeros((2, 2)), [0.0, 1.0, 2.0], "timestamps must match positions"),
         (np.zeros((2, 2)), [[0.0, 1.0]], "timestamps must match positions"),
+        pytest.param([[0.0, 0.0], [np.nan, 0.0]], [0.0, 1.0], "must be finite", id="position-nan"),
+        pytest.param([[0.0, 0.0], [0.0, np.inf]], [0.0, 1.0], "must be finite", id="position-inf"),
+        pytest.param(np.zeros((2, 2)), [0.0, np.nan], "must be finite", id="timestamp-nan"),
+        pytest.param(np.zeros((2, 2)), [0.0, np.inf], "must be finite", id="timestamp-inf"),
     ])
     def test_trajectory_rejects_malformed_arrays(self, positions, timestamps, match):
         with pytest.raises(ValueError, match=match):

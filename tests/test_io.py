@@ -18,7 +18,7 @@ from conftest import AP_IDS, default_geometry, make_sim_config
 from csitrack import io as trace_io
 from csitrack.aod import AodConfig
 from csitrack.cli import indoor_4ap_preset
-from csitrack.core import ArrayGeometry, CsiRecord, Trajectory
+from csitrack.core import ArrayGeometry, CsiRecord, PathSet, Trajectory
 from csitrack.errors import ConfigError, TraceParseError, TraceVersionError
 from csitrack.evaluation import ErrorCdf
 from csitrack.io import (
@@ -45,6 +45,7 @@ from csitrack.simulator import (
     PropagationPath,
     SimConfig,
     simulate_trajectory,
+    square_waypoints,
     stationary_waypoints,
 )
 from csitrack.tracker import MODES, TrackerConfig
@@ -352,7 +353,7 @@ def test_trace_header_rejects_ap_ids_the_format_cannot_hold():
             TraceHeader(default_geometry(), bad, 0.006)
 
 
-@pytest.mark.parametrize("interval", [0.0, -0.006, math.nan])
+@pytest.mark.parametrize("interval", [0.0, -0.006, math.nan, math.inf])
 def test_trace_header_rejects_a_packet_interval_that_is_not_positive(interval):
     with pytest.raises(ValueError, match="packet_interval must be positive"):
         TraceHeader(default_geometry(), AP_IDS, interval)
@@ -560,6 +561,11 @@ class TestConfigSchema:
                      id="packet-interval-zero"),
         pytest.param("sim.amplitude_drift_std",
                      lambda d: d["sim"].update(amplitude_drift_std=-1.0), id="drift-negative"),
+        pytest.param("sim.offsets.ap1.frequency_offset",
+                     lambda d: d["sim"]["offsets"]["ap1"].update(frequency_offset=math.nan),
+                     id="frequency-offset-nan"),
+        pytest.param("sim.packet_interval", lambda d: d["sim"].update(packet_interval=math.inf),
+                     id="packet-interval-inf"),
         pytest.param("ap_ids: must be non-empty", lambda d: d.update(ap_ids=[]),
                      id="ap-ids-empty"),
         pytest.param("ap_ids: must be non-empty and unique",
@@ -594,6 +600,32 @@ class TestConfigSchema:
         with pytest.raises(ValueError, match=f"^{name} must be "):
             make(value)
         assert getattr(make(np.int64(3)), name) == 3  # a numpy integer is an integer
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key, make", [pytest.param(key, make, id=key) for key, make in [
+        ("window_seconds", lambda v: AodConfig(window_seconds=v)),
+        ("grid_step", lambda v: AodConfig(grid_step=v)),
+        ("ArrayGeometry.wavelength", lambda v: ArrayGeometry([[0.0, 0.0], [0.03, 0.0]], v)),
+        ("PathSet.wavelength", lambda v: PathSet("ap0", [0.5], [[1.0], [1.0]], v)),
+        ("TraceHeader.packet_interval", lambda v: TraceHeader(default_geometry(), AP_IDS, v)),
+        ("SimConfig.packet_interval",
+         lambda v: dataclasses.replace(make_sim_config(0), packet_interval=v)),
+        ("side", lambda v: square_waypoints(side=v)),
+        ("speed", lambda v: square_waypoints(speed=v)),
+        ("duration", lambda v: stationary_waypoints(v)),
+        ("aod", lambda v: PropagationPath(v, 1.0)),
+        ("frequency_offset", lambda v: OffsetModel(frequency_offset=v)),
+        ("initial_phase", lambda v: OffsetModel(initial_phase=v)),
+        ("phase_jitter_std", lambda v: OffsetModel(phase_jitter_std=v)),
+        ("amplitude_drift_std",
+         lambda v: dataclasses.replace(make_sim_config(0), amplitude_drift_std=v)),
+        ("weak_path_rtol", lambda v: TrackerConfig(weak_path_rtol=v)),
+    ]])
+    def test_real_field_refuses_nan_and_infinity(self, key, make, value):
+        # the field's name leads the message, so a config loader can name its path
+        with pytest.raises(ValueError, match=f"^{key.rpartition('.')[2]} must be "):
+            make(value)
+        make(np.float64(0.5))  # a numpy float in range is accepted
 
     def test_integer_for_a_float_field_loads_as_a_float(self):
         data = config_to_dict(indoor_4ap_preset(1234))

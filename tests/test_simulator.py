@@ -316,12 +316,20 @@ class TestWaypoints:
         steps = np.linalg.norm(np.diff(trajectory.positions, axis=0), axis=1)
         assert steps.max() < 0.005  # stays well below lambda/2 per packet
 
-    @pytest.mark.parametrize("make", [
-        lambda: square_waypoints(side=0.0), lambda: square_waypoints(speed=-0.05),
-        lambda: stationary_waypoints(0.0),
-    ], ids=["square-side-zero", "square-speed-negative", "stationary-duration-zero"])
-    def test_waypoint_generators_reject_non_positive_sizes(self, make):
-        with pytest.raises(ValueError, match="must be positive"):
+    @pytest.mark.parametrize("make, match", [
+        (lambda: square_waypoints(side=0.0), "side must be positive"),
+        (lambda: square_waypoints(speed=-0.05), "speed must be positive"),
+        (lambda: stationary_waypoints(0.0), "duration must be positive"),
+        (lambda: square_waypoints(side=math.nan), "side must be positive and finite"),
+        (lambda: square_waypoints(speed=math.inf), "speed must be positive and finite"),
+        (lambda: stationary_waypoints(math.nan), "duration must be positive and finite"),
+        (lambda: stationary_waypoints(math.inf), "duration must be positive and finite"),
+        (lambda: random_waypoints(scale=math.nan), "positions and timestamps must be finite"),
+    ], ids=["square-side-zero", "square-speed-negative", "stationary-duration-zero",
+            "square-side-nan", "square-speed-inf", "stationary-duration-nan",
+            "stationary-duration-inf", "random-scale-nan"])
+    def test_waypoint_generators_reject_non_positive_sizes(self, make, match):
+        with pytest.raises(ValueError, match=match):
             make()
 
     def test_empty_waypoints_rejected(self):
