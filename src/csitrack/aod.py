@@ -10,7 +10,7 @@ subarrays, and the packet diversity plays the decorrelation role instead.
 The tracker estimates every AP due on a packet in one batch (:func:`estimate_aods`:
 one ``eigh``, one grid scan that also gives the first refinement round, one
 refinement loop) on the running sums of x x^H that each :class:`PacketWindow`
-keeps; :func:`estimate_paths`, for one window, sums X X^H afresh.
+keeps, expiring packets when read; :func:`estimate_paths` sums X X^H afresh.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ class PacketWindow:
     expiring cost amortized O(1): when the buffer fills, the live rows move
     to a fresh buffer, twice as large only when they occupy more than half of
     the old one. A fresh buffer (rather than an in-place shift) leaves any
-    view handed out earlier unchanged. Expired rows stay in the buffer until
-    that move, so :meth:`outer_sum` can subtract them.
+    view handed out earlier unchanged. Rows expire when the window is read and
+    before that move (not on append), and stay in the buffer until the move,
+    so :meth:`outer_sum` can subtract them.
     """
 
     def __init__(self, ap_id: str, num_antennas: int):
@@ -80,6 +81,7 @@ class PacketWindow:
         self._sum = np.zeros((num_antennas, num_antennas), dtype=complex)  # x x^H
         self._summed = None  # the buffer rows (start, end) the sum covers
         self._taken = 0.0  # power subtracted since the sum was summed afresh
+        self._horizon = -math.inf  # rows before it expire on the next read
 
     @classmethod
     def from_records(cls, records, min_packets: int = 1) -> PacketWindow:
@@ -95,14 +97,17 @@ class PacketWindow:
         return window
 
     def __len__(self) -> int:
-        return self._end - self._start
+        start, end = self._live()
+        return end - start
 
-    def append(self, csi: np.ndarray, timestamp: float) -> None:
+    def append(self, csi: np.ndarray, timestamp: float, horizon: float = -math.inf) -> None:
+        """Add a packet; those before ``horizon`` (never decreasing) expire on the next read."""
         if self._end == self._timestamps.size:
             self._move_live_rows()
         self._csi[self._end] = csi
         self._timestamps[self._end] = timestamp
         self._end += 1
+        self._horizon = horizon
 
     def _move_live_rows(self) -> None:
         count = len(self)
@@ -117,13 +122,13 @@ class PacketWindow:
         self._start, self._end = 0, count
         self._summed = None
 
-    def expire(self, horizon: float) -> None:
-        """Drop packets from the front while their timestamp is before ``horizon``."""
-        timestamps = self._timestamps
+    def _live(self):
+        """The window's buffer rows (start, end), once front rows before the horizon expire."""
         start, end = self._start, self._end
-        while start < end and timestamps[start] < horizon:
+        while start < end and self._timestamps[start] < self._horizon:
             start += 1
         self._start = start
+        return start, end
 
     def outer_sum(self) -> np.ndarray:
         """The (M, M) sum of x x^H over the window, kept running between calls.
@@ -136,7 +141,7 @@ class PacketWindow:
         of real diagonals, ``trace().real`` bit for bit up to 3 antennas; from 4
         on numpy sums a trace pairwise, so a re-sum on a tie to the last bit may differ.
         """
-        start, end = self._start, self._end
+        start, end = self._live()
         old, self._summed = self._summed, (start, end)
         if old is not None and start - old[0] + end - old[1] < end - start:
             pushed, expired = self._csi[old[1]:end], self._csi[old[0]:start]
@@ -149,19 +154,21 @@ class PacketWindow:
         self._taken = 0.0
         return self._sum
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Read-only M x P view of the window, column per packet."""
-        view = self._csi[self._start:self._end].T
+    def _view(self, buffer: np.ndarray) -> np.ndarray:
+        start, end = self._live()
+        view = buffer[start:end]
         view.flags.writeable = False
         return view
 
     @property
+    def matrix(self) -> np.ndarray:
+        """Read-only M x P view of the window, column per packet."""
+        return self._view(self._csi).T
+
+    @property
     def timestamps(self) -> np.ndarray:
         """Read-only view of the window's timestamps, oldest first."""
-        view = self._timestamps[self._start:self._end]
-        view.flags.writeable = False
-        return view
+        return self._view(self._timestamps)
 
 
 def _noise_subspaces(covariance: np.ndarray, num_paths: int) -> np.ndarray:

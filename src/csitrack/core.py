@@ -256,7 +256,7 @@ class Trajectory:
             raise ValueError("trajectory must hold at least one point")
         if not (np.isfinite(positions).all() and np.isfinite(timestamps).all()):
             raise ValueError("positions and timestamps must be finite")
-        if np.any(np.diff(timestamps) <= 0):
+        if np.any(timestamps[1:] <= timestamps[:-1]):  # a difference can overflow
             raise ValueError("timestamps must be strictly increasing")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "timestamps", timestamps)

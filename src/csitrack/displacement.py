@@ -9,13 +9,12 @@ displacement and are solved by least squares, stacking rows from all APs.
 
 The tracker factors each AP's steering matrix once per path-set estimate
 (:func:`factor_steering`) and projects each packet once (:func:`project`):
-its :func:`path_strengths` serve its pairs with both neighbours. One pass over
-two packets' strengths selects every AP's paths (:func:`select_paths`); the
-rows of a selection (:func:`row_geometry`) and their least-squares matrix
-(:func:`factor_rows`, by Gram-Schmidt) are made once per estimate, and one
-product with it solves each pair's phases. :func:`path_weights`,
-:func:`attenuation_change` and :func:`estimate_displacement` are the same
-math for a single packet pair, gated by the module's fixed limits.
+its :func:`path_strengths` serve its pairs with both neighbours. One pass on plain
+floats over two packets' strengths gives every AP's turns and a plan key (:func:`select_rows`);
+the rows of a key (:func:`plan_rows`) and their least-squares matrix (:func:`factor_rows`,
+by Gram-Schmidt) are made once per key and estimate, and solve each pair's phases.
+:func:`path_weights`, :func:`attenuation_change` and :func:`estimate_displacement`
+are the same math for a single packet pair, gated by the module's fixed limits.
 """
 
 from __future__ import annotations
@@ -93,9 +92,7 @@ def path_weights(csi: np.ndarray, paths: PathSet, packet_index: int = -1) -> Pat
     """Least-squares combination weights of ``csi`` over the steering matrix."""
     pinv, cond = factor_steering(paths.steering_matrix)
     if cond >= A_CONDITION_LIMIT:
-        raise DegenerateGeometryError(
-            f"steering matrix condition number exceeds {A_CONDITION_LIMIT:g}"
-        )
+        raise DegenerateGeometryError(f"steering matrix condition number exceeds {A_CONDITION_LIMIT:g}")
     return PathWeights(paths.ap_id, packet_index, project(pinv, np.asarray(csi, dtype=complex)))
 
 
@@ -114,51 +111,55 @@ def attenuation_change(first: PathWeights, second: PathWeights) -> AttenuationCh
 
 
 def path_strengths(weights: np.ndarray, weak_rtol: float):
-    """(A, L) weights' angles, their magnitudes and each AP's floor: ``weak_rtol`` times their norm."""
+    """(A, L) weights' angles and magnitudes, each AP's floor (``weak_rtol`` x norm): lists."""
     magnitude = np.abs(weights)
-    return (np.arctan2(weights.imag, weights.real), magnitude,
-            weak_rtol * np.hypot.reduce(magnitude, axis=-1, keepdims=True))
+    return (np.arctan2(weights.imag, weights.real).tolist(), magnitude.tolist(),
+            (weak_rtol * np.hypot.reduce(magnitude, axis=-1)).tolist())
 
 
-def select_paths(first, second, same_clock: bool, active: np.ndarray):
-    """Path selection of A APs in one pass over two packets'
-    :func:`path_strengths` on each AP's paths: (A, L) path angles, their
-    magnitudes and each AP's weak-path floor. Only the APs of the (A,) mask
-    ``active`` give rows. A path weaker than its AP's floor in either packet
-    is dropped (a transient fade, not a fault). Subtracting the angle change
-    (turn) of the AP's reference path, its kept path strongest in both
-    packets, cancels the clock phase with the least noise amplification;
-    ``same_clock`` subtracts nothing, leaving it in every turn.
+def select_rows(first, second, same_clock: bool, active):
+    """Every ``active`` AP's paths selected on plain floats in one pass over two packets'
+    :func:`path_strengths`: a path below its AP's floor in either packet is dropped (a
+    fade, not a fault); the turn (angle change) of the reference, the first kept path
+    strongest in both, cancels the clock phase with the least noise, and ``same_clock``
+    has none. Returns the plan key, per AP () or its reference and its rows' paths; the
+    count of active APs with too few kept paths for a row (two, or one with
+    ``same_clock``); and the rows' turns in [-pi, pi), in the key's order."""
+    (angles, magnitudes, floors), (angles2, magnitudes2, _) = first, second
+    key, turns, short = [], [], 0
+    for a, is_active in enumerate(active):
+        floor, kept, ref, best = floors[a], [], None, 0.0
+        for k, (magnitude, magnitude2) in enumerate(zip(magnitudes[a], magnitudes2[a])):
+            if is_active and magnitude > floor and magnitude2 > floor:
+                kept.append(k)
+                strength = magnitude if magnitude < magnitude2 else magnitude2
+                if strength > best and not same_clock:
+                    ref, best = k, strength
+        if len(kept) < (1 if same_clock else 2):
+            short += is_active
+            key.append(())
+            continue
+        angle, angle2, base = angles[a], angles2[a], 0.0  # turn - 0.0 is turn, bit for bit
+        if ref is not None:
+            kept.remove(ref)
+            base = angle2[ref] - angle[ref]
+        key.append((ref, *kept))
+        for k in kept:
+            turns.append((angle2[k] - angle[k] - base + math.pi) % TWO_PI - math.pi)
+    return tuple(key), short, turns
 
-    Returns the (A, L) mask of paths that give a row, each AP's reference
-    path (None with ``same_clock``), the (A,) mask of active APs with fewer
-    kept paths than the rows need (two, or one with ``same_clock``), which
-    give none, and the (A, L) turns in [-pi, pi), meaningful where a path
-    gives a row."""
-    (angle, magnitude, floor), (angle2, magnitude2, _) = first, second
-    strength = np.minimum(magnitude, magnitude2)
-    keep = (strength > floor) & active[:, None]
-    short = (np.add.reduce(keep, axis=-1) < (1 if same_clock else 2)) & active
-    turn, ref = angle2 - angle, None
-    if not same_clock:
-        ref = (strength * keep).argmax(axis=-1)  # kept paths are > 0; a short AP's lone one is ref
-        at_ref = np.arange(ref.size), ref
-        turn -= turn[at_ref][:, None]
-        keep[at_ref] = False
-    return keep, ref, short, (turn + np.pi) % TWO_PI - np.pi
 
-
-def row_geometry(directions: np.ndarray, keep: np.ndarray, ref, wavelength: float):
-    """Rows R (N, 2) of a :func:`select_paths` selection, in AP-then-path
-    order, and the (AP, path) index of their turns, the phases s. The (A, L,
-    2) ``directions`` are the unit vectors [cos(theta), sin(theta)] of the
-    path AoDs; row k is (-2*pi/lambda) * (direction_k - direction_ref), or
-    (-2*pi/lambda) * direction_k with ``ref`` None. No unwrapping is applied:
-    per-packet displacements stay well below lambda/2, so these differential
-    phases cannot wrap. The rows change only with the path set or selection."""
-    aps, paths = index = np.nonzero(keep)
-    rows = directions[index] if ref is None else directions[index] - directions[aps, ref[aps]]
-    return (-TWO_PI / wavelength) * rows, index
+def plan_rows(directions, key, wavelength: float):
+    """Rows R (N [x, y] lists) of a :func:`select_rows` plan ``key``, in its order: (-2*pi/lambda)
+    * (direction_k - direction_ref), or * direction_k with no reference; ``directions[a][k]``
+    is [cos, sin] of AP a's path k. A pair moves far below lambda/2, so no phase wraps."""
+    scale, rows = -TWO_PI / wavelength, []
+    for entry, vectors in zip(key, directions):
+        if entry:
+            ref, *paths = entry
+            x0, y0 = (0.0, 0.0) if ref is None else vectors[ref]  # x - 0.0 is x, bit for bit
+            rows += [[scale * (x - x0), scale * (y - y0)] for x, y in (vectors[k] for k in paths)]
+    return rows
 
 
 def estimate_displacement(per_ap_rows) -> Displacement:
@@ -169,18 +170,18 @@ def estimate_displacement(per_ap_rows) -> Displacement:
         raise UnobservableDisplacementError("no contributing APs")
     rows = np.vstack([rows for rows, _ in per_ap_rows])
     phases = np.concatenate([np.atleast_1d(phases) for _, phases in per_ap_rows])
-    return Displacement(factor_rows(rows, R_CONDITION_LIMIT) @ phases)
+    return Displacement(factor_rows(rows.tolist(), R_CONDITION_LIMIT) @ phases)
 
 
-def factor_rows(rows: np.ndarray, cond_limit: float) -> np.ndarray:
-    """The (2, N) least-squares matrix T^-1 Q^T of stacked rows R = Q T (N, 2), which
-    maps their phases to the displacement; UnobservableDisplacementError for fewer
+def factor_rows(rows, cond_limit: float) -> np.ndarray:
+    """The (2, N) least-squares matrix T^-1 Q^T of stacked rows R = Q T (N [x, y] lists),
+    which maps their phases to the displacement; UnobservableDisplacementError for fewer
     than two rows or a 2-norm condition number of at least ``cond_limit``. Gram-Schmidt
     gives Q = [q1 q2], T = [[r11, r12], [0, r22]], error eps * cond (normal equations:
     eps * cond^2), and R's singular values: product r11 r22, squares' sum ||T||_F^2."""
-    if rows.shape[0] < 2:
+    if len(rows) < 2:
         raise UnobservableDisplacementError("one equation cannot determine a 2D displacement")
-    first, second = rows.T.tolist()  # a few rows: plain floats cost less than array calls
+    first, second = zip(*rows)  # a few rows: plain floats cost less than array calls
     r11 = math.hypot(*first)
     if r11 > 0:
         q1 = [x / r11 for x in first]

@@ -251,6 +251,9 @@ def random_waypoints(scale=0.5, duration=6.0, packet_interval=0.006, seed=0) -> 
     The combined x/y span is normalized to ``scale`` meters, keeping
     per-packet displacements far below lambda/2 at WiFi packet rates.
     """
+    check_positive("scale", scale)
+    check_positive("duration", duration)
+    check_positive("packet_interval", packet_interval)
     rng = np.random.default_rng(seed)
     count = int(math.floor(duration / packet_interval + 1e-9)) + 1
     t = packet_interval * np.arange(count)

@@ -1,18 +1,15 @@
 """End-to-end motion tracking over synchronized CSI streams.
 
-Maintains a sliding window of recent packets per AP (a
-:class:`~csitrack.aod.PacketWindow`, which keeps a running sum of x x^H over
-its packets), re-estimates the paths of every AP that is due on a packet in
-one batch (:func:`~csitrack.aod.estimate_aods` on those sums, then
-:func:`continuity_order` and one stacked factorization), projects each packet
-once onto the paths, fuses the per-AP offset-cancelled rows of each packet
-pair into one displacement (one array kernel for all APs, see
-:mod:`csitrack.displacement`) and integrates it from the origin. The last
-packet is kept as one record (CSI, APs present, path strengths), re-projected
-only if the paths change; each selection's least-squares matrix lasts until
-the next estimate. Samples whose displacement is unobservable carry the
-previous position forward with a quality flag, so the trajectory keeps a
-uniform timebase for evaluation.
+Keeps a sliding window of recent packets per AP (a :class:`~csitrack.aod.PacketWindow`: a
+running sum of x x^H, expired when read), re-estimates the paths of every AP due on a packet
+in one batch (:func:`~csitrack.aod.estimate_aods` on those sums, :func:`continuity_order`,
+one stacked factorization), projects each packet once onto the paths, selects every AP's
+paths of a packet pair in one pass on plain floats, fuses their offset-cancelled rows into
+one displacement (see :mod:`csitrack.displacement`) and integrates it from the origin. The
+last packet is one record (CSI, APs present, path strengths as lists), re-projected only if
+the paths change; each plan key's least-squares matrix lasts until the next estimate.
+Samples whose displacement is unobservable carry the previous position forward with a
+quality flag, so the trajectory keeps a uniform timebase for evaluation.
 """
 
 from __future__ import annotations
@@ -35,9 +32,9 @@ from .displacement import (
     factor_rows,
     factor_steering,
     path_strengths,
+    plan_rows,
     project,
-    row_geometry,
-    select_paths,
+    select_rows,
 )
 from .errors import (
     DegenerateGeometryError,
@@ -116,19 +113,18 @@ class Tracker:
         num_aps, num_paths, num_antennas = len(self.ap_ids), aod.num_paths, geometry.num_antennas
         self._slots = {ap: slot for slot, ap in enumerate(self.ap_ids)}
         # pushes since the last estimate; stride before the first, so it is due once warm
-        self._since_estimate = np.full(num_aps, self.config.stride)
+        self._since_estimate = [self.config.stride] * num_aps
         self._aods = np.zeros((num_aps, num_paths))
         self._degenerate = np.zeros(num_aps, dtype=bool)
         self._pinv = np.zeros((num_aps, num_paths, num_antennas), dtype=complex)
         self._directions = np.zeros((num_aps, num_paths, 2))  # [cos, sin] of each AoD
-        self._has_paths = np.zeros(num_aps, dtype=bool)
-        self._usable = np.zeros(num_aps, dtype=bool)  # steering condition gate passed
-        # (keep, ref) pattern -> row index and least-squares matrix, or the
-        # UnobservableDisplacementError they raise; valid until the next estimate
+        self._has_paths = [False] * num_aps
+        self._usable = [False] * num_aps  # steering condition gate passed
+        # plan key -> least-squares matrix, or the error it raises; until the next estimate
         self._plans = {}
         # the last whole packet, or after a raise one that holds no AP and so pairs with nothing
         self._unpaired = self._last = self._packet(
-            np.zeros((num_aps, num_antennas), dtype=complex), np.zeros(num_aps, dtype=bool))
+            np.zeros((num_aps, num_antennas), dtype=complex), [False] * num_aps)
         self._previous_index = self._previous_time = -math.inf
         self._position = np.asarray(self.config.origin, dtype=float)
         self._positions = []
@@ -139,30 +135,29 @@ class Tracker:
     # -- per-packet update ----------------------------------------------------
 
     def _packet(self, csi, present):
-        """A packet's record: its CSI, the APs it holds and its path_strengths on the paths."""
-        return csi, present, path_strengths(project(self._pinv, csi), self.config.weak_path_rtol)
+        """A packet's record: its CSI, the APs it holds (bools) and its path_strengths (lists)."""
+        return csi, present, *path_strengths(project(self._pinv, csi), self.config.weak_path_rtol)
 
     def _update_paths(self, last):
         """Re-estimate every due AP's paths as one batch; factor their steering
         matrices as one. Returns the record ``last``, re-projected if the paths changed."""
-        due = self._since_estimate >= self.config.stride
-        due &= [len(window) >= self.config.aod.min_packets for window in self._windows.values()]
-        if not np.count_nonzero(due):
+        stride, min_packets = self.config.stride, self.config.aod.min_packets
+        slots = [slot for slot, window in enumerate(self._windows.values())
+                 if self._since_estimate[slot] >= stride and len(window) >= min_packets]
+        if not slots:
             return last
-        slots = due.nonzero()[0].tolist()
-        at = slots if len(slots) < len(due) else slice(None)  # all APs: a cheaper slice
+        at = slots if len(slots) < len(self.ap_ids) else slice(None)  # all APs: a cheaper slice
         windows = [self._windows[self.ap_ids[slot]] for slot in slots]
         aods, degenerate = estimate_aods(windows, self.geometry, self.config.aod)
         # a first estimate follows itself, which keeps the estimator's order
-        previous = np.where(self._has_paths[at, None], self._aods[at], aods)
+        previous = np.where([[self._has_paths[slot]] for slot in slots], self._aods[at], aods)
         aods = aods[np.arange(len(slots))[:, None], continuity_order(previous, aods)]
         cos, sin = np.cos(aods), np.sin(aods)
         self._pinv[at], cond = factor_steering(steering_vectors(self.geometry, cos, sin))
-        self._usable[at] = cond < self.config.steering_condition_limit
         self._aods[at], self._degenerate[at] = aods, degenerate
         self._directions[at] = np.array([cos, sin]).transpose(1, 2, 0)
-        self._has_paths[at] = True
-        self._since_estimate[at] = 0
+        for slot, usable in zip(slots, (cond < self.config.steering_condition_limit).tolist()):
+            self._usable[slot], self._has_paths[slot], self._since_estimate[slot] = usable, True, 0
         self._plans.clear()
         return self._packet(*last[:2])
 
@@ -179,7 +174,7 @@ class Tracker:
         """
         if not records:
             raise ValueError("records must not be empty")
-        present = np.zeros(len(self.ap_ids), dtype=bool)
+        present = [False] * len(self.ap_ids)
         csi = np.zeros(self._unpaired[0].shape, dtype=complex)
         indices, now = set(), -math.inf
         for ap_id, record in records.items():
@@ -209,11 +204,9 @@ class Tracker:
         self._previous_index, self._previous_time = packet_index, now
         horizon = now - self.config.aod.window_seconds
         for record in records.values():
-            window = self._windows[record.ap_id]
-            window.append(record.csi, record.timestamp)
-            window.expire(horizon)
-        self._since_estimate += present
-        if np.count_nonzero(self._since_estimate >= self.config.stride):  # once warm, 1 in stride
+            self._windows[record.ap_id].append(record.csi, record.timestamp, horizon)
+        self._since_estimate = [count + p for count, p in zip(self._since_estimate, present)]
+        if max(self._since_estimate) >= self.config.stride:  # once warm, 1 in stride
             last = self._update_paths(last)
         packet = self._packet(csi, present)
 
@@ -228,31 +221,29 @@ class Tracker:
     def _pair_update(self, last, packet, now):
         """Select every AP's paths for the records ``last`` and ``packet`` and
         solve their rows together; count each AP with paths that gives no row."""
-        (_, last_present, first), (_, present, second) = last, packet
-        pairs = last_present & present & self._has_paths
-        active = pairs & self._usable
-        same_clock = self.config.mode == "assume-same-clock"
-        keep, ref, short, turn = select_paths(first, second, same_clock, active)
-        num_pairs, num_active = np.count_nonzero(pairs), np.count_nonzero(active)
-        for reason, count in (("absent", np.count_nonzero(self._has_paths) - num_pairs),
+        (_, last_present, *first), (_, present, *second) = last, packet
+        pairs = [p and q and h for p, q, h in zip(last_present, present, self._has_paths)]
+        active = [p and usable for p, usable in zip(pairs, self._usable)]
+        key, short, turns = select_rows(first, second, self.config.mode == "assume-same-clock",
+                                        active)
+        num_pairs, num_active = sum(pairs), sum(active)
+        for reason, count in (("absent", sum(self._has_paths) - num_pairs),
                               (DegenerateGeometryError.__name__, num_pairs - num_active),
-                              (InsufficientPathsError.__name__, np.count_nonzero(short))):
+                              (InsufficientPathsError.__name__, short)):
             if count:
-                self.exclusions[reason] += int(count)  # JSON-ready counts
-        key = (keep.tobytes(), None if same_clock else ref.tobytes())
+                self.exclusions[reason] += count
         plan = self._plans.get(key)
         if plan is None:
-            rows, index = row_geometry(self._directions, keep, ref, self.geometry.wavelength)
+            rows = plan_rows(self._directions.tolist(), key, self.geometry.wavelength)
             try:
-                plan = index, factor_rows(rows, self.config.stacked_condition_limit)
+                plan = factor_rows(rows, self.config.stacked_condition_limit)
             except UnobservableDisplacementError as error:
                 plan = error.with_traceback(None)  # keeps no frame alive
             self._plans[key] = plan
         if isinstance(plan, UnobservableDisplacementError):
             self._emit(now, "dead-reckoned")
             return None
-        index, solver = plan
-        displacement = Displacement(solver @ turn[index])
+        displacement = Displacement(plan @ turns)
         self._position = self._position + displacement.delta
         self._emit(now, "ok")
         return displacement
@@ -292,9 +283,7 @@ class Tracker:
     @property
     def path_sets(self) -> dict:
         """Current PathSet per AP (None until the AP's window is warm)."""
-        return {
-            ap: PathSet(ap, self._aods[slot].copy(), steering_matrix(self.geometry, self._aods[slot]),
-                        self.geometry.wavelength, bool(self._degenerate[slot]))
-            if self._has_paths[slot] else None
-            for slot, ap in enumerate(self.ap_ids)
-        }
+        return {ap: PathSet(ap, self._aods[slot].copy(),
+                            steering_matrix(self.geometry, self._aods[slot]),
+                            self.geometry.wavelength, bool(self._degenerate[slot]))
+                if self._has_paths[slot] else None for slot, ap in enumerate(self.ap_ids)}

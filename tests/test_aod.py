@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import AP_IDS, default_geometry
 
@@ -80,14 +80,16 @@ class TestConcatWindow:
             PacketWindow.from_records(records, min_packets=20)
 
 
+_WINDOW_READS = ("len", "matrix", "timestamps", "outer_sum")
+
+
 class TestPacketWindow:
     def test_growth_and_compaction_keep_rows_and_earlier_views(self):
         X = synth_window(default_geometry(), [0.8, 2.1], 300, seed=3)
         window = PacketWindow("ap0", 3)
         views = []
         for p in range(300):
-            window.append(X[:, p], 0.006 * p)
-            window.expire(0.006 * (p - 39))  # keeps the last 40 packets
+            window.append(X[:, p], 0.006 * p, 0.006 * (p - 39))  # keeps the last 40 packets
             views.append((p, window.matrix))
         # 64 -> 128 rows by growth, then compaction each time the 128 rows fill
         np.testing.assert_array_equal(window.matrix, X[:, 260:])
@@ -96,6 +98,42 @@ class TestPacketWindow:
             np.testing.assert_array_equal(view, X[:, max(p - 39, 0):p + 1])
         assert window.matrix.flags.f_contiguous
         assert not window.matrix.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(st.tuples(st.sampled_from([0, 1, 1, 1, 1, 1, 2, 7, 40]),
+                                    st.integers(0, 1), st.integers(1, 150),
+                                    st.lists(st.sampled_from(_WINDOW_READS), unique=True)),
+                          min_size=1, max_size=400),
+           seed=st.integers(0, 2**32 - 1))
+    # the 65th append moves the rows while a gap's expiry waits for a read:
+    # 22 live rows stay in 64, where the 64 unexpired rows would double it
+    @example(steps=[(1, 0, 40, [])] * 63 + [(20, 0, 40, []), (1, 0, 40, ["len"])], seed=0)
+    # a gap, then a read of the timestamps alone
+    @example(steps=[(1, 0, 5, [])] * 10 + [(7, 0, 5, ["timestamps"])], seed=0)
+    def test_expiry_on_read_equals_expiry_after_each_append(self, steps, seed):
+        """A window read now and then holds, at every read, what a window
+        read after each append holds, bit for bit: across gaps that expire
+        several rows, reads that follow several appends, and the buffer's
+        growth and moves, which the same buffer sizes show."""
+        rng = np.random.default_rng(seed)
+        interval = 2.0**-7  # binary fractions: a timestamp can equal the horizon exactly
+        on_read, on_append = PacketWindow("ap0", 3), PacketWindow("ap0", 3)
+        time = horizon = 0.0
+        for gap, early, span, reads in steps:
+            time += gap * interval
+            horizon = max(horizon, time - span * interval)  # horizons never decrease
+            csi = rng.normal(size=3) + 1j * rng.normal(size=3)
+            on_read.append(csi, time - early * 0.5 * interval, horizon)
+            on_append.append(csi, time - early * 0.5 * interval, horizon)
+            len(on_append)  # expires at once
+            assert on_read._csi.shape == on_append._csi.shape  # the same capacity decisions
+            for read in reads:
+                if read == "len":
+                    assert len(on_read) == len(on_append)
+                elif read == "outer_sum":
+                    assert np.array_equal(on_read.outer_sum(), on_append.outer_sum())
+                else:
+                    assert np.array_equal(getattr(on_read, read), getattr(on_append, read))
 
     def test_estimate_paths_reads_a_window_like_its_records(self):
         geometry = default_geometry()
@@ -352,8 +390,7 @@ def batch_of_windows(antennas, kinds, lengths, seed):
                          diverse=kind != "stationary")
         window = PacketWindow(f"ap{a}", geometry.num_antennas)
         for p in range(X.shape[1]):
-            window.append(X[:, p], 0.006 * p)
-        window.expire(0.006 * a)  # drop a packets from the front
+            window.append(X[:, p], 0.006 * p, 0.006 * a)  # drops a packets from the front
         windows.append(window)
     return geometry, num_paths, windows
 

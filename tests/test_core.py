@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from csitrack.core import (
@@ -236,8 +236,12 @@ class TestDomainTypes:
             Trajectory(positions, np.array(timestamps))
 
     def test_trajectory_requires_increasing_timestamps(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.zeros((2, 2)), np.array([0.0, 0.0]))
+        # equal, decreasing, and decreasing by more than the largest double
+        for timestamps in ([0.0, 0.0], [1.0, 0.0], [1e308, -1e308], [0.0, 5.0, 5.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                Trajectory(np.zeros((len(timestamps), 2)), np.array(timestamps))
+        # increasing by more than the largest double, with no overflow warning
+        assert len(Trajectory(np.zeros((2, 2)), np.array([-1e308, 1e308]))) == 2
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
@@ -248,10 +252,12 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), count=st.integers(1, 40))
-def test_resampling_at_its_own_timestamps_returns_its_positions(data, count):
+@given(times=hnp.arrays(float, st.integers(1, 40), elements=_FINITE, unique=True),
+       positions=hnp.arrays(float, (40, 2), elements=_FINITE))
+# neighbours whose difference overflows a double
+@example(times=np.array([np.finfo(float).max, -9.97920155e+291]), positions=np.ones((40, 2)))
+def test_resampling_at_its_own_timestamps_returns_its_positions(times, positions):
     # what lets align resample the truth without a branch for an equal timebase
-    times = np.sort(data.draw(hnp.arrays(float, count, elements=_FINITE, unique=True)))
-    positions = data.draw(hnp.arrays(float, (count, 2), elements=_FINITE))
+    times, positions = np.sort(times), positions[:times.size]
     trajectory = Trajectory(positions, times)
     assert np.array_equal(resample_positions(trajectory, trajectory.timestamps), positions)

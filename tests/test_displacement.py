@@ -15,7 +15,7 @@ from conftest import AP_IDS, default_geometry, make_sim_config, random_offsets
 
 from csitrack import tracker as tracker_module
 from csitrack.core import (
-    ArrayGeometry, CsiRecord, Displacement, PathSet, circular_distance, steering_matrix,
+    TWO_PI, ArrayGeometry, CsiRecord, Displacement, PathSet, circular_distance, steering_matrix,
 )
 from csitrack.displacement import (
     R_CONDITION_LIMIT,
@@ -28,9 +28,9 @@ from csitrack.displacement import (
     factor_steering,
     path_strengths,
     path_weights,
+    plan_rows,
     project,
-    row_geometry,
-    select_paths,
+    select_rows,
 )
 from csitrack.errors import (
     DegenerateGeometryError,
@@ -66,28 +66,87 @@ def pair_weights_for_displacement(path_set, gains, delta, nu=(0.0, 0.0)):
     return (PathWeights(path_set.ap_id, 0, w1), PathWeights(path_set.ap_id, 1, w2))
 
 
+# -- the array reference of the tracker's float pair pass -------------------------
+
+
+def array_strengths(weights, weak_rtol):
+    """:func:`path_strengths` of (A, L) ``weights`` as arrays, the floor an (A, 1) column."""
+    angle, magnitude, floor = path_strengths(weights, weak_rtol)
+    return (np.reshape(angle, weights.shape), np.reshape(magnitude, weights.shape),
+            np.reshape(floor, (-1, 1)))
+
+
+def select_paths(first, second, same_clock: bool, active: np.ndarray):
+    """Path selection of A APs in array calls over two packets'
+    :func:`array_strengths`: the reference of :func:`select_rows`. Only the
+    APs of the (A,) mask ``active`` give rows. A path weaker than its AP's
+    floor in either packet is dropped. The reference path is the kept path
+    strongest in both packets; ``same_clock`` subtracts no reference turn.
+
+    Returns the (A, L) mask of paths that give a row, each AP's reference
+    path (None with ``same_clock``), the (A,) mask of active APs with fewer
+    kept paths than the rows need (two, or one with ``same_clock``), which
+    give none, and the (A, L) turns in [-pi, pi), meaningful where a path
+    gives a row."""
+    (angle, magnitude, floor), (angle2, magnitude2, _) = first, second
+    strength = np.minimum(magnitude, magnitude2)
+    keep = (strength > floor) & active[:, None]
+    short = (np.add.reduce(keep, axis=-1) < (1 if same_clock else 2)) & active
+    turn, ref = angle2 - angle, None
+    if not same_clock:
+        ref = (strength * keep).argmax(axis=-1)  # kept paths are > 0; a short AP's lone one is ref
+        at_ref = np.arange(ref.size), ref
+        turn -= turn[at_ref][:, None]
+        keep[at_ref] = False
+    return keep, ref, short, (turn + np.pi) % TWO_PI - np.pi
+
+
+def row_geometry(directions: np.ndarray, keep: np.ndarray, ref, wavelength: float):
+    """Rows R (N, 2) of a :func:`select_paths` selection, in AP-then-path
+    order, and the (AP, path) index of their turns: the reference of
+    :func:`plan_rows`. ``directions`` (A, L, 2) holds [cos, sin] of the AoDs."""
+    aps, paths = index = np.nonzero(keep)
+    rows = directions[index] if ref is None else directions[index] - directions[aps, ref[aps]]
+    return (-TWO_PI / wavelength) * rows, index
+
+
+def float_selection(first, second, same_clock, active):
+    """:func:`select_rows` in :func:`select_paths` form: the (A, L) mask of
+    row paths, each AP's reference path (0 where it gives no rows; None with
+    ``same_clock``), the short count, the (A, L) turns (0 off the rows) and the key."""
+    key, short, turns = select_rows(first, second, same_clock, active)
+    keep = np.zeros(np.shape(first[1]), dtype=bool)
+    for a, entry in enumerate(key):
+        keep[a, list(entry[1:])] = True
+    turn = np.zeros(keep.shape)
+    turn[keep] = turns
+    ref = None if same_clock else np.array([entry[0] if entry else 0 for entry in key], dtype=int)
+    return keep, ref, short, turn, key
+
+
 def select_every_ap(first, second, same_clock=False):
-    """:func:`select_paths` of two packets' path strengths with every AP active."""
-    return select_paths(first, second, same_clock, np.ones(len(first[1]), dtype=bool))
+    """:func:`float_selection` of two packets' path strengths with every AP active."""
+    return float_selection(first, second, same_clock, [True] * len(first[1]))[:4]
 
 
 def kernel(triples, same_clock=False):
-    """The row kernel over (path_set, first, second) triples, one per AP: the
-    rows R, the phases s and the mask of APs left short."""
+    """The tracker's row pass over (path_set, first, second) triples, one per
+    AP: the rows R, the phases s and the number of APs left short."""
     aods = np.stack([path_set.aods for path_set, _, _ in triples])
     first = np.stack([np.asarray(getattr(w, "weights", w), complex) for _, w, _ in triples])
     second = np.stack([np.asarray(getattr(w, "weights", w), complex) for _, _, w in triples])
     directions = np.stack([np.cos(aods), np.sin(aods)], axis=-1)
-    keep, ref, short, turn = select_every_ap(path_strengths(first, WEAK_PATH_RTOL),
-                                             path_strengths(second, WEAK_PATH_RTOL), same_clock)
-    rows, index = row_geometry(directions, keep, ref, triples[0][0].wavelength)
-    return rows, turn[index], short
+    key, short, turns = select_rows(path_strengths(first, WEAK_PATH_RTOL),
+                                    path_strengths(second, WEAK_PATH_RTOL), same_clock,
+                                    [True] * len(triples))
+    rows = plan_rows(directions.tolist(), key, triples[0][0].wavelength)
+    return np.reshape(rows, (-1, 2)), np.array(turns), short
 
 
 def ap_rows(path_set, first, second, same_clock=False):
     """One AP's (R, s) from the kernel; the AP must not be left out."""
     rows, phases, short = kernel([(path_set, first, second)], same_clock)
-    assert not short.any()
+    assert not short
     return rows, phases
 
 
@@ -219,10 +278,10 @@ class TestOffsetFreePhases:
     def test_single_path_insufficient(self):
         path_set = make_path_set([0.4])
         rows, phases, short = kernel([(path_set, np.ones(1), np.ones(1))])
-        assert short.tolist() == [True] and rows.shape == (0, 2) and phases.shape == (0,)
+        assert short == 1 and rows.shape == (0, 2) and phases.shape == (0,)
         # the same-clock ablation needs only one path
         rows, phases, short = kernel([(path_set, np.ones(1), np.ones(1))], same_clock=True)
-        assert short.tolist() == [False] and rows.shape == (1, 2)
+        assert short == 0 and rows.shape == (1, 2)
 
     def test_simulated_pair_matches_direction_difference(self):
         geometry = default_geometry()
@@ -487,7 +546,7 @@ class TestFactorRows:
     def test_least_squares_matrix_matches_the_svd(self, num_rows, log_cond, seed):
         rows = conditioned_rows(num_rows, 10.0**log_cond, seed)
         expected, cond = svd_rows(rows)
-        solver = factor_rows(rows, 1e9)
+        solver = factor_rows(rows.tolist(), 1e9)
         error = np.linalg.norm(solver - expected) / np.linalg.norm(expected)
         assert error <= 1e-13 * cond
 
@@ -507,9 +566,9 @@ class TestFactorRows:
             return  # inside the band where rounding may decide either way
         if cond >= limit:
             with pytest.raises(UnobservableDisplacementError):
-                factor_rows(rows, limit)
+                factor_rows(rows.tolist(), limit)
         else:
-            factor_rows(rows, limit)
+            factor_rows(rows.tolist(), limit)
 
     @pytest.mark.parametrize("rows", [
         np.zeros((4, 2)),
@@ -520,10 +579,10 @@ class TestFactorRows:
     ], ids=["all-zero", "zero-first-column", "zero-second-column", "rank-one", "single-row"])
     def test_unobservable_stacks_raise(self, rows):
         with pytest.raises(UnobservableDisplacementError):
-            factor_rows(rows, R_CONDITION_LIMIT)
+            factor_rows(rows.tolist(), R_CONDITION_LIMIT)
 
 
-# -- one selection kernel on full arrays and on the gathered active rows ----------
+# -- the float pass on whole packets against the array reference on active rows --
 
 
 def drawn_weights(rng, kinds):
@@ -541,24 +600,38 @@ def drawn_weights(rng, kinds):
 @settings(max_examples=300, deadline=None)
 @given(shape=st.tuples(st.integers(1, 5), st.integers(1, 3)), data=st.data(),
        seed=st.integers(0, 2**32 - 1), weak_rtol=st.sampled_from([0.0, 1e-9, 0.3]),
-       same_clock=st.booleans())
+       same_clock=st.booleans(), spread=st.booleans())
 def test_selection_on_full_arrays_equals_selection_on_active_rows(shape, data, seed, weak_rtol,
-                                                                  same_clock):
-    kinds = data.draw(hnp.arrays(int, (2,) + shape, elements=st.integers(0, 3)))
+                                                                  same_clock, spread):
+    """The float pass on whole packets with an ``active`` mask equals the
+    array reference on the active APs' rows alone, bit for bit: the same
+    kept paths, references, short count, turns and plan rows."""
+    rng = np.random.default_rng(seed)
+    if spread:
+        first, second = spread_weights(rng, (2,) + shape)
+    else:
+        first, second = drawn_weights(rng, data.draw(hnp.arrays(int, (2,) + shape,
+                                                                elements=st.integers(0, 3))))
     active = data.draw(hnp.arrays(bool, shape[:1]))
-    first, second = drawn_weights(np.random.default_rng(seed), kinds)
-    keep, ref, short, turn = select_paths(path_strengths(first, weak_rtol),
-                                          path_strengths(second, weak_rtol), same_clock, active)
-    gathered = select_every_ap(path_strengths(first[active], weak_rtol),
-                               path_strengths(second[active], weak_rtol), same_clock)
-    assert not keep[~active | short].any() and not short[~active].any()
+    keep, ref, short, turn, key = float_selection(path_strengths(first, weak_rtol),
+                                                  path_strengths(second, weak_rtol), same_clock,
+                                                  active.tolist())
+    gathered = select_paths(array_strengths(first[active], weak_rtol),
+                            array_strengths(second[active], weak_rtol), same_clock,
+                            np.ones(np.count_nonzero(active), dtype=bool))
+    assert not keep[~active].any() and all(key[a] == () for a in np.flatnonzero(~active))
     np.testing.assert_array_equal(keep[active], gathered[0])
-    np.testing.assert_array_equal(short[active], gathered[2])
+    assert short == np.count_nonzero(gathered[2])
+    rows = keep.any(axis=-1)
     if not same_clock:
-        rows = active & (keep.sum(axis=-1) > 0)
         np.testing.assert_array_equal(ref[rows], gathered[1][rows[active]])
-    assert np.array_equal(turn[keep], gathered[3][keep[active]])
+    assert [bool(entry) for entry in key] == rows.tolist()
+    assert np.array_equal(turn[keep], gathered[3][gathered[0]])
     assert np.isfinite(turn[keep]).all()
+    # the plan's rows from its key equal the reference's rows of the selection
+    directions = rng.normal(size=shape + (2,))
+    expected, _ = row_geometry(directions[active], *gathered[:2], 0.06)
+    assert np.array_equal(np.reshape(plan_rows(directions.tolist(), key, 0.06), (-1, 2)), expected)
 
 
 # -- turns from path angles against the attenuation ratios they replace ----------
@@ -746,27 +819,28 @@ def test_flag_summary_counts_are_plain_ints(monkeypatch):
 
 
 class FreshRowsTracker(Tracker):
-    """The tracker with every packet's rows built and factored afresh,
-    reusing nothing between packets."""
+    """The tracker with every packet's weights, selection and rows made
+    afresh by the array reference, reusing nothing between packets."""
 
     def _pair_update(self, last, packet, now):
-        (previous_csi, previous_present, _), (csi, present, _) = last, packet
+        (previous_csi, previous_present), (csi, present) = last[:2], packet[:2]
         first, second = project(self._pinv, np.array([previous_csi, csi]))
-        pairs = present & previous_present & self._has_paths
+        has_paths = np.array(self._has_paths)
+        pairs = np.array(present) & previous_present & has_paths
         active = pairs & self._usable
         weak_rtol = self.config.weak_path_rtol
-        keep, ref, short, turn = select_every_ap(
-            path_strengths(first[active], weak_rtol), path_strengths(second[active], weak_rtol),
-            same_clock=self.config.mode == "assume-same-clock")
+        keep, ref, short, turn = select_paths(
+            array_strengths(first[active], weak_rtol), array_strengths(second[active], weak_rtol),
+            self.config.mode == "assume-same-clock", np.ones(np.count_nonzero(active), dtype=bool))
         rows, index = row_geometry(self._directions[active], keep, ref, self.geometry.wavelength)
-        for reason, mask in (("absent", self._has_paths & ~pairs),
-                             (DegenerateGeometryError.__name__, pairs & ~self._usable),
+        for reason, mask in (("absent", has_paths & ~pairs),
+                             (DegenerateGeometryError.__name__, pairs & ~active),
                              (InsufficientPathsError.__name__, short)):
             if mask.any():
-                self.exclusions[reason] += np.count_nonzero(mask)
+                self.exclusions[reason] += int(np.count_nonzero(mask))
         try:
             displacement = Displacement(
-                factor_rows(rows, self.config.stacked_condition_limit) @ turn[index])
+                factor_rows(rows.tolist(), self.config.stacked_condition_limit) @ turn[index])
         except UnobservableDisplacementError:
             self._emit(now, "dead-reckoned")
             return None

@@ -324,10 +324,20 @@ class TestWaypoints:
         (lambda: square_waypoints(speed=math.inf), "speed must be positive and finite"),
         (lambda: stationary_waypoints(math.nan), "duration must be positive and finite"),
         (lambda: stationary_waypoints(math.inf), "duration must be positive and finite"),
-        (lambda: random_waypoints(scale=math.nan), "positions and timestamps must be finite"),
+        (lambda: random_waypoints(scale=math.nan), "scale must be positive and finite"),
+        (lambda: random_waypoints(scale=-1.0), "scale must be positive and finite"),
+        (lambda: random_waypoints(scale=math.inf), "scale must be positive and finite"),
+        (lambda: random_waypoints(duration=math.nan), "duration must be positive and finite"),
+        (lambda: random_waypoints(duration=math.inf), "duration must be positive and finite"),
+        (lambda: random_waypoints(packet_interval=math.nan),
+         "packet_interval must be positive and finite"),
+        (lambda: random_waypoints(packet_interval=math.inf),
+         "packet_interval must be positive and finite"),
     ], ids=["square-side-zero", "square-speed-negative", "stationary-duration-zero",
             "square-side-nan", "square-speed-inf", "stationary-duration-nan",
-            "stationary-duration-inf", "random-scale-nan"])
+            "stationary-duration-inf", "random-scale-nan", "random-scale-negative",
+            "random-scale-inf", "random-duration-nan", "random-duration-inf",
+            "random-interval-nan", "random-interval-inf"])
     def test_waypoint_generators_reject_non_positive_sizes(self, make, match):
         with pytest.raises(ValueError, match=match):
             make()
