@@ -198,8 +198,8 @@ def _tracker_config(config, geometry: ArrayGeometry) -> TrackerConfig:
 
 
 def cmd_track(args) -> int:
-    trace = trace_io.read_trace(args.trace)
     config = trace_io.load_config(args.config) if args.config else None
+    trace = trace_io.read_trace(args.trace)
     tracker_config = _tracker_config(config, trace.header.geometry)
     if args.mode:
         tracker_config = dataclasses.replace(tracker_config, mode=args.mode)
@@ -228,9 +228,9 @@ def cmd_evaluate(args) -> int:
 def _ablate_same_clock(args) -> int:
     if not args.truth:
         raise ConfigError("--truth is required for assume-same-clock ablation")
+    config = trace_io.load_config(args.config) if args.config else None
     trace = trace_io.read_trace(args.trace)
     truth = trace_io.read_trajectory(args.truth)
-    config = trace_io.load_config(args.config) if args.config else None
     base = _tracker_config(config, trace.header.geometry)
     groups = trace_io.pair_streams(trace_io.records_by_ap(trace))
     results = {}
@@ -259,6 +259,8 @@ def _ablate_single_packet(args) -> int:
     truth_aods = {ap: max(paths, key=lambda p: abs(p.gain)).aod
                   for ap, paths in config.sim.channel.paths.items()}
     trace = trace_io.read_trace(args.trace)
+    if truth_aods.keys().isdisjoint(trace.header.ap_ids):
+        raise ConfigError(f"sim.paths: holds none of the trace's APs {list(trace.header.ap_ids)}")
     aod = _tracker_config(config, trace.header.geometry).aod
     cdfs = aod_error_cdfs(trace_io.records_by_ap(trace), trace.header.geometry, aod, truth_aods)
     p80 = {name: float(np.percentile(cdf.levels, 80)) for name, cdf in cdfs.items()}

@@ -51,6 +51,18 @@ def check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, not {value!r}")
 
 
+def check_ap_ids(ap_ids) -> tuple:
+    """``ap_ids`` as a tuple; ValueError, naming ``ap_ids`` first, unless they are one or more
+    unique str ids, each a non-empty trace field (no whitespace) not led by '#'."""
+    ap_ids = tuple(ap_ids)
+    for ap in ap_ids:
+        if not (isinstance(ap, str) and ap.split() == [ap] and not ap.startswith("#")):
+            raise ValueError(f"ap_ids must be str, non-empty, no whitespace or leading '#': {ap!r}")
+    if not ap_ids or len(set(ap_ids)) != len(ap_ids):
+        raise ValueError(f"ap_ids must be one or more unique ids, not {ap_ids!r}")
+    return ap_ids
+
+
 def check_finite(name: str, value, minimum: float = -math.inf, maximum: float = math.inf) -> None:
     """As check_positive, for any finite ``value`` from ``minimum`` to ``maximum``."""
     if not (math.isfinite(value) and minimum <= value <= maximum):
@@ -151,7 +163,7 @@ def steering_vector(geometry: ArrayGeometry, theta: float) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class CsiRecord:
-    """One packet's CSI at one AP: a complex entry per transmit antenna."""
+    """One packet's CSI at one AP: an integer packet index, a complex entry per transmit antenna."""
 
     ap_id: str
     packet_index: int
@@ -162,12 +174,15 @@ class CsiRecord:
         csi = np.asarray(self.csi, dtype=complex)
         if csi.ndim != 1 or csi.size == 0:
             raise ValueError("csi must be a non-empty 1-D complex vector")
-        _check_samples((self.timestamp,), csi)
+        _check_samples((self.packet_index,), (self.timestamp,), csi)
         object.__setattr__(self, "csi", csi)
 
 
-def _check_samples(timestamps, csi: np.ndarray) -> None:
-    """ValueError unless every CSI entry and every timestamp is finite."""
+def _check_samples(packet_indices, timestamps, csi: np.ndarray) -> None:
+    """ValueError unless every packet index is an integer, every CSI entry and timestamp finite."""
+    if not {int}.issuperset(map(type, packet_indices)):  # one pass over the usual plain ints
+        for index in packet_indices:
+            check_integer("packet_index", index, -math.inf)
     if not np.isfinite(csi).all():
         raise ValueError("csi must be finite")
     if not all(map(math.isfinite, timestamps)):
@@ -180,7 +195,7 @@ def checked_records(ap_ids, packet_indices, timestamps, csi) -> list:
     csi = np.asarray(csi, dtype=complex)
     if csi.ndim != 2 or csi.shape[1] == 0:
         raise ValueError("csi must be an (N, M) block of non-empty rows")
-    _check_samples(timestamps, csi)
+    _check_samples(packet_indices, timestamps, csi)
     records = [object.__new__(CsiRecord) for _ in range(len(csi))]
     for name, values in zip(CsiRecord.__slots__, (ap_ids, packet_indices, timestamps, csi)):
         setter = getattr(CsiRecord, name).__set__  # what the frozen __init__ would set

@@ -33,7 +33,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .core import ArrayGeometry, Trajectory, check_positive, checked_records
+from .core import ArrayGeometry, Trajectory, check_ap_ids, check_positive, checked_records
 from .errors import ConfigError, TraceParseError, TraceVersionError
 from .evaluation import ErrorCdf
 from .simulator import SimConfig
@@ -58,13 +58,8 @@ class TraceHeader:
     packet_interval: float
 
     def __post_init__(self):
-        ap_ids = tuple(str(a) for a in self.ap_ids)
-        if not ap_ids or len(set(ap_ids)) != len(ap_ids):
-            raise ValueError("ap_ids must be non-empty and unique")
-        if any(ap.startswith("#") or any(c.isspace() for c in ap) for ap in ap_ids):
-            raise ValueError("ap_ids must not contain whitespace or start with '#'")
+        object.__setattr__(self, "ap_ids", check_ap_ids(self.ap_ids))
         check_positive("packet_interval", self.packet_interval)
-        object.__setattr__(self, "ap_ids", ap_ids)
 
 
 @dataclass(frozen=True)
@@ -326,14 +321,9 @@ class RunConfig:
     sim: SimConfig = None
 
     def __post_init__(self):
-        ap_ids = tuple(str(a) for a in self.ap_ids)
-        if not ap_ids or len(set(ap_ids)) != len(ap_ids):
-            raise ConfigError("ap_ids: must be non-empty and unique")
-        object.__setattr__(self, "ap_ids", ap_ids)
-        if self.sim is not None:
-            unknown = set(self.sim.channel.paths) - set(ap_ids)
-            if unknown:
-                raise ConfigError(f"sim.paths: unknown AP ids {sorted(unknown)}")
+        object.__setattr__(self, "ap_ids", check_ap_ids(self.ap_ids))
+        if self.sim is not None and (unknown := set(self.sim.channel.paths) - set(self.ap_ids)):
+            raise ConfigError(f"sim.paths: unknown AP ids {sorted(unknown)}")
 
 
 # A config is JSON with each dataclass field under its own name, except where

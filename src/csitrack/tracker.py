@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aod import AodConfig, PacketWindow, estimate_aods
-from .core import (ArrayGeometry, Displacement, PathSet, Trajectory, check_finite, check_integer,
-                   circular_distance, steering_matrix, steering_vectors)
+from .core import (ArrayGeometry, Displacement, PathSet, Trajectory, check_ap_ids, check_finite,
+                   check_integer, circular_distance, steering_matrix, steering_vectors)
 from .displacement import (
     A_CONDITION_LIMIT,
     R_CONDITION_LIMIT,
@@ -97,13 +97,12 @@ class Tracker:
     out of its update; if it has paths, it counts in ``exclusions["absent"]``.
     A packet whose update raises stays in the windows but pairs with nothing,
     so the next point is dead-reckoned with each AP that has paths absent.
+    ``ap_ids`` that a trace's ``#aps`` cannot hold (see ``check_ap_ids``) raise ValueError.
     """
 
     def __init__(self, geometry: ArrayGeometry, ap_ids, config: TrackerConfig = None):
         self.geometry = geometry
-        self.ap_ids = tuple(ap_ids)
-        if len(set(self.ap_ids)) != len(self.ap_ids):
-            raise ValueError("duplicate AP ids")
+        self.ap_ids = check_ap_ids(ap_ids)
         self.config = config if config is not None else TrackerConfig()
         aod = self.config.aod
         if not aod.num_paths <= geometry.num_antennas - 1:

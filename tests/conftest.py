@@ -18,6 +18,17 @@ settings.register_profile("ci", print_blob=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 AP_IDS = ("ap0", "ap1", "ap2", "ap3")
+#: AP-id lists that a trace's #aps line cannot hold
+BAD_AP_IDS = {
+    "none": [],
+    "only-empty": [""],
+    "empty": ["ap0", ""],
+    "hash": ["ap0", "#x"],
+    "space": ["ap0", "a p3"],
+    "newline": ["ap0\n"],
+    "duplicate": ["ap0", "ap1", "ap0"],
+    "not-str": ["ap0", 1],
+}
 PACKET_INTERVAL = 0.006
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -501,6 +502,19 @@ class TestTrackEvaluate:
         assert f"error: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "t.txt").exists()
 
+    @pytest.mark.parametrize("ap", ["", "#x", "a p3"], ids=["blank", "hash", "space"])
+    def test_ap_id_a_trace_cannot_hold_is_config_error(self, demo_dir, tmp_path, capsys, ap):
+        # refused as the config loads, so nothing is simulated or written
+        data = json.loads((demo_dir / "config.json").read_text())
+        data["ap_ids"].append(ap)
+        config, out, truth = tmp_path / "bad.json", tmp_path / "t.txt", tmp_path / "truth.txt"
+        config.write_text(json.dumps(data))
+        code = run(["simulate", "--config", config, "--motion", "square", "--out", out,
+                    "--truth", truth])
+        assert code == EXIT_CONFIG
+        assert "error: ap_ids: " in capsys.readouterr().err
+        assert not out.exists() and not truth.exists()
+
 
 @pytest.mark.parametrize("command", ["track", "assume-same-clock", "single-packet-aod"])
 def test_more_paths_than_the_trace_antennas_allow_is_config_error(demo_dir, tmp_path, capsys,
@@ -515,6 +529,21 @@ def test_more_paths_than_the_trace_antennas_allow_is_config_error(demo_dir, tmp_
                 "--out", out]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "tracker.num_paths: 3 paths" in err and "the trace has 3" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["track", "assume-same-clock", "single-packet-aod"])
+def test_a_malformed_config_is_reported_before_the_trace_is_read(demo_dir, tmp_path, capsys,
+                                                                  command):
+    data = json.loads((demo_dir / "config.json").read_text())
+    data["tracker"]["stride"] = 0
+    config, trace, out = tmp_path / "bad.json", tmp_path / "bad.txt", tmp_path / "out.txt"
+    config.write_text(json.dumps(data))
+    trace.write_text("not a trace\n")  # a parse error (exit 3) if it were read first
+    argv = (["track"] if command == "track" else
+            ["ablate", "--mode", command, "--truth", demo_dir / "truth.txt"])
+    assert run([*argv, "--trace", trace, "--config", config, "--out", out]) == EXIT_CONFIG
+    assert "error: tracker.stride: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -620,6 +649,17 @@ class TestAblate:
             assert "--config is required for single-packet-aod ablation" in err
         else:
             assert "single-packet-aod ablation needs the simulated channel" in err
+        assert not out.exists()
+
+    def test_single_packet_mode_needs_a_simulated_ap_in_the_trace(self, demo_dir, tmp_path,
+                                                                  capsys):
+        # the demo trace with its APs renamed bp0-bp3: the config simulates none of them
+        trace, out = tmp_path / "renamed.txt", tmp_path / "out.txt"
+        trace.write_text(re.sub(r"\bap(\d)", r"bp\1", (demo_dir / "trace.txt").read_text()))
+        assert run(["ablate", "--trace", trace, "--mode", "single-packet-aod",
+                    "--config", demo_dir / "config.json", "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: sim.paths: " in err and "['bp0', 'bp1', 'bp2', 'bp3']" in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["assume-same-clock", "single-packet-aod"])

@@ -185,6 +185,19 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="timestamp must be finite"):
             checked_records(["a", "b"], [0, 1], [0.0, bad], np.ones((2, 2)))
 
+    @pytest.mark.parametrize("bad", [0.5, 5.0, True, "5", np.float64(5.0)])
+    def test_records_reject_a_packet_index_that_is_not_an_integer(self, bad):
+        # a trace holds what int() reads back: no fraction, float or bool
+        with pytest.raises(ValueError, match="^packet_index must be an integer"):
+            CsiRecord("ap0", bad, 0.0, np.ones(2))
+        with pytest.raises(ValueError, match="^packet_index must be an integer"):
+            checked_records(["a", "b"], [0, bad], [0.0, 1.0], np.ones((2, 2)))
+
+    def test_records_take_negative_and_numpy_integer_indices(self):
+        assert CsiRecord("ap0", -3, 0.0, np.ones(2)).packet_index == -3
+        records = checked_records(["a", "b"], [np.int64(-3), 2**70], [0.0, 1.0], np.ones((2, 2)))
+        assert [record.packet_index for record in records] == [-3, 2**70]
+
     def test_checked_records_equal_records_built_one_by_one(self):
         csi = np.array([[1.0, -0.0j], [2.5 + 1j, 3.0]])
         records = checked_records(["a", "b"], [4, 7], [0.5, 1.5], csi)

@@ -11,9 +11,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
-from conftest import AP_IDS, default_geometry, make_sim_config
+from conftest import AP_IDS, BAD_AP_IDS, default_geometry, make_sim_config
 
 from csitrack import io as trace_io
 from csitrack.aod import AodConfig
@@ -206,31 +206,59 @@ _TRACE_FLOATS = st.one_of(
                      -1.7976931348623157e308, 0.30000000000000004, 1.0000000000000002,
                      -9.999999999999999e22]),
 )
-_TRACE_AP_NAMES = st.text(min_size=1, max_size=6).filter(
-    lambda s: not s.startswith("#") and not any(c.isspace() for c in s))
+# any text, "", '#...' and whitespace too: the constructors decide what a trace holds
+_AP_NAMES = st.text(max_size=6)
+_PACKET_INDICES = st.one_of(st.integers(), st.floats(), st.booleans())
+
+
+def built(constructor, *arguments):
+    """``constructor(*arguments)``; hypothesis rejects the arguments if it refuses them."""
+    try:
+        return constructor(*arguments)
+    except ValueError:
+        reject()
+
+
+@st.composite
+def trace_arguments(draw, max_records=12):
+    """The arguments of a TraceHeader and of its CsiRecords: each AP's packet indices increase
+    by 1 to 3, but one record may take any integer, float or bool. Each is tried as it is
+    drawn, so a draw that a constructor refuses ends there."""
+    num_antennas = draw(st.integers(2, 4))
+    header = (ArrayGeometry.circular(num_antennas),
+              draw(st.lists(_AP_NAMES, min_size=1, max_size=4)), draw(st.floats(1e-6, 1.0)))
+    built(TraceHeader, *header)
+    next_index = dict.fromkeys(header[1], 0)
+    odd = draw(st.integers(0, max_records))
+    records = []
+    for number, ap in enumerate(draw(st.lists(st.sampled_from(header[1]), max_size=max_records))):
+        next_index[ap] += draw(st.integers(1, 3))
+        index = draw(_PACKET_INDICES) if number == odd else next_index[ap]
+        values = draw(st.lists(_TRACE_FLOATS, min_size=2 * num_antennas,
+                               max_size=2 * num_antennas))
+        records.append((ap, index, draw(_TRACE_FLOATS), np.array(values).view(complex)))
+        built(CsiRecord, *records[-1])
+    return header, records
+
+
+def trace_file(header, records) -> TraceFile:
+    return built(TraceFile, built(TraceHeader, *header),
+                 [built(CsiRecord, *record) for record in records])
 
 
 @st.composite
 def trace_files(draw, max_records=12):
-    num_antennas = draw(st.integers(2, 4))
-    ap_ids = draw(st.lists(_TRACE_AP_NAMES, min_size=1, max_size=4, unique=True))
-    header = TraceHeader(ArrayGeometry.circular(num_antennas), ap_ids,
-                         draw(st.floats(1e-6, 1.0)))
-    next_index = dict.fromkeys(ap_ids, 0)
-    records = []
-    for ap in draw(st.lists(st.sampled_from(ap_ids), max_size=max_records)):
-        next_index[ap] += draw(st.integers(1, 3))
-        values = draw(st.lists(_TRACE_FLOATS, min_size=2 * num_antennas,
-                               max_size=2 * num_antennas))
-        csi = np.array(values).view(complex)
-        records.append(CsiRecord(ap, next_index[ap], draw(_TRACE_FLOATS), csi))
-    return TraceFile(header, records)
+    return trace_file(*draw(trace_arguments(max_records)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(trace=trace_files())
-def test_trace_round_trip_is_lossless(trace):
-    # every float comes back bit for bit: -0.0, subnormals, +-1e308, 17 digits
+@given(arguments=trace_arguments())
+@example(arguments=((default_geometry(), ["ap0", ""], 0.006), [("ap0", 1, 0.0, np.ones(3))]))
+@example(arguments=((default_geometry(), ["ap0"], 0.006), [("ap0", 0.5, 0.0, np.ones(3))]))
+def test_trace_round_trip_is_lossless(arguments):
+    # every trace the constructors accept comes back: its AP ids and integer indices, and
+    # every float bit for bit (-0.0, subnormals, +-1e308, 17 digits)
+    trace = trace_file(*arguments)
     with tempfile.TemporaryDirectory() as folder:
         path = pathlib.Path(folder) / "trace.txt"
         write_trace(path, trace)
@@ -348,8 +376,8 @@ def test_in_memory_trace_checks_each_record(fault, match):
 
 
 def test_trace_header_rejects_ap_ids_the_format_cannot_hold():
-    for bad in (["#ap"], ["ap 0"], ["ap\t0"], ["ap0", "ap0"], []):
-        with pytest.raises(ValueError):
+    for bad in (["#ap"], ["ap 0"], ["ap\t0"], ["ap0", "ap0"], [], *BAD_AP_IDS.values()):
+        with pytest.raises(ValueError, match="^ap_ids must "):
             TraceHeader(default_geometry(), bad, 0.006)
 
 
@@ -566,10 +594,19 @@ class TestConfigSchema:
                      id="frequency-offset-nan"),
         pytest.param("sim.packet_interval", lambda d: d["sim"].update(packet_interval=math.inf),
                      id="packet-interval-inf"),
-        pytest.param("ap_ids: must be non-empty", lambda d: d.update(ap_ids=[]),
+        pytest.param("ap_ids: ap_ids must be one or more unique", lambda d: d.update(ap_ids=[]),
                      id="ap-ids-empty"),
-        pytest.param("ap_ids: must be non-empty and unique",
+        pytest.param("ap_ids: ap_ids must be one or more unique",
                      lambda d: d.update(ap_ids=[*d["ap_ids"], "ap0"]), id="ap-ids-duplicate"),
+        # AP ids a trace's #aps line cannot hold
+        pytest.param("ap_ids: ap_ids must be str, non-empty", lambda d: d["ap_ids"].append(""),
+                     id="ap-ids-blank"),
+        pytest.param("ap_ids: ap_ids must be str, non-empty", lambda d: d["ap_ids"].append("#x"),
+                     id="ap-ids-hash"),
+        pytest.param("ap_ids: ap_ids must be str, non-empty", lambda d: d["ap_ids"].append("a p3"),
+                     id="ap-ids-space"),
+        pytest.param("ap_ids[4]: expected str", lambda d: d["ap_ids"].append(4),
+                     id="ap-ids-number"),
         # integer fields: a fraction, a bool or a negative seed
         pytest.param("sim.rng_seed", lambda d: d["sim"].update(rng_seed=-3),
                      id="rng-seed-negative"),
@@ -647,7 +684,6 @@ class TestConfigSchema:
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
-_AP_NAMES = st.text(min_size=1, max_size=6).filter(lambda s: not any(c.isspace() for c in s))
 _TRACKERS = st.builds(
     TrackerConfig,
     aod=st.builds(AodConfig, num_paths=st.integers(1, 4), window_seconds=_POSITIVE,
@@ -671,9 +707,10 @@ _OFFSETS = st.builds(
 
 @st.composite
 def run_configs(draw):
-    ap_ids = draw(st.lists(_AP_NAMES, min_size=1, max_size=4, unique=True))
+    ap_ids = draw(st.lists(_AP_NAMES, min_size=1, max_size=4))
     geometry = ArrayGeometry.circular(draw(st.integers(2, 5)), spacing=draw(_POSITIVE),
                                       wavelength=draw(_POSITIVE))
+    built(RunConfig, tuple(ap_ids), geometry)  # AP ids it refuses end the draw here
     sim = None
     if draw(st.booleans()):
         sim_aps = draw(st.lists(st.sampled_from(ap_ids), min_size=1, unique=True))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import AP_IDS, default_geometry, make_sim_config
+from conftest import AP_IDS, BAD_AP_IDS, default_geometry, make_sim_config
 
 from csitrack import aod
 from csitrack.aod import AodConfig
@@ -419,8 +419,13 @@ class TestStreamValidation:
             tracker.ingest({"nope": CsiRecord("nope", 0, 0.0, np.ones(3, dtype=complex))})
 
     def test_duplicate_ap_ids_rejected(self):
-        with pytest.raises(ValueError, match="duplicate AP ids"):
+        with pytest.raises(ValueError, match="^ap_ids must be one or more unique"):
             Tracker(default_geometry(), ["ap0", "ap1", "ap0"])
+
+    @pytest.mark.parametrize("ap_ids", BAD_AP_IDS.values(), ids=BAD_AP_IDS)
+    def test_ap_ids_a_trace_cannot_hold_rejected(self, ap_ids):
+        with pytest.raises(ValueError, match="^ap_ids must "):
+            Tracker(default_geometry(), ap_ids)
 
     def test_record_filed_under_another_ap_rejected(self):
         tracker = Tracker(default_geometry(), AP_IDS)
