@@ -11,7 +11,9 @@ All types here are immutable after construction and all functions are pure.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +55,14 @@ def check_positive(name: str, value) -> None:
 
 def check_ap_ids(ap_ids) -> tuple:
     """``ap_ids`` as a tuple; ValueError, naming ``ap_ids`` first, unless they are one or more
-    unique str ids, each a non-empty trace field (no whitespace) not led by '#'."""
+    unique str ids, each a non-empty trace field (no whitespace) not led by '#' that UTF-8
+    can encode (a lone surrogate cannot)."""
     ap_ids = tuple(ap_ids)
     for ap in ap_ids:
-        if not (isinstance(ap, str) and ap.split() == [ap] and not ap.startswith("#")):
-            raise ValueError(f"ap_ids must be str, non-empty, no whitespace or leading '#': {ap!r}")
+        if not (isinstance(ap, str) and ap.split() == [ap] and not ap.startswith("#")
+                and ap.encode(errors="replace").decode() == ap):
+            raise ValueError("ap_ids must be str, non-empty, UTF-8, no whitespace or leading '#':"
+                             f" {ap!r}")
     if not ap_ids or len(set(ap_ids)) != len(ap_ids):
         raise ValueError(f"ap_ids must be one or more unique ids, not {ap_ids!r}")
     return ap_ids
@@ -190,18 +195,25 @@ def _check_samples(packet_indices, timestamps, csi: np.ndarray) -> None:
 
 
 def checked_records(ap_ids, packet_indices, timestamps, csi) -> list:
-    """CsiRecords of the rows of an (N, M) complex CSI block, each holding a
-    view of its row; the block is checked once for what CsiRecord checks."""
+    """CsiRecords of the rows of an (N, M) complex CSI block, each a view of its row; the block
+    is checked once for what CsiRecord checks, and C-level loops make its thousands of records."""
     csi = np.asarray(csi, dtype=complex)
     if csi.ndim != 2 or csi.shape[1] == 0:
         raise ValueError("csi must be an (N, M) block of non-empty rows")
+    if not len(ap_ids) == len(packet_indices) == len(timestamps) == len(csi):
+        raise ValueError("need one ap_id, packet_index and timestamp per CSI row")
     _check_samples(packet_indices, timestamps, csi)
-    records = [object.__new__(CsiRecord) for _ in range(len(csi))]
-    for name, values in zip(CsiRecord.__slots__, (ap_ids, packet_indices, timestamps, csi)):
-        setter = getattr(CsiRecord, name).__set__  # what the frozen __init__ would set
-        for record, value in zip(records, values, strict=True):
-            setter(record, value)
-    return records
+    return slotted_instances(CsiRecord, len(csi), ap_ids, packet_indices, timestamps, csi)
+
+
+def slotted_instances(cls, count: int, *columns) -> list:
+    """``count`` instances of the slotted (frozen) dataclass ``cls``, slot i of the k-th set to
+    item k of ``columns[i]`` as ``__init__`` sets it, unchecked and with no Python step per
+    instance: each map runs in C, drained by a zero-length deque."""
+    instances = list(map(object.__new__, itertools.repeat(cls, count)))
+    for name, column in zip(cls.__slots__, columns):
+        deque(map(getattr(cls, name).__set__, instances, column), maxlen=0)
+    return instances
 
 
 @dataclass(frozen=True)

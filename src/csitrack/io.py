@@ -1,8 +1,8 @@
 """Trace, trajectory, CDF and run-config file formats, plus stream pairing.
 
-All formats are line-oriented text for inspectability and cross-language
-portability. Floats are written with repr(), which round-trips IEEE doubles
-losslessly (up to 17 significant digits).
+All formats are line-oriented UTF-8 text, whatever the locale, for
+inspectability and cross-language portability. Floats are written with
+repr(), which round-trips IEEE doubles losslessly (up to 17 significant digits).
 
 Trace format::
 
@@ -18,8 +18,10 @@ Trace format::
 Record lines carry ap_id, packet_index, timestamp and 2M float fields
 (real, imag per antenna). ``read_trace`` parses the body in blocks, and one
 per-record check (header AP, CSI size, each AP's index increasing) serves
-both its blocks and an in-memory ``TraceFile``. Trajectory, CDF and ablation
-files are header lines over rows, all from one writer. Run configs are JSON.
+both its blocks and an in-memory ``TraceFile``. Trace, trajectory, CDF and
+ablation files are header lines over rows, all from one writer, which formats
+the whole file before it opens the path: a value it cannot write leaves no
+partial file. Run configs are JSON.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .core import ArrayGeometry, Trajectory, check_ap_ids, check_positive, checked_records
+from .core import (ArrayGeometry, Trajectory, check_ap_ids, check_positive, checked_records,
+                   slotted_instances)
 from .errors import ConfigError, TraceParseError, TraceVersionError
 from .evaluation import ErrorCdf
 from .simulator import SimConfig
@@ -43,7 +46,7 @@ TRACE_MAGIC = "#csi-trace"
 TRACE_VERSION = "v1"
 TRAJECTORY_HEADER = "#trajectory v1 time x y"
 CDF_HEADER = "#error-cdf v1 error cumulative_fraction"
-#: Body lines that read_trace parses and checks as one block.
+#: Body lines that read_trace parses and checks, and a writer formats, as one block.
 BLOCK_LINES = 128
 
 
@@ -90,21 +93,15 @@ def _check_records(header: TraceHeader, records, last: dict) -> None:
 
 
 def write_trace(path, trace: TraceFile) -> None:
-    header, geometry = trace.header, trace.header.geometry
-    positions = geometry.antenna_positions
-    with open(path, "w") as handle:
-        handle.write(f"{TRACE_MAGIC} {TRACE_VERSION}\n")
-        handle.write(f"#antennas {geometry.num_antennas}\n")
-        handle.write(f"#wavelength {_fmt(geometry.wavelength)}\n")
-        handle.write(f"#packet_interval {_fmt(header.packet_interval)}\n")
-        handle.write(
-            "#geometry " + " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in positions) + "\n"
-        )
-        handle.write("#aps " + " ".join(header.ap_ids) + "\n")
-        values = np.array([record.csi for record in trace.records], dtype=complex).view(float)
-        for record, row in zip(trace.records, values):
-            handle.write(" ".join([record.ap_id, str(record.packet_index),
-                                   _fmt(record.timestamp), *map(repr, row.tolist())]) + "\n")
+    header, geometry, records = trace.header, trace.header.geometry, trace.records
+    pairs = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in geometry.antenna_positions)
+    csi = np.array([record.csi for record in records], complex).reshape(-1, geometry.num_antennas)
+    _write_table(path, [f"{TRACE_MAGIC} {TRACE_VERSION}", f"#antennas {geometry.num_antennas}",
+                        f"#wavelength {_fmt(geometry.wavelength)}",
+                        f"#packet_interval {_fmt(header.packet_interval)}", f"#geometry {pairs}",
+                        "#aps " + " ".join(header.ap_ids)],
+                 np.column_stack([[record.timestamp for record in records], csi.view(float)]),
+                 [f"{record.ap_id} {record.packet_index}" for record in records])
 
 
 def _positive(text: str) -> float:
@@ -113,8 +110,8 @@ def _positive(text: str) -> float:
 
 
 def _read_text(path, parse):
-    """``parse(handle)`` on text file ``path``; an undecodable byte is a parse error at its line."""
-    with open(path) as handle:
+    """``parse(handle)`` on UTF-8 file ``path``; a non-UTF-8 byte is a parse error at its line."""
+    with open(path, encoding="utf-8") as handle:
         try:
             return parse(handle)
         except UnicodeDecodeError:  # its offset counts from the decoder's chunk
@@ -247,17 +244,23 @@ def pair_streams(streams) -> list:
                     f"duplicate record for AP {ap_id!r} packet {record.packet_index}"
                 )
             slot[ap_id] = record
-    return [PacketGroup(index, by_index[index]) for index in sorted(by_index)]
+    indices = sorted(by_index)
+    return slotted_instances(PacketGroup, len(indices), indices, map(by_index.get, indices))
 
 
 def _write_table(path, header, values, names=None) -> None:
-    """The ``header`` lines, then one line per row of the 2-D ``values``, each
-    number written by _fmt and the row led by its entry of ``names`` if given."""
-    prefixes = itertools.repeat("") if names is None else (f"{name} " for name in names)
-    with open(path, "w") as handle:
-        handle.writelines(line + "\n" for line in header)
-        for prefix, row in zip(prefixes, np.asarray(values, dtype=float)):
-            handle.write(prefix + " ".join(map(_fmt, row.tolist())) + "\n")
+    """The ``header`` lines, then one line per row of the 2-D ``values``, each number written
+    by repr and the row led by its entry of ``names`` if given; all formatted and UTF-8 encoded,
+    a block of BLOCK_LINES rows per ``tolist``, before the file opens."""
+    values, text = np.asarray(values, dtype=float), ["".join(f"{x}\n" for x in header).encode()]
+    for start in range(0, len(values), BLOCK_LINES):
+        block = slice(start, start + BLOCK_LINES)
+        rows = values[block].tolist()
+        lines = [" ".join(map(repr, row)) for row in rows] if names is None else [
+            " ".join([name, *map(repr, row)]) for name, row in zip(names[block], rows)]
+        text.append("\n".join([*lines, ""]).encode())
+    with open(path, "wb") as handle:
+        handle.writelines(text)
 
 
 def write_trajectory(path, trajectory: Trajectory) -> None:
@@ -441,7 +444,7 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

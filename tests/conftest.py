@@ -28,6 +28,7 @@ BAD_AP_IDS = {
     "newline": ["ap0\n"],
     "duplicate": ["ap0", "ap1", "ap0"],
     "not-str": ["ap0", 1],
+    "surrogate": ["ap0", "\ud800"],  # no UTF-8 encoding
 }
 PACKET_INTERVAL = 0.006
 

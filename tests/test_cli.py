@@ -502,7 +502,8 @@ class TestTrackEvaluate:
         assert f"error: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "t.txt").exists()
 
-    @pytest.mark.parametrize("ap", ["", "#x", "a p3"], ids=["blank", "hash", "space"])
+    @pytest.mark.parametrize("ap", ["", "#x", "a p3", "\ud800"],
+                             ids=["blank", "hash", "space", "surrogate"])
     def test_ap_id_a_trace_cannot_hold_is_config_error(self, demo_dir, tmp_path, capsys, ap):
         # refused as the config loads, so nothing is simulated or written
         data = json.loads((demo_dir / "config.json").read_text())

@@ -168,6 +168,21 @@ class TestGeometryEquality:
             geometry.antenna_positions[1, 0] = 0.05
 
 
+@st.composite
+def record_columns(draw):
+    """The four columns of checked_records for a drawn (N, M) CSI block, N >= 0."""
+    block = draw(hnp.arrays(complex, st.tuples(st.integers(0, 6), st.integers(1, 4)),
+                            elements=st.complex_numbers(max_magnitude=1e300, allow_nan=False,
+                                                        allow_infinity=False)))
+    column = lambda items: st.lists(items, min_size=len(block), max_size=len(block))
+    ap_ids = draw(column(st.text(min_size=1)))
+    indices = draw(column(st.integers(-2**70, 2**70)
+                          | st.integers(-2**63, 2**63 - 1).map(np.int64)))
+    timestamps = draw(column(st.floats(allow_nan=False, allow_infinity=False)
+                             | st.floats(-1e3, 1e3).map(np.float64)))
+    return ap_ids, indices, timestamps, block
+
+
 class TestDomainTypes:
     def test_csi_record_requires_vector(self):
         with pytest.raises(ValueError):
@@ -198,16 +213,23 @@ class TestDomainTypes:
         records = checked_records(["a", "b"], [np.int64(-3), 2**70], [0.0, 1.0], np.ones((2, 2)))
         assert [record.packet_index for record in records] == [-3, 2**70]
 
-    def test_checked_records_equal_records_built_one_by_one(self):
-        csi = np.array([[1.0, -0.0j], [2.5 + 1j, 3.0]])
-        records = checked_records(["a", "b"], [4, 7], [0.5, 1.5], csi)
-        for record, built in zip(records, [CsiRecord("a", 4, 0.5, csi[0]),
-                                           CsiRecord("b", 7, 1.5, csi[1])]):
+    @settings(max_examples=60, deadline=None)
+    @given(columns=record_columns())
+    @example(columns=([], [], [], np.ones((0, 3), dtype=complex)))
+    def test_checked_records_equal_records_built_one_by_one(self, columns):
+        records = checked_records(*columns)
+        assert len(records) == len(columns[3])
+        for record, *fields in zip(records, *columns):
+            built = CsiRecord(*fields)
             assert type(record) is CsiRecord
-            assert (record.ap_id, record.packet_index, record.timestamp) == (
-                built.ap_id, built.packet_index, built.timestamp)
-            assert record.csi.dtype == built.csi.dtype
-            assert record.csi.tobytes() == built.csi.tobytes()
+            for name in CsiRecord.__slots__:
+                mine, theirs = getattr(record, name), getattr(built, name)
+                assert type(mine) is type(theirs), name
+                if name == "csi":
+                    assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+                    assert mine.tobytes() == theirs.tobytes()
+                else:
+                    assert repr(mine) == repr(theirs), name
 
     @pytest.mark.parametrize("block", [np.ones(3), np.ones((2, 0)), np.array([[1.0, np.nan]])])
     def test_checked_records_reject_what_a_record_rejects(self, block):
@@ -215,8 +237,11 @@ class TestDomainTypes:
             checked_records(["a"] * len(block), range(len(block)), [0.0] * len(block), block)
 
     def test_checked_records_need_one_field_of_each_kind_per_row(self):
-        with pytest.raises(ValueError):
-            checked_records(["a"], [0, 1], [0.0, 1.0], np.ones((2, 2)))
+        for short in range(4):  # each column in turn one row short
+            columns = [["a", "b"], [0, 1], [0.0, 1.0], np.ones((2, 2))]
+            columns[short] = columns[short][:1]
+            with pytest.raises(ValueError, match="^need one ap_id, packet_index and timestamp"):
+                checked_records(*columns)
 
     def test_displacement_requires_finite_2vector(self):
         with pytest.raises(ValueError):

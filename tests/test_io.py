@@ -3,8 +3,11 @@
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from unittest import mock
@@ -80,6 +83,37 @@ class TestTraceRoundTrip:
         for a, b in zip(loaded.records, trace.records):
             assert (a.ap_id, a.packet_index, a.timestamp) == (b.ap_id, b.packet_index, b.timestamp)
             np.testing.assert_array_equal(a.csi, b.csi)
+
+    def test_a_trace_that_cannot_be_written_leaves_no_partial_file(self, tmp_path):
+        # str() refuses an int of more than 4,300 digits; the writer must find it before it opens
+        trace = small_trace()
+        huge = CsiRecord("ap0", 10**5000, 1.0, trace.records[0].csi)
+        unwritable = TraceFile(trace.header, [*trace.records, huge])
+        path = tmp_path / "trace.txt"
+        with pytest.raises(ValueError):
+            write_trace(path, unwritable)
+        assert not path.exists()
+        write_trace(path, trace)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_trace(path, unwritable)
+        assert path.read_bytes() == before
+
+    def test_a_trace_is_utf8_whatever_the_locale(self, tmp_path):
+        # under an ASCII locale a UTF-8 AP id is neither refused after the file opens
+        # (a partial file) nor read back as another id
+        path = tmp_path / "trace.txt"
+        script = (
+            "import numpy as np\n"
+            "from csitrack.core import ArrayGeometry, CsiRecord\n"
+            "from csitrack.io import TraceFile, TraceHeader, read_trace, write_trace\n"
+            "header = TraceHeader(ArrayGeometry.circular(3), ['ap\\u00e9'], 0.006)\n"
+            "record = CsiRecord('ap\\u00e9', 0, 0.0, np.ones(3))\n"
+            f"write_trace({str(path)!r}, TraceFile(header, [record]))\n"
+            f"assert read_trace({str(path)!r}).header.ap_ids == ('ap\\u00e9',)\n")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
+        assert b"#aps ap\xc3\xa9\nap\xc3\xa9 0 0.0 " in path.read_bytes()
 
     def test_headers_compare_by_value(self, tmp_path):
         trace = small_trace()
@@ -416,6 +450,14 @@ class TestPairStreams:
                     for ap in data.draw(st.permutations(AP_IDS))}
         base = pair_streams(streams)
         permuted = pair_streams(shuffled)
+        indices = sorted({r.packet_index for records in streams.values() for r in records})
+        for group, index in zip(base, indices, strict=True):  # as PacketGroup(...) builds them
+            built = PacketGroup(index, {ap: r for ap in sorted(streams) for r in streams[ap]
+                                        if r.packet_index == index})
+            assert type(group) is PacketGroup and type(group.records) is dict
+            assert (type(group.packet_index), group.packet_index) == (int, built.packet_index)
+            assert [(ap, id(r)) for ap, r in group.records.items()] == [
+                (ap, id(r)) for ap, r in built.records.items()]
         assert [g.packet_index for g in base] == [g.packet_index for g in permuted]
         for a, b in zip(base, permuted):
             assert list(a.records) == list(b.records)
@@ -438,14 +480,18 @@ class TestPairStreams:
 
 class TestTrajectoryFiles:
     def test_roundtrip(self, tmp_path):
-        trajectory = Trajectory(
-            np.array([[0.0, 0.0], [0.1234567890123456, -7.2]]), np.array([0.0, 0.5])
-        )
-        path = tmp_path / "traj.txt"
-        write_trajectory(path, trajectory)
-        loaded = read_trajectory(path)
-        np.testing.assert_array_equal(loaded.positions, trajectory.positions)
-        np.testing.assert_array_equal(loaded.timestamps, trajectory.timestamps)
+        rows = 2 * trace_io.BLOCK_LINES + 1  # rows are formatted a block at a time
+        long = Trajectory(np.random.default_rng(3).normal(size=(rows, 2)), np.arange(rows) * 0.006)
+        for trajectory in (Trajectory(np.array([[0.0, 0.0], [0.1234567890123456, -7.2]]),
+                                      np.array([0.0, 0.5])), long):
+            path = tmp_path / "traj.txt"
+            write_trajectory(path, trajectory)
+            loaded = read_trajectory(path)
+            np.testing.assert_array_equal(loaded.positions, trajectory.positions)
+            np.testing.assert_array_equal(loaded.timestamps, trajectory.timestamps)
+            assert path.read_text().splitlines()[1:] == [
+                f"{t!r} {x!r} {y!r}" for t, (x, y) in zip(trajectory.timestamps.tolist(),
+                                                           trajectory.positions.tolist())]
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "traj.txt"
