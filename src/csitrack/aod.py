@@ -7,16 +7,20 @@ path subspace and a noise subspace even though each packet alone is rank one.
 No spatial smoothing is applied: with three antennas there is no room for
 subarrays, and the packet diversity plays the decorrelation role instead.
 
-The tracker estimates every AP due on a packet in one batch (:func:`estimate_aods`:
-one ``eigh``, one grid scan that also gives the first refinement round, one
-refinement loop) on the running sums of x x^H that each :class:`PacketWindow`
-keeps, expiring packets when read; :func:`estimate_paths` sums X X^H afresh.
+The tracker keeps every AP's window in one :class:`WindowBuffer`: a packet's
+CSI is one row of a (capacity, A, M) buffer, zeros where an AP missed it, and
+each AP has its own front row, horizon and running sum of x x^H, expired when
+read. It estimates every AP due on a packet in one batch (:func:`estimate_aods`:
+one stacked product that updates all their sums, one ``eigh``, one grid scan
+that also gives the first refinement round, one refinement loop);
+:func:`estimate_paths` sums X X^H afresh.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,116 +63,210 @@ def _fresh_sum(X: np.ndarray) -> np.ndarray:
     return X @ X.conj().T
 
 
-class PacketWindow:
-    """One AP's sliding window of packets, held in one contiguous array.
+class WindowBuffer:
+    """Every AP's sliding window of packets in one buffer, one row per packet.
 
-    Each row of the buffer is one packet's CSI, so :attr:`matrix` is a
-    transposed, F-ordered M x P view, column per packet. Appending and
-    expiring cost amortized O(1): when the buffer fills, the live rows move
-    to a fresh buffer, twice as large only when they occupy more than half of
-    the old one. A fresh buffer (rather than an in-place shift) leaves any
-    view handed out earlier unchanged. Rows expire when the window is read and
-    before that move (not on append), and stay in the buffer until the move,
-    so :meth:`outer_sum` can subtract them.
+    Row r holds packet r's (A, M) CSI, zeros where an AP missed the packet,
+    and its A timestamps, -inf there. Each AP keeps its own front row, live
+    count, horizon (that of the last packet it was in) and running sum of
+    x x^H; a packet's row is written once and serves every AP. Rows expire
+    per AP, when the buffer is read and before it moves (not on push), and
+    stay in the buffer until the move, so :meth:`outer_sums` can subtract
+    them. When the buffer fills, the rows some AP still holds move to a fresh
+    buffer, twice as large only when they occupy more than half of the old
+    one; a fresh buffer (rather than an in-place shift) leaves any view
+    handed out earlier unchanged, the packets' rows too. Timestamps and
+    horizons are flat ``array('d')`` buffers: contiguous like an ndarray, and
+    read a value at a time faster than one.
     """
 
-    def __init__(self, ap_id: str, num_antennas: int):
-        self.ap_id = ap_id
-        self._csi = np.empty((64, num_antennas), dtype=complex)
-        self._timestamps = np.empty(64)
-        self._start = 0
-        self._end = 0
-        self._sum = np.zeros((num_antennas, num_antennas), dtype=complex)  # x x^H
-        self._summed = None  # the buffer rows (start, end) the sum covers
-        self._taken = 0.0  # power subtracted since the sum was summed afresh
-        self._horizon = -math.inf  # rows before it expire on the next read
+    def __init__(self, ap_ids, num_antennas: int, capacity: int = 64):
+        self.ap_ids = tuple(ap_ids)
+        num_aps = len(self.ap_ids)
+        self._csi = np.zeros((capacity, num_aps, num_antennas), dtype=complex)
+        self._stamps = array("d")  # A per row
+        self._packet_horizons = array("d")  # one per row
+        self._seen = 0  # rows taken into the per-AP lists below
+        self._handed = None  # the row last handed out
+        self._starts = [0] * num_aps
+        self._counts = [0] * num_aps
+        self._horizons = [-math.inf] * num_aps
+        self._changed = [0] * num_aps  # rows pushed or expired since the last sum
+        self._slots = list(range(num_aps))
+        self._sums = np.zeros((num_aps, num_antennas, num_antennas), dtype=complex)
+        self._summed = [None] * num_aps  # the buffer rows (start, end) each sum covers
+        self._taken = [0.0] * num_aps  # power subtracted since the sum was summed afresh
 
     @classmethod
-    def from_records(cls, records, min_packets: int = 1) -> PacketWindow:
+    def from_records(cls, records, min_packets: int = 1) -> WindowBuffer:
         """A window holding one AP's ``records`` in order."""
         records = list(records)
         _require_packets(len(records), min_packets)
         if any(r.ap_id != records[0].ap_id for r in records):
             raise ValueError("window mixes records from different APs")
-        window = cls(records[0].ap_id, records[0].csi.size)
-        window._csi = np.array([r.csi for r in records], dtype=complex)
-        window._timestamps = np.array([r.timestamp for r in records], dtype=float)
-        window._end = len(records)
+        window = cls([records[0].ap_id], records[0].csi.size, len(records))
+        window._csi[:, 0] = [r.csi for r in records]
+        window._stamps = array("d", [r.timestamp for r in records])
+        window._packet_horizons = array("d", [-math.inf]) * len(records)
         return window
 
-    def __len__(self) -> int:
-        start, end = self._live()
-        return end - start
-
-    def append(self, csi: np.ndarray, timestamp: float, horizon: float = -math.inf) -> None:
-        """Add a packet; those before ``horizon`` (never decreasing) expire on the next read."""
-        if self._end == self._timestamps.size:
+    def row(self) -> np.ndarray:
+        """The next packet's (A, M) CSI row, all zeros: write each present AP's CSI
+        into it, then :meth:`push` the packet, or leave it and take the row again."""
+        end = len(self._packet_horizons)
+        if end == len(self._csi):
             self._move_live_rows()
-        self._csi[self._end] = csi
-        self._timestamps[self._end] = timestamp
-        self._end += 1
-        self._horizon = horizon
+            end = len(self._packet_horizons)
+        row = self._csi[end]
+        if self._handed == end:  # its packet was not pushed
+            row.fill(0)
+        self._handed = end
+        return row
+
+    def push(self, timestamps, horizon: float = -math.inf) -> None:
+        """Add the packet written into :meth:`row`, its A ``timestamps`` (-inf where
+        absent); an AP's rows before its last packet's ``horizon`` (never
+        decreasing) expire on the next read."""
+        self._stamps.extend(timestamps)
+        self._packet_horizons.append(horizon)
 
     def _move_live_rows(self) -> None:
-        count = len(self)
-        capacity = self._timestamps.size
+        """Move the rows some AP holds to a fresh buffer, dropping the rest."""
+        self._sync()
+        end = len(self._packet_horizons)
+        starts = [start if count else end for start, count in zip(self._starts, self._counts)]
+        stamps = np.array(self._stamps).reshape(end, len(starts))
+        held = (stamps > -math.inf) & (np.arange(end)[:, None] >= starts)
+        kept = np.flatnonzero(held.any(axis=1))
+        count = kept.size
+        capacity = len(self._csi)
         if 2 * count > capacity:
             capacity *= 2
-        csi = np.empty((capacity, self._csi.shape[1]), dtype=complex)
-        timestamps = np.empty(capacity)
-        csi[:count] = self._csi[self._start:self._end]
-        timestamps[:count] = self._timestamps[self._start:self._end]
-        self._csi, self._timestamps = csi, timestamps
-        self._start, self._end = 0, count
-        self._summed = None
+        csi = np.zeros((capacity,) + self._csi.shape[1:], dtype=complex)
+        csi[:count] = self._csi[kept]
+        self._csi = csi
+        self._stamps = array("d", stamps[kept].tobytes())
+        self._packet_horizons = array("d", np.array(self._packet_horizons)[kept].tobytes())
+        self._starts = kept.searchsorted(starts).tolist()
+        self._seen = count
+        self._handed = None
+        self._summed = [None] * len(starts)
 
-    def _live(self):
-        """The window's buffer rows (start, end), once front rows before the horizon expire."""
-        start, end = self._start, self._end
-        while start < end and self._timestamps[start] < self._horizon:
-            start += 1
-        self._start = start
-        return start, end
+    def _sync(self) -> None:
+        """Count the rows pushed since the last read per AP, take each AP's horizon
+        from its last packet, and expire each AP's front rows before its horizon."""
+        seen, end = self._seen, len(self._packet_horizons)
+        if seen == end:
+            return
+        stamps, counts, horizons = self._stamps, self._counts, self._horizons
+        changed = self._changed
+        num_aps = len(counts)
+        pushed = stamps[seen * num_aps:end * num_aps]
+        for a in range(num_aps):
+            column = pushed[a::num_aps]
+            held = len(column) - column.count(-math.inf)
+            if held:
+                counts[a] += held
+                changed[a] += held
+                last = len(column) - 1
+                while column[last] == -math.inf:
+                    last -= 1
+                horizons[a] = self._packet_horizons[seen + last]
+        self._seen = end
+        starts, stop = self._starts, end * num_aps
+        for a, horizon in enumerate(horizons):
+            first = index = starts[a] * num_aps + a  # into the flat timestamps
+            expired = 0
+            while index < stop and (stamp := stamps[index]) < horizon:
+                expired += stamp > -math.inf
+                index += num_aps
+            if index != first:
+                starts[a] = index // num_aps
+                counts[a] -= expired
+                changed[a] += expired
 
-    def outer_sum(self) -> np.ndarray:
-        """The (M, M) sum of x x^H over the window, kept running between calls.
+    def counts(self) -> list:
+        """Each AP's live packet count, in ``ap_ids`` order."""
+        self._sync()
+        return list(self._counts)
 
-        Adds the rows pushed and subtracts the rows expired since the last
-        call. Sums afresh on a first call, after the live rows moved, when no
-        fewer rows changed than are live, when the sum is not finite, and once
-        the power subtracted since the last fresh sum exceeds its trace. The
-        array returned is never modified afterwards. Powers are plain-float sums
+    def _products(self, slots, firsts, lasts) -> np.ndarray:
+        """(D, M, M) sums of x x^H over buffer rows [firsts[d], lasts[d]) of AP
+        ``slots[d]``: one stacked product over the rows of them all, in which rows
+        outside an AP's own range weigh zero, as do the rows it was absent from."""
+        low, high = min(firsts), max(lasts)
+        rows = self._csi[low:high]
+        if slots != self._slots:
+            rows = rows[:, slots]
+        if min(lasts) < high or max(firsts) > low:
+            index = np.arange(low, high)[:, None]
+            rows = np.where(((index >= firsts) & (index < lasts))[..., None], rows, 0)
+        return rows.transpose(1, 2, 0) @ rows.conj().transpose(1, 0, 2)
+
+    def outer_sums(self, slots):
+        """The (D, M, M) sums of x x^H over the windows of APs ``slots`` (indices into
+        ``ap_ids``), kept running between calls, and their live counts.
+
+        Adds the rows pushed and subtracts the rows expired since an AP's last
+        sum, for all the APs at once. An AP sums afresh on its first read, after
+        the rows moved, when no fewer rows changed than are live, when the sum is
+        not finite, and once the power subtracted since its last fresh sum
+        exceeds its trace; those fresh sums are one stacked product too. The
+        array returned is never changed afterwards. Powers are plain-float sums
         of real diagonals, ``trace().real`` bit for bit up to 3 antennas; from 4
-        on numpy sums a trace pairwise, so a re-sum on a tie to the last bit may differ.
+        on numpy sums a trace pairwise, so a re-sum on a tie to the last bit may
+        differ.
         """
-        start, end = self._live()
-        old, self._summed = self._summed, (start, end)
-        if old is not None and start - old[0] + end - old[1] < end - start:
-            pushed, expired = self._csi[old[1]:end], self._csi[old[0]:start]
-            loss = expired.T @ expired.conj()
-            self._sum = self._sum + (pushed.T @ pushed.conj() - loss)
-            self._taken += sum(loss.real.diagonal().tolist())
-            if self._taken <= sum(self._sum.real.diagonal().tolist()) < math.inf:
-                return self._sum
-        self._sum = _fresh_sum(self.matrix)
-        self._taken = 0.0
-        return self._sum
+        self._sync()
+        starts, end = self._starts, len(self._packet_horizons)
+        summed, taken = self._summed, self._taken
+        grown, fresh = [], []
+        for a in slots:
+            (grown if summed[a] is not None and self._changed[a] < self._counts[a]
+             else fresh).append(a)
+        sums = self._sums.copy()  # replaced, never changed in place, so callers may keep it
+        if grown:
+            pushed = self._products(grown, [summed[a][1] for a in grown], [end] * len(grown))
+            loss = self._products(grown, [summed[a][0] for a in grown],
+                                  [starts[a] for a in grown])
+            at = slice(None) if grown == self._slots else grown  # all APs: a cheaper slice
+            sums[at] += pushed - loss
+            traces = sums.real.diagonal(0, 1, 2).tolist()
+            for a, lost in zip(grown, loss.real.diagonal(0, 1, 2).tolist()):
+                taken[a] += sum(lost)
+                if not taken[a] <= sum(traces[a]) < math.inf:
+                    fresh.append(a)
+        if fresh:
+            sums[fresh] = self._products(fresh, [starts[a] for a in fresh], [end] * len(fresh))
+            for a in fresh:
+                taken[a] = 0.0
+        for a in slots:
+            summed[a], self._changed[a] = (starts[a], end), 0
+        self._sums = sums
+        return sums if slots == self._slots else sums[slots], [self._counts[a] for a in slots]
 
-    def _view(self, buffer: np.ndarray) -> np.ndarray:
-        start, end = self._live()
-        view = buffer[start:end]
-        view.flags.writeable = False
-        return view
+    def _window(self, ap_id: str):
+        """One AP's slot, the buffer rows (start, end) of its window and their
+        timestamps for the AP (-inf where it is absent)."""
+        self._sync()
+        a, num_aps = self.ap_ids.index(ap_id), len(self.ap_ids)
+        start, end = self._starts[a], len(self._packet_horizons)
+        return a, start, end, np.array(self._stamps[start * num_aps + a:end * num_aps:num_aps])
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Read-only M x P view of the window, column per packet."""
-        return self._view(self._csi).T
+    def matrix(self, ap_id: str) -> np.ndarray:
+        """Read-only M x P view of one AP's window, column per packet it was in
+        (a copy if it missed some)."""
+        a, start, end, stamps = self._window(ap_id)
+        rows = self._csi[start:end, a]
+        if self._counts[a] < end - start:
+            rows = rows[stamps > -math.inf]
+        rows.flags.writeable = False
+        return rows.T
 
-    @property
-    def timestamps(self) -> np.ndarray:
-        """Read-only view of the window's timestamps, oldest first."""
-        return self._view(self._timestamps)
+    def timestamps(self, ap_id: str) -> np.ndarray:
+        """One AP's window's timestamps, oldest first."""
+        stamps = self._window(ap_id)[3]
+        return stamps[stamps > -math.inf]
 
 
 def _noise_subspaces(covariance: np.ndarray, num_paths: int) -> np.ndarray:
@@ -248,20 +346,20 @@ def _refine_minima(adjoint, geometry, thetas, first, step, iterations) -> np.nda
     return np.array(thetas).reshape(shape)
 
 
-def estimate_aods(windows, geometry: ArrayGeometry, config: AodConfig):
-    """Sorted AoDs (A, L) and ``degenerate`` flags (A,) of A windows at once.
+def estimate_aods(window, slots, geometry: ArrayGeometry, config: AodConfig):
+    """Sorted AoDs (D, L) and ``degenerate`` flags (D,) of the APs ``slots`` (indices
+    into ``window.ap_ids``) of a :class:`WindowBuffer` at once.
 
-    ``windows`` is a sequence of :class:`PacketWindow`, one per AP, each
-    estimated from its running :meth:`~PacketWindow.outer_sum`. Per window,
-    picks the L deepest cyclic local minima of the null power (equivalently,
-    the L largest spectrum peaks) and refines each by quadratic
+    Each AP is estimated from its running sum (:meth:`~WindowBuffer.outer_sums`).
+    Per AP, picks the L deepest cyclic local minima of the null power
+    (equivalently, the L largest spectrum peaks) and refines each by quadratic
     interpolation. If the spectrum exposes fewer than L local minima --
     typical for a stationary target, whose covariance degenerates to rank
-    one -- the L smallest grid values are used instead and the window is
-    flagged ``degenerate``. Each step runs once for the batch; no window's
+    one -- the L smallest grid values are used instead and the AP is
+    flagged ``degenerate``. Each step runs once for the batch; no AP's
     result depends on the others."""
-    sums = np.array([window.outer_sum() for window in windows])
-    return _music_aods(sums, [len(window) for window in windows], geometry, config)
+    sums, lengths = window.outer_sums(slots)
+    return _music_aods(sums, lengths, geometry, config)
 
 
 def _music_aods(sums, lengths, geometry: ArrayGeometry, config: AodConfig):
@@ -283,15 +381,19 @@ def _music_aods(sums, lengths, geometry: ArrayGeometry, config: AodConfig):
     return np.sort(np.mod(aods, TWO_PI), axis=-1), degenerate
 
 
-def estimate_paths(window, geometry: ArrayGeometry, config: AodConfig) -> PathSet:
+def estimate_paths(window, geometry: ArrayGeometry, config: AodConfig,
+                   ap_id: str = None) -> PathSet:
     """Estimate the AoDs of ``config.num_paths`` paths from one AP's window.
 
-    ``window`` is a :class:`PacketWindow` or a sequence of one AP's records;
-    this is :func:`estimate_aods` for a batch of one, on X X^H summed afresh,
-    so a window's running sum stays as it is.
+    ``window`` is a :class:`WindowBuffer`, of which ``ap_id`` picks the AP
+    (by default its first), or a sequence of one AP's records; this is
+    :func:`estimate_aods` for a batch of one, on X X^H summed afresh over the
+    packets the AP was in, so a window's running sums stay as they are.
     """
-    if not isinstance(window, PacketWindow):
-        window = PacketWindow.from_records(window, config.min_packets)
-    aods, degenerate = _music_aods(_fresh_sum(window.matrix)[None], [len(window)], geometry, config)
-    return PathSet(window.ap_id, aods[0], steering_matrix(geometry, aods[0]),
+    if not isinstance(window, WindowBuffer):
+        window = WindowBuffer.from_records(window, config.min_packets)
+    ap_id = window.ap_ids[0] if ap_id is None else ap_id
+    X = window.matrix(ap_id)
+    aods, degenerate = _music_aods(_fresh_sum(X)[None], [X.shape[1]], geometry, config)
+    return PathSet(ap_id, aods[0], steering_matrix(geometry, aods[0]),
                    geometry.wavelength, bool(degenerate[0]))

@@ -1,15 +1,18 @@
 """End-to-end motion tracking over synchronized CSI streams.
 
-Keeps a sliding window of recent packets per AP (a :class:`~csitrack.aod.PacketWindow`: a
-running sum of x x^H, expired when read), re-estimates the paths of every AP due on a packet
-in one batch (:func:`~csitrack.aod.estimate_aods` on those sums, :func:`continuity_order`,
-one stacked factorization), projects each packet once onto the paths, selects every AP's
-paths of a packet pair in one pass on plain floats, fuses their offset-cancelled rows into
-one displacement (see :mod:`csitrack.displacement`) and integrates it from the origin. The
-last packet is one record (CSI, APs present, path strengths as lists), re-projected only if
-the paths change; each plan key's least-squares matrix lasts until the next estimate.
-Samples whose displacement is unobservable carry the previous position forward with a
-quality flag, so the trajectory keeps a uniform timebase for evaluation.
+Keeps every AP's sliding window of recent packets in one :class:`~csitrack.aod.WindowBuffer`:
+each packet's CSI is written once, into a buffer row that is also the CSI it is projected
+from, and each AP has its own front, horizon and running sum of x x^H, expired when read.
+Re-estimates the paths of every AP due on a packet in one batch
+(:func:`~csitrack.aod.estimate_aods`: one stacked update of their sums, then
+:func:`continuity_order` and one stacked factorization), projects each packet once onto the
+paths, selects every AP's paths of a packet pair in one pass on plain floats, fuses their
+offset-cancelled rows into one displacement (see :mod:`csitrack.displacement`) and
+integrates it from the origin. The last packet is one record (CSI, APs present, path
+strengths as lists), re-projected only if the paths change; each plan key's least-squares
+matrix lasts until the next estimate. Samples whose displacement is unobservable carry the
+previous position forward with a quality flag, so the trajectory keeps a uniform timebase
+for evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aod import AodConfig, PacketWindow, estimate_aods
+from .aod import AodConfig, WindowBuffer, estimate_aods
 from .core import (ArrayGeometry, Displacement, PathSet, Trajectory, check_ap_ids, check_finite,
                    check_integer, circular_distance, steering_matrix, steering_vectors)
 from .displacement import (
@@ -107,7 +110,7 @@ class Tracker:
         aod = self.config.aod
         if not aod.num_paths <= geometry.num_antennas - 1:
             raise ValueError("num_paths must be <= num_antennas - 1")
-        self._windows = {ap: PacketWindow(ap, geometry.num_antennas) for ap in self.ap_ids}
+        self._window = WindowBuffer(self.ap_ids, geometry.num_antennas)
         # row a of each per-AP array below belongs to ap_ids[a]
         num_aps, num_paths, num_antennas = len(self.ap_ids), aod.num_paths, geometry.num_antennas
         self._slots = {ap: slot for slot, ap in enumerate(self.ap_ids)}
@@ -141,13 +144,12 @@ class Tracker:
         """Re-estimate every due AP's paths as one batch; factor their steering
         matrices as one. Returns the record ``last``, re-projected if the paths changed."""
         stride, min_packets = self.config.stride, self.config.aod.min_packets
-        slots = [slot for slot, window in enumerate(self._windows.values())
-                 if self._since_estimate[slot] >= stride and len(window) >= min_packets]
+        slots = [slot for slot, count in enumerate(self._window.counts())
+                 if self._since_estimate[slot] >= stride and count >= min_packets]
         if not slots:
             return last
         at = slots if len(slots) < len(self.ap_ids) else slice(None)  # all APs: a cheaper slice
-        windows = [self._windows[self.ap_ids[slot]] for slot in slots]
-        aods, degenerate = estimate_aods(windows, self.geometry, self.config.aod)
+        aods, degenerate = estimate_aods(self._window, slots, self.geometry, self.config.aod)
         # a first estimate follows itself, which keeps the estimator's order
         previous = np.where([[self._has_paths[slot]] for slot in slots], self._aods[at], aods)
         aods = aods[np.arange(len(slots))[:, None], continuity_order(previous, aods)]
@@ -174,7 +176,8 @@ class Tracker:
         if not records:
             raise ValueError("records must not be empty")
         present = [False] * len(self.ap_ids)
-        csi = np.zeros(self._unpaired[0].shape, dtype=complex)
+        stamps = [-math.inf] * len(self.ap_ids)
+        csi = self._window.row()  # the packet's CSI is written once, into the window
         indices, now = set(), -math.inf
         for ap_id, record in records.items():
             slot = self._slots.get(ap_id)
@@ -187,6 +190,7 @@ class Tracker:
                                  f"the array has {csi.shape[1]} antennas")
             present[slot] = True
             csi[slot] = record.csi
+            stamps[slot] = record.timestamp
             indices.add(record.packet_index)
             now = max(now, record.timestamp)
         if len(indices) != 1:
@@ -198,12 +202,10 @@ class Tracker:
             raise StreamOrderError(f"packet {packet_index} at t={now!r} does not follow "
                                    f"t={self._previous_time!r}")
 
-        # the windows take the packet; it is the last whole packet only once it completes
+        # the window takes the packet; it is the last whole packet only once it completes
         last, self._last = self._last, self._unpaired
         self._previous_index, self._previous_time = packet_index, now
-        horizon = now - self.config.aod.window_seconds
-        for record in records.values():
-            self._windows[record.ap_id].append(record.csi, record.timestamp, horizon)
+        self._window.push(stamps, now - self.config.aod.window_seconds)
         self._since_estimate = [count + p for count, p in zip(self._since_estimate, present)]
         if max(self._since_estimate) >= self.config.stride:  # once warm, 1 in stride
             last = self._update_paths(last)
@@ -212,7 +214,7 @@ class Tracker:
         displacement = None
         if self.flags:  # started: one point per packet from the first on
             displacement = self._pair_update(last, packet, now)
-        elif not any(0 < len(w) < self.config.aod.min_packets for w in self._windows.values()):
+        elif not any(0 < count < self.config.aod.min_packets for count in self._window.counts()):
             self._emit(now, "ok")
         self._last = packet
         return displacement

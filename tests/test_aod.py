@@ -10,7 +10,8 @@ from conftest import AP_IDS, default_geometry
 
 from csitrack.aod import (
     AodConfig,
-    PacketWindow,
+    WindowBuffer,
+    _music_aods,
     angle_grid,
     estimate_aods,
     estimate_paths,
@@ -51,10 +52,16 @@ def synth_window(geometry, aods, num_packets, seed=0, snr_db=None, diverse=True)
     return X
 
 
+def append(window, csi, timestamp, horizon=-np.inf):
+    """Push one packet that holds a one-AP window's AP."""
+    window.row()[0] = csi
+    window.push([timestamp], horizon)
+
+
 class TestConcatWindow:
     def test_single_record_gives_column(self):
         csi = np.array([1 + 1j, 2 - 1j, 0.5j])
-        X = PacketWindow.from_records([CsiRecord("ap0", 0, 0.0, csi)]).matrix
+        X = WindowBuffer.from_records([CsiRecord("ap0", 0, 0.0, csi)]).matrix("ap0")
         assert X.shape == (3, 1)
         np.testing.assert_array_equal(X[:, 0], csi)
 
@@ -62,7 +69,8 @@ class TestConcatWindow:
         geometry = default_geometry()
         X = synth_window(geometry, [0.8, 2.1], 40, seed=1)
         records = make_records(X)
-        singular = np.linalg.svd(PacketWindow.from_records(records).matrix, compute_uv=False)
+        singular = np.linalg.svd(WindowBuffer.from_records(records).matrix("ap0"),
+                                 compute_uv=False)
         assert singular[2] < 1e-8 * singular[0]
         assert singular[1] > 1e-3 * singular[0]
 
@@ -72,32 +80,32 @@ class TestConcatWindow:
             CsiRecord("ap1", 1, 0.006, np.ones(3)),
         ]
         with pytest.raises(ValueError):
-            PacketWindow.from_records(records)
+            WindowBuffer.from_records(records)
 
     def test_underfull_window_raises(self):
         records = [CsiRecord("ap0", 0, 0.0, np.ones(3))]
         with pytest.raises(WindowUnderfullError):
-            PacketWindow.from_records(records, min_packets=20)
+            WindowBuffer.from_records(records, min_packets=20)
 
 
-_WINDOW_READS = ("len", "matrix", "timestamps", "outer_sum")
+_WINDOW_READS = ("counts", "matrix", "timestamps", "outer_sums")
 
 
-class TestPacketWindow:
+class TestWindowBuffer:
     def test_growth_and_compaction_keep_rows_and_earlier_views(self):
         X = synth_window(default_geometry(), [0.8, 2.1], 300, seed=3)
-        window = PacketWindow("ap0", 3)
+        window = WindowBuffer(["ap0"], 3)
         views = []
         for p in range(300):
-            window.append(X[:, p], 0.006 * p, 0.006 * (p - 39))  # keeps the last 40 packets
-            views.append((p, window.matrix))
+            append(window, X[:, p], 0.006 * p, 0.006 * (p - 39))  # keeps the last 40 packets
+            views.append((p, window.matrix("ap0")))
         # 64 -> 128 rows by growth, then compaction each time the 128 rows fill
-        np.testing.assert_array_equal(window.matrix, X[:, 260:])
-        np.testing.assert_array_equal(window.timestamps, 0.006 * np.arange(260, 300))
+        np.testing.assert_array_equal(window.matrix("ap0"), X[:, 260:])
+        np.testing.assert_array_equal(window.timestamps("ap0"), 0.006 * np.arange(260, 300))
         for p, view in views:
             np.testing.assert_array_equal(view, X[:, max(p - 39, 0):p + 1])
-        assert window.matrix.flags.f_contiguous
-        assert not window.matrix.flags.writeable
+        assert window.matrix("ap0").flags.f_contiguous
+        assert not window.matrix("ap0").flags.writeable
 
     @settings(max_examples=60, deadline=None)
     @given(steps=st.lists(st.tuples(st.sampled_from([0, 1, 1, 1, 1, 1, 2, 7, 40]),
@@ -107,7 +115,7 @@ class TestPacketWindow:
            seed=st.integers(0, 2**32 - 1))
     # the 65th append moves the rows while a gap's expiry waits for a read:
     # 22 live rows stay in 64, where the 64 unexpired rows would double it
-    @example(steps=[(1, 0, 40, [])] * 63 + [(20, 0, 40, []), (1, 0, 40, ["len"])], seed=0)
+    @example(steps=[(1, 0, 40, [])] * 63 + [(20, 0, 40, []), (1, 0, 40, ["counts"])], seed=0)
     # a gap, then a read of the timestamps alone
     @example(steps=[(1, 0, 5, [])] * 10 + [(7, 0, 5, ["timestamps"])], seed=0)
     def test_expiry_on_read_equals_expiry_after_each_append(self, steps, seed):
@@ -117,38 +125,42 @@ class TestPacketWindow:
         growth and moves, which the same buffer sizes show."""
         rng = np.random.default_rng(seed)
         interval = 2.0**-7  # binary fractions: a timestamp can equal the horizon exactly
-        on_read, on_append = PacketWindow("ap0", 3), PacketWindow("ap0", 3)
+        on_read, on_append = WindowBuffer(["ap0"], 3), WindowBuffer(["ap0"], 3)
         time = horizon = 0.0
         for gap, early, span, reads in steps:
             time += gap * interval
             horizon = max(horizon, time - span * interval)  # horizons never decrease
             csi = rng.normal(size=3) + 1j * rng.normal(size=3)
-            on_read.append(csi, time - early * 0.5 * interval, horizon)
-            on_append.append(csi, time - early * 0.5 * interval, horizon)
-            len(on_append)  # expires at once
+            append(on_read, csi, time - early * 0.5 * interval, horizon)
+            append(on_append, csi, time - early * 0.5 * interval, horizon)
+            on_append.counts()  # expires at once
             assert on_read._csi.shape == on_append._csi.shape  # the same capacity decisions
             for read in reads:
-                if read == "len":
-                    assert len(on_read) == len(on_append)
-                elif read == "outer_sum":
-                    assert np.array_equal(on_read.outer_sum(), on_append.outer_sum())
+                if read == "counts":
+                    assert on_read.counts() == on_append.counts()
+                elif read == "outer_sums":
+                    (on_read_sums, on_read_counts), (on_append_sums, on_append_counts) = (
+                        on_read.outer_sums([0]), on_append.outer_sums([0]))
+                    assert np.array_equal(on_read_sums, on_append_sums)
+                    assert on_read_counts == on_append_counts
                 else:
-                    assert np.array_equal(getattr(on_read, read), getattr(on_append, read))
+                    assert np.array_equal(getattr(on_read, read)("ap0"),
+                                          getattr(on_append, read)("ap0"))
 
     def test_estimate_paths_reads_a_window_like_its_records(self):
         geometry = default_geometry()
         X = synth_window(geometry, [0.8, 2.1], 60, seed=4, snr_db=25)
         records = make_records(X)
-        window = PacketWindow("ap0", 3)
+        window = WindowBuffer(["ap0"], 3)
         for record in records:
-            window.append(record.csi, record.timestamp)
+            append(window, record.csi, record.timestamp)
         config = AodConfig()
         from_window = estimate_paths(window, geometry, config)
         from_records = estimate_paths(records, geometry, config)
         assert from_window.ap_id == "ap0"
         np.testing.assert_array_equal(from_window.aods, from_records.aods)
         with pytest.raises(WindowUnderfullError):
-            estimate_paths(PacketWindow("ap0", 3), geometry, config)
+            estimate_paths(WindowBuffer(["ap0"], 3), geometry, config)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -185,17 +197,17 @@ class TestPacketWindow:
                 records.append(record)
                 while records and records[0].timestamp < now - aod.window_seconds:
                     records.popleft()
-            for ap in AP_IDS:
-                window, records = tracker._windows[ap], reference[ap]
-                assert len(window) == len(records)
+            for slot, ap in enumerate(AP_IDS):
+                window, records = tracker._window, reference[ap]
+                assert window.counts()[slot] == len(records)
                 if records:
-                    np.testing.assert_array_equal(window.matrix,
-                                                  PacketWindow.from_records(records).matrix)
-                    np.testing.assert_array_equal(window.timestamps,
+                    np.testing.assert_array_equal(window.matrix(ap),
+                                                  WindowBuffer.from_records(records).matrix(ap))
+                    np.testing.assert_array_equal(window.timestamps(ap),
                                                   [r.timestamp for r in records])
                 if len(records) >= aod.min_packets and (p % 37 == 0 or p == packets - 1):
                     expected = estimate_paths(records, geometry, aod)
-                    actual = estimate_paths(window, geometry, aod)
+                    actual = estimate_paths(window, geometry, aod, ap)
                     np.testing.assert_array_equal(actual.aods, expected.aods)
                     np.testing.assert_array_equal(actual.steering_matrix,
                                                   expected.steering_matrix)
@@ -339,14 +351,14 @@ class TestEstimatePaths:
 # -- the batched kernel against one window at a time ------------------------------
 
 
-def reference_aods(X, geometry, config):
-    """One window the way the estimator worked before batching: subspace,
-    grid scan, the L deepest cyclic minima (else the L smallest grid values),
-    then each path refined on its own until its parabola is not convex.
-    Also returns the number of rounds each path was refined."""
+def reference_aods(outer_sum, count, geometry, config):
+    """One window, from its sum of x x^H over ``count`` packets, the way the estimator
+    worked before batching: subspace, grid scan, the L deepest cyclic minima (else the
+    L smallest grid values), then each path refined on its own until its parabola is
+    not convex. Also returns the number of rounds each path was refined."""
     L = config.num_paths
-    _, vectors = np.linalg.eigh(X @ X.conj().T / X.shape[1])
-    noise = vectors[:, : X.shape[0] - L]
+    _, vectors = np.linalg.eigh(outer_sum / count)
+    noise = vectors[:, : outer_sum.shape[0] - L]
 
     def null_power(thetas):
         return np.sum(np.abs(noise.conj().T @ steering_matrix(geometry, thetas)) ** 2, axis=0)
@@ -378,38 +390,63 @@ _KERNEL_GEOMETRIES = {3: (ArrayGeometry.circular(3), 2), 4: (ArrayGeometry.circu
 _KINDS = ("noiseless", "noisy", "stationary")
 
 
+def buffer_of(matrices, expired):
+    """One window buffer holding AP a's packets X_a (M x P_a) in its first P_a rows, absent
+    from the rest; the first ``expired[a]`` of them are before the horizon."""
+    window = WindowBuffer([f"ap{a}" for a in range(len(matrices))], matrices[0].shape[0])
+    for p in range(max(X.shape[1] for X in matrices)):
+        row, stamps = window.row(), []
+        for a, X in enumerate(matrices):
+            if p < X.shape[1]:
+                row[a] = X[:, p]
+            stamps.append(0.006 * (p - expired[a]) if p < X.shape[1] else -np.inf)
+        window.push(stamps, 0.0)
+    return window
+
+
 def batch_of_windows(antennas, kinds, lengths, seed):
-    """One window per AP, each of its own length (APs drop packets), the
-    older ones partly expired; a stationary window is rank one."""
+    """One window buffer for all APs, each AP of its own length (APs drop packets), the
+    older ones partly expired; a stationary AP's window is rank one. Returns a maker of
+    equal buffers."""
     geometry, num_paths = _KERNEL_GEOMETRIES[antennas]
     rng = np.random.default_rng(seed)
-    windows = []
-    for a, (kind, length) in enumerate(zip(kinds, lengths)):
-        X = synth_window(geometry, rng.uniform(0, 2 * np.pi, num_paths), length + a,
-                         seed=int(rng.integers(2**32)), snr_db=20.0 if kind == "noisy" else None,
-                         diverse=kind != "stationary")
-        window = PacketWindow(f"ap{a}", geometry.num_antennas)
-        for p in range(X.shape[1]):
-            window.append(X[:, p], 0.006 * p, 0.006 * a)  # drops a packets from the front
-        windows.append(window)
-    return geometry, num_paths, windows
+    matrices = [synth_window(geometry, rng.uniform(0, 2 * np.pi, num_paths), length + a,
+                             seed=int(rng.integers(2**32)),
+                             snr_db=20.0 if kind == "noisy" else None,
+                             diverse=kind != "stationary")
+                for a, (kind, length) in enumerate(zip(kinds, lengths))]
+    return geometry, num_paths, lambda: buffer_of(matrices, range(len(kinds)))  # drops a from ap a
 
 
-def check_batch(geometry, windows, config):
-    """The batch equals each window estimated alone, bit for bit, in any
-    order, and the per-path reference to rounding: the null power's rounding
-    shifts a parabola vertex by more as the stencil shrinks, 4x per round."""
-    aods, degenerate = estimate_aods(windows, geometry, config)
-    assert aods.shape == (len(windows), config.num_paths)
-    for a, window in enumerate(windows):
-        alone = estimate_paths(window, geometry, config)
-        np.testing.assert_array_equal(aods[a], alone.aods)
-        assert degenerate[a] == alone.degenerate
-        expected, expected_degenerate, _ = reference_aods(window.matrix, geometry, config)
+def check_batch(geometry, make_window, config):
+    """The batch equals each AP estimated alone from its running sum, bit for bit, in any
+    order, and the per-path reference to rounding: the null power's rounding shifts a
+    parabola vertex by more as the stencil shrinks, 4x per round. The stacked sums equal
+    each AP's X X^H to rounding, as rows outside an AP's range weigh zero; when all APs
+    hold the same rows they equal it bit for bit, and the AoDs equal estimate_paths'."""
+    slots = list(range(len(make_window().ap_ids)))
+    aods, degenerate = estimate_aods(make_window(), slots, geometry, config)
+    assert aods.shape == (len(slots), config.num_paths)
+    window = make_window()
+    sums, lengths = window.outer_sums(slots)
+    start, end = window._starts[0], len(window._packet_horizons)
+    shared = set(window._starts) == {start} and set(lengths) == {end - start}  # no zero rows
+    for a, ap in enumerate(window.ap_ids):
+        alone, alone_degenerate = _music_aods(sums[a:a + 1], lengths[a:a + 1], geometry, config)
+        np.testing.assert_array_equal(aods[a], alone[0])
+        assert degenerate[a] == alone_degenerate[0]
+        X = window.matrix(ap)
+        fresh = X @ X.conj().T
+        np.testing.assert_allclose(sums[a], fresh, rtol=0, atol=1e-13 * np.abs(fresh).max())
+        if shared:
+            np.testing.assert_array_equal(sums[a], fresh)
+            np.testing.assert_array_equal(estimate_paths(window, geometry, config, ap).aods,
+                                          aods[a])
+        expected, expected_degenerate, _ = reference_aods(sums[a], lengths[a], geometry, config)
         np.testing.assert_allclose(aods[a], expected, rtol=0,
                                    atol=1e-12 * 4.0**config.refine_iterations)
         assert degenerate[a] == expected_degenerate
-    reversed_aods, reversed_degenerate = estimate_aods(windows[::-1], geometry, config)
+    reversed_aods, reversed_degenerate = estimate_aods(make_window(), slots[::-1], geometry, config)
     np.testing.assert_array_equal(reversed_aods, aods[::-1])
     np.testing.assert_array_equal(reversed_degenerate, degenerate[::-1])
     return aods, degenerate
@@ -426,10 +463,10 @@ class TestBatchedKernel:
            | st.floats(np.radians(0.2), np.radians(3.0)))
     def test_batch_equals_each_window_alone(self, antennas, kinds, lengths, seed,
                                             refine_iterations, grid_step):
-        geometry, num_paths, windows = batch_of_windows(antennas, kinds, lengths, seed)
+        geometry, num_paths, make_window = batch_of_windows(antennas, kinds, lengths, seed)
         config = AodConfig(num_paths=num_paths, min_packets=3, grid_step=grid_step,
                            refine_iterations=refine_iterations)
-        check_batch(geometry, windows, config)
+        check_batch(geometry, make_window, config)
 
     @pytest.mark.parametrize("refine_iterations", [1, 3])
     def test_refinement_starting_at_either_end_of_the_grid(self, refine_iterations):
@@ -438,10 +475,9 @@ class TestBatchedKernel:
         step = np.radians(0.7)
         geometry = ArrayGeometry.circular(3)
         config = AodConfig(min_packets=3, grid_step=step, refine_iterations=refine_iterations)
-        windows = [PacketWindow.from_records(make_records(
-            synth_window(geometry, [aod, 2.0], 200, seed=a), f"ap{a}"))
-            for a, aod in enumerate([0.3 * step, 2 * np.pi - 0.3 * step])]
-        aods, _ = check_batch(geometry, windows, config)
+        matrices = [synth_window(geometry, [aod, 2.0], 200, seed=a)
+                    for a, aod in enumerate([0.3 * step, 2 * np.pi - 0.3 * step])]
+        aods, _ = check_batch(geometry, lambda: buffer_of(matrices, [0, 0]), config)
         grid = angle_grid(step)
         starts = [np.argmin(circular_distance(grid, row[np.argmin(circular_distance(row, 0.0))]))
                   for row in aods]
@@ -451,15 +487,17 @@ class TestBatchedKernel:
         # a 4-antenna L=3 batch: healthy windows next to stationary ones that
         # take the degenerate fallback, with paths that stop refining at
         # different rounds
-        geometry, num_paths, windows = batch_of_windows(
+        geometry, num_paths, make_window = batch_of_windows(
             4, ["noiseless", "stationary", "noisy", "stationary"], [200, 40, 120, 60], seed=5)
         config = AodConfig(num_paths=num_paths, min_packets=3, refine_iterations=10)
-        _, degenerate = check_batch(geometry, windows, config)
+        _, degenerate = check_batch(geometry, make_window, config)
         assert degenerate.any() and not degenerate.all()
-        rounds = [reference_aods(w.matrix, geometry, config)[2] for w in windows]
+        sums, lengths = make_window().outer_sums([0, 1, 2, 3])
+        rounds = [reference_aods(*window, geometry, config)[2] for window in zip(sums, lengths)]
         assert len(set(np.concatenate(rounds))) > 1
 
     def test_underfull_window_in_a_batch_raises(self):
-        geometry, num_paths, windows = batch_of_windows(3, ["noisy"] * 2, [50, 5], seed=1)
+        geometry, num_paths, make_window = batch_of_windows(3, ["noisy"] * 2, [50, 5], seed=1)
         with pytest.raises(WindowUnderfullError):
-            estimate_aods(windows, geometry, AodConfig(num_paths=num_paths, min_packets=10))
+            estimate_aods(make_window(), [0, 1], geometry,
+                          AodConfig(num_paths=num_paths, min_packets=10))

@@ -771,13 +771,13 @@ def test_kernel_matches_per_ap_reference(monkeypatch, case, mode):
     streams, geometry, aods, drifting, expected = kernel_case(case)
     estimates = Counter()
 
-    def drifting_aods(windows, geometry, config):
+    def drifting_aods(window, slots, geometry, config):
         # the true AoDs, nudged on every estimate so that path sets change
         thetas = []
-        for window in windows:
-            count = estimates[window.ap_id] = estimates[window.ap_id] + 1
-            thetas.append(aods[window.ap_id] + 1e-3 * (count % 4) * (window.ap_id in drifting))
-        return np.array(thetas), np.zeros(len(windows), dtype=bool)
+        for ap_id in (window.ap_ids[slot] for slot in slots):
+            count = estimates[ap_id] = estimates[ap_id] + 1
+            thetas.append(aods[ap_id] + 1e-3 * (count % 4) * (ap_id in drifting))
+        return np.array(thetas), np.zeros(len(slots), dtype=bool)
 
     monkeypatch.setattr(tracker_module, "estimate_aods", drifting_aods)
     config = TrackerConfig(aod=tracker_module.AodConfig(num_paths=aods["ap0"].size),
@@ -805,8 +805,8 @@ def test_kernel_matches_per_ap_reference(monkeypatch, case, mode):
 
 def test_flag_summary_counts_are_plain_ints(monkeypatch):
     streams, geometry, aods, _, _ = kernel_case("collinear")
-    monkeypatch.setattr(tracker_module, "estimate_aods", lambda windows, geometry, config: (
-        np.array([aods[window.ap_id] for window in windows]), np.zeros(len(windows), dtype=bool)))
+    monkeypatch.setattr(tracker_module, "estimate_aods", lambda window, slots, geometry, config: (
+        np.array([aods[window.ap_ids[slot]] for slot in slots]), np.zeros(len(slots), dtype=bool)))
     tracker = Tracker(geometry, AP_IDS, TrackerConfig(stride=3))
     tracker.consume(pair_streams(streams))
     summary = tracker.flag_summary()

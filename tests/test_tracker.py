@@ -1,6 +1,7 @@
 """Tracker: windows, warm-up, path continuity, trajectory integration."""
 
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ class TestPathContinuity:
             tracker.ingest({ap: CsiRecord(ap, p, 0.006 * p, rng.normal(size=4) + 1j * rng.normal(size=4))
                             for ap in AP_IDS})
         for ap, paths in tracker.path_sets.items():
-            expected = aod.estimate_paths(tracker._windows[ap], geometry, aod_config)
+            expected = aod.estimate_paths(tracker._window, geometry, aod_config, ap)
             np.testing.assert_array_equal(paths.aods, expected.aods)
             np.testing.assert_array_equal(paths.steering_matrix, expected.steering_matrix)
             assert paths.degenerate == expected.degenerate
@@ -214,8 +215,8 @@ class TestGridSteeringCache:
         assert built == [722, 722, 362]  # each grid and its two stencil ends
 
 
-def fresh_sum(window):
-    X = window.matrix
+def fresh_sum(window, ap):
+    X = window.matrix(ap)
     return X @ X.conj().T
 
 
@@ -230,24 +231,37 @@ class TestRunningSums:
                                                       drop, jump, seed):
         # appends, expiries (several at once after a gap in the stream), per-AP
         # drops and per-AP gain jumps of up to 1e8 between packets; buffers grow
-        # while windows fill and compact once they slide
+        # while windows fill and compact once they slide. Each AP's length and
+        # rows equal a deque of its own records under its own horizon.
         rng = np.random.default_rng(seed)
         aod_config = AodConfig(window_seconds=0.006 * window_packets, min_packets=3)
         tracker = Tracker(default_geometry(), AP_IDS, TrackerConfig(aod=aod_config, stride=stride))
         gains = np.ones(len(AP_IDS))
+        reference = {ap: deque() for ap in AP_IDS}
         now, checked = 0.0, 0
         for p in range(packets):
             jumps = rng.random(len(AP_IDS)) < jump
             gains[jumps] = 10.0 ** rng.uniform(-4.0, 4.0, np.count_nonzero(jumps))
             now += 0.006 * (rng.integers(3, 30) if rng.random() < 0.05 else 1.0)
             present = [a for a in range(len(AP_IDS)) if rng.random() >= drop] or [p % len(AP_IDS)]
-            tracker.ingest({AP_IDS[a]: CsiRecord(AP_IDS[a], p, now, gains[a] * (
-                rng.normal(size=3) + 1j * rng.normal(size=3))) for a in present})
-            for ap in AP_IDS:
-                window = tracker._windows[ap]
-                if window._summed == (window._start, window._end):  # the sum covers it
-                    expected = fresh_sum(window)
-                    error = np.abs(window._sum - expected).max()
+            group = {AP_IDS[a]: CsiRecord(AP_IDS[a], p, now, gains[a] * (
+                rng.normal(size=3) + 1j * rng.normal(size=3))) for a in present}
+            tracker.ingest(group)
+            for ap, record in group.items():
+                records = reference[ap]
+                records.append(record)
+                while records[0].timestamp < now - aod_config.window_seconds:
+                    records.popleft()
+            window = tracker._window
+            counts = window.counts()
+            for a, ap in enumerate(AP_IDS):
+                assert counts[a] == len(reference[ap])
+                np.testing.assert_array_equal(
+                    window.matrix(ap), np.reshape([r.csi for r in reference[ap]], (-1, 3)).T)
+                end = len(window._packet_horizons)
+                if window._summed[a] == (window._starts[a], end):  # the sum covers it
+                    expected = fresh_sum(window, ap)
+                    error = np.abs(window._sums[a] - expected).max()
                     assert error <= 1e-12 * np.abs(expected).max()
                     checked += 1
         assert checked
@@ -270,7 +284,7 @@ class TestRunningSums:
                      for ap in AP_IDS}
             if p in huge_at:
                 group["ap0"] = CsiRecord("ap0", p, 0.006 * p, np.full(3, huge_at[p], dtype=complex))
-            window = tracker._windows["ap0"]
+            window = tracker._window
             try:
                 tracker.ingest(group)
             except ValueError as exc:
@@ -278,14 +292,70 @@ class TestRunningSums:
                 raised.append(p)
                 continue
             finally:
-                overflowing = np.count_nonzero(np.abs(window.matrix[0]) > 1e100) == len(huge)
+                overflowing = np.count_nonzero(np.abs(window.matrix("ap0")[0]) > 1e100) == len(huge)
                 assert overflowing == (raised[-1:] == [p])
             if raised and raised[-1] == p - 1:  # the first estimate after they left
-                np.testing.assert_array_equal(window._sum, fresh_sum(window))
-                expected = aod.estimate_paths(window, geometry, aod_config)
+                np.testing.assert_array_equal(window._sums[0], fresh_sum(window, "ap0"))
+                expected = aod.estimate_paths(window, geometry, aod_config, "ap0")
                 np.testing.assert_array_equal(np.sort(tracker.path_sets["ap0"].aods), expected.aods)
                 compared += 1
         assert len(raised) > 10 and compared == 1
+
+
+class TestSharedBuffer:
+    """One buffer row per packet for all APs, each AP with its own front and horizon."""
+
+    def test_a_rejected_group_leaves_nothing_in_the_row_it_took(self):
+        # a group holding every AP's CSI fails the order checks after its CSI went
+        # into the buffer's next row; the packets after it, which lack ap3, take
+        # that row again, and ap3's sum must see zeros there
+        streams = simulate_trajectory(make_sim_config(5, snr_db=25.0),
+                                      random_waypoints(0.3, 0.006 * 199, seed=5))
+        groups = [dict(group.records) for group in pair_streams(streams)]
+        for group in groups[60:80]:
+            del group["ap3"]
+        config = TrackerConfig(aod=AodConfig(window_seconds=0.5), stride=3)
+        clean, rejecting = (Tracker(default_geometry(), AP_IDS, config) for _ in range(2))
+        for p, group in enumerate(groups):
+            if p == 60:
+                repeated = {ap: CsiRecord(ap, 59, record.timestamp, 1e3 * record.csi)
+                            for ap, record in groups[59].items()}
+                with pytest.raises(StreamOrderError, match="packet 59 after 59"):
+                    rejecting.ingest(repeated)
+            clean.ingest(group)
+            rejecting.ingest(group)
+            np.testing.assert_array_equal(rejecting._window._sums[3], clean._window._sums[3])
+        assert rejecting.flags == clean.flags and rejecting.exclusions == clean.exclusions
+        np.testing.assert_array_equal(rejecting.trajectory().positions,
+                                      clean.trajectory().positions)
+        assert clean.exclusions["absent"] > 0
+
+    def test_an_absent_ap_keeps_its_rows_until_its_own_next_packet(self):
+        # ap1 misses packets 30-79, longer than the 20-packet window: it holds its
+        # last rows (9-29, those of its own last horizon) while absent, through the
+        # buffer's move, and drops them against the horizon of its next packet;
+        # ap3 falls silent for good and pins nothing
+        interval = 2.0**-7  # binary fractions: a timestamp can equal the horizon exactly
+        aod_config = AodConfig(window_seconds=20 * interval, min_packets=3)
+        tracker = Tracker(default_geometry(), AP_IDS, TrackerConfig(aod=aod_config, stride=10**6))
+        window, rng = tracker._window, np.random.default_rng(7)
+        csi = rng.normal(size=(600, len(AP_IDS), 3)) + 1j * rng.normal(size=(600, len(AP_IDS), 3))
+        for p in range(600):
+            tracker.ingest({ap: CsiRecord(ap, p, p * interval, csi[p, a])
+                            for a, ap in enumerate(AP_IDS)
+                            if not (ap == "ap1" and 30 <= p < 80 or ap == "ap3" and p >= 100)})
+            if p == 79:
+                assert window.counts() == [21, 21, 21, 21]
+                np.testing.assert_array_equal(window.timestamps("ap1"), np.arange(9, 30) * interval)
+                np.testing.assert_array_equal(window.matrix("ap1"), csi[9:30, 1].T)
+                np.testing.assert_array_equal(window.timestamps("ap0"),
+                                              np.arange(59, 80) * interval)
+            if p == 80:
+                assert window.counts() == [21, 1, 21, 21]
+                np.testing.assert_array_equal(window.matrix("ap1"), csi[80:81, 1].T)
+        assert window.counts() == [21, 21, 21, 21]
+        np.testing.assert_array_equal(window.timestamps("ap3"), np.arange(79, 100) * interval)
+        assert window._csi.shape[0] == 128  # 41 rows held at the first move, at packet 64
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered",
@@ -355,12 +425,12 @@ class TestRaisingPacket:
             except ValueError as exc:
                 assert str(exc) == "covariance contains non-finite values"
                 break
-        windows = {ap: window.matrix.copy() for ap, window in tracker._windows.items()}
+        windows = {ap: tracker._window.matrix(ap).copy() for ap in AP_IDS}
         flags = list(tracker.flags)
         with pytest.raises(StreamOrderError, match=f"packet {raised} after {raised}"):
             tracker.ingest(groups[raised])
-        for ap, window in tracker._windows.items():
-            np.testing.assert_array_equal(window.matrix, windows[ap])
+        for ap in AP_IDS:
+            np.testing.assert_array_equal(tracker._window.matrix(ap), windows[ap])
         assert tracker.flags == flags
         for group in groups[raised + 1:]:  # each raises until the 1e200 row leaves the window
             try:
@@ -393,9 +463,9 @@ class TestStreamValidation:
         tracker.ingest(self.records_at(1))
         with pytest.raises(StreamOrderError, match="packet 2"):
             tracker.ingest(self.records_at(2, timestamp))
-        assert all(len(tracker._windows[ap]) == 2 for ap in AP_IDS)
+        assert tracker._window.counts() == [2] * len(AP_IDS)
         tracker.ingest(self.records_at(2))  # the rejected group left no trace
-        assert all(len(tracker._windows[ap]) == 3 for ap in AP_IDS)
+        assert tracker._window.counts() == [3] * len(AP_IDS)
 
     @pytest.mark.parametrize("size", [1, 2, 4])
     def test_csi_length_must_match_the_array(self, size):
@@ -404,7 +474,7 @@ class TestStreamValidation:
         group[AP_IDS[2]] = CsiRecord(AP_IDS[2], 0, 0.0, np.ones(size, dtype=complex))
         with pytest.raises(ValueError, match=f"'{AP_IDS[2]}' holds {size} CSI entries.* 3 antennas"):
             tracker.ingest(group)
-        assert all(len(tracker._windows[ap]) == 0 for ap in AP_IDS)
+        assert tracker._window.counts() == [0] * len(AP_IDS)
 
     def test_mixed_packet_indices_in_group_raise(self):
         tracker = Tracker(default_geometry(), AP_IDS)
@@ -433,7 +503,7 @@ class TestStreamValidation:
         group[AP_IDS[1]] = group[AP_IDS[0]]
         with pytest.raises(ValueError, match=f"record for '{AP_IDS[0]}' filed under '{AP_IDS[1]}'"):
             tracker.ingest(group)
-        assert all(len(tracker._windows[ap]) == 0 for ap in AP_IDS)
+        assert tracker._window.counts() == [0] * len(AP_IDS)
 
     @pytest.mark.parametrize("packets", [0, 5])
     def test_consume_of_a_stream_too_short_to_start_is_underfull(self, packets):
