@@ -17,7 +17,6 @@ from .core import (
     circular_distance,
     steering_matrix,
     steering_vector,
-    wrap_angle,
 )
 from .displacement import (
     PathWeights,

@@ -7,13 +7,14 @@ path subspace and a noise subspace even though each packet alone is rank one.
 No spatial smoothing is applied: with three antennas there is no room for
 subarrays, and the packet diversity plays the decorrelation role instead.
 
-The tracker keeps every AP's window in one :class:`WindowBuffer`: a packet's
-CSI is one row of a (capacity, A, M) buffer, zeros where an AP missed it, and
-each AP has its own front row, horizon and running sum of x x^H, expired when
-read. It estimates every AP due on a packet in one batch (:func:`estimate_aods`:
-one stacked product that updates all their sums, one ``eigh``, one grid scan
-that also gives the first refinement round, one refinement loop);
-:func:`estimate_paths` sums X X^H afresh.
+The tracker keeps every AP's window in one :class:`WindowBuffer`, which only
+it writes, and only with a packet group that passed its checks: a packet's CSI
+is one row of a (capacity, A, M) buffer, zeros where an AP missed it, and each
+AP has its own front row, horizon and running sum of x x^H, expired when read.
+It estimates every AP due on a packet in one batch (:func:`estimate_aods`: one
+stacked product that updates all their sums, one ``eigh``, one grid scan that
+also gives the first refinement round, one refinement loop).
+:func:`estimate_paths` takes one AP's records and sums X X^H afresh.
 """
 
 from __future__ import annotations
@@ -43,7 +44,10 @@ class AodConfig:
     def __post_init__(self):
         check_integer("num_paths", self.num_paths, 1)
         check_positive("window_seconds", self.window_seconds)
-        check_positive("grid_step", self.grid_step)
+        bound = math.pi / self.num_paths  # so the cyclic grid holds more than 2 * num_paths points
+        if not 0 < self.grid_step < bound:
+            raise ValueError(f"grid_step must be in (0, pi / num_paths) = (0, {bound:.6g}), "
+                             f"not {self.grid_step!r}")
         check_integer("min_packets", self.min_packets, 1)
         check_integer("refine_iterations", self.refine_iterations, 0)
 
@@ -66,28 +70,29 @@ def _fresh_sum(X: np.ndarray) -> np.ndarray:
 class WindowBuffer:
     """Every AP's sliding window of packets in one buffer, one row per packet.
 
-    Row r holds packet r's (A, M) CSI, zeros where an AP missed the packet,
-    and its A timestamps, -inf there. Each AP keeps its own front row, live
-    count, horizon (that of the last packet it was in) and running sum of
-    x x^H; a packet's row is written once and serves every AP. Rows expire
-    per AP, when the buffer is read and before it moves (not on push), and
-    stay in the buffer until the move, so :meth:`outer_sums` can subtract
-    them. When the buffer fills, the rows some AP still holds move to a fresh
-    buffer, twice as large only when they occupy more than half of the old
-    one; a fresh buffer (rather than an in-place shift) leaves any view
-    handed out earlier unchanged, the packets' rows too. Timestamps and
-    horizons are flat ``array('d')`` buffers: contiguous like an ndarray, and
-    read a value at a time faster than one.
+    Only the tracker writes it: each row it takes with :meth:`row` it fills
+    with a packet group that already passed its checks, then pushes. Row r
+    holds packet r's (A, M) CSI, zeros where an AP missed the packet, and its
+    A timestamps, -inf there. Each AP keeps its own front row, live count,
+    horizon (that of the last packet it was in) and running sum of x x^H; a
+    packet's row is written once and serves every AP. Rows expire per AP,
+    when the buffer is read and before it moves (not on push), and stay in
+    the buffer until the move, so :meth:`outer_sums` can subtract them. The
+    buffer starts at 64 rows. When it fills, the rows some AP still holds
+    move to a fresh buffer, twice as large only when they occupy more than
+    half of the old one; a fresh buffer (rather than an in-place shift)
+    leaves any view handed out earlier unchanged, the packets' rows too.
+    Timestamps and horizons are flat ``array('d')`` buffers: contiguous like
+    an ndarray, and read a value at a time faster than one.
     """
 
-    def __init__(self, ap_ids, num_antennas: int, capacity: int = 64):
+    def __init__(self, ap_ids, num_antennas: int):
         self.ap_ids = tuple(ap_ids)
         num_aps = len(self.ap_ids)
-        self._csi = np.zeros((capacity, num_aps, num_antennas), dtype=complex)
+        self._csi = np.zeros((64, num_aps, num_antennas), dtype=complex)
         self._stamps = array("d")  # A per row
         self._packet_horizons = array("d")  # one per row
         self._seen = 0  # rows taken into the per-AP lists below
-        self._handed = None  # the row last handed out
         self._starts = [0] * num_aps
         self._counts = [0] * num_aps
         self._horizons = [-math.inf] * num_aps
@@ -97,31 +102,12 @@ class WindowBuffer:
         self._summed = [None] * num_aps  # the buffer rows (start, end) each sum covers
         self._taken = [0.0] * num_aps  # power subtracted since the sum was summed afresh
 
-    @classmethod
-    def from_records(cls, records, min_packets: int = 1) -> WindowBuffer:
-        """A window holding one AP's ``records`` in order."""
-        records = list(records)
-        _require_packets(len(records), min_packets)
-        if any(r.ap_id != records[0].ap_id for r in records):
-            raise ValueError("window mixes records from different APs")
-        window = cls([records[0].ap_id], records[0].csi.size, len(records))
-        window._csi[:, 0] = [r.csi for r in records]
-        window._stamps = array("d", [r.timestamp for r in records])
-        window._packet_horizons = array("d", [-math.inf]) * len(records)
-        return window
-
     def row(self) -> np.ndarray:
         """The next packet's (A, M) CSI row, all zeros: write each present AP's CSI
-        into it, then :meth:`push` the packet, or leave it and take the row again."""
-        end = len(self._packet_horizons)
-        if end == len(self._csi):
+        into it, then :meth:`push` the packet."""
+        if len(self._packet_horizons) == len(self._csi):
             self._move_live_rows()
-            end = len(self._packet_horizons)
-        row = self._csi[end]
-        if self._handed == end:  # its packet was not pushed
-            row.fill(0)
-        self._handed = end
-        return row
+        return self._csi[len(self._packet_horizons)]
 
     def push(self, timestamps, horizon: float = -math.inf) -> None:
         """Add the packet written into :meth:`row`, its A ``timestamps`` (-inf where
@@ -149,7 +135,6 @@ class WindowBuffer:
         self._packet_horizons = array("d", np.array(self._packet_horizons)[kept].tobytes())
         self._starts = kept.searchsorted(starts).tolist()
         self._seen = count
-        self._handed = None
         self._summed = [None] * len(starts)
 
     def _sync(self) -> None:
@@ -381,19 +366,18 @@ def _music_aods(sums, lengths, geometry: ArrayGeometry, config: AodConfig):
     return np.sort(np.mod(aods, TWO_PI), axis=-1), degenerate
 
 
-def estimate_paths(window, geometry: ArrayGeometry, config: AodConfig,
-                   ap_id: str = None) -> PathSet:
-    """Estimate the AoDs of ``config.num_paths`` paths from one AP's window.
+def estimate_paths(records, geometry: ArrayGeometry, config: AodConfig) -> PathSet:
+    """Estimate the AoDs of ``config.num_paths`` paths from a window of one AP's records.
 
-    ``window`` is a :class:`WindowBuffer`, of which ``ap_id`` picks the AP
-    (by default its first), or a sequence of one AP's records; this is
-    :func:`estimate_aods` for a batch of one, on X X^H summed afresh over the
-    packets the AP was in, so a window's running sums stay as they are.
+    This is :func:`estimate_aods` for a batch of one, on X X^H summed afresh
+    over the records' CSI, one column per record.
     """
-    if not isinstance(window, WindowBuffer):
-        window = WindowBuffer.from_records(window, config.min_packets)
-    ap_id = window.ap_ids[0] if ap_id is None else ap_id
-    X = window.matrix(ap_id)
-    aods, degenerate = _music_aods(_fresh_sum(X)[None], [X.shape[1]], geometry, config)
+    records = list(records)
+    _require_packets(len(records), config.min_packets)
+    ap_id = records[0].ap_id
+    if any(r.ap_id != ap_id for r in records):
+        raise ValueError("window mixes records from different APs")
+    X = np.array([r.csi for r in records]).T
+    aods, degenerate = _music_aods(_fresh_sum(X)[None], [len(records)], geometry, config)
     return PathSet(ap_id, aods[0], steering_matrix(geometry, aods[0]),
                    geometry.wavelength, bool(degenerate[0]))

@@ -24,13 +24,6 @@ TWO_PI = 2.0 * np.pi
 DEFAULT_WAVELENGTH = 0.06
 
 
-def wrap_angle(theta):
-    """Wrap angle(s) into (-pi, pi]."""
-    wrapped = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-    wrapped = np.where(wrapped > np.pi, wrapped - TWO_PI, wrapped)
-    return float(wrapped) if wrapped.ndim == 0 else wrapped
-
-
 def circular_distance(a, b):
     """Absolute angular separation, respecting the 2*pi wrap-around."""
     d = np.mod(np.subtract(a, b, dtype=float), TWO_PI)

@@ -1,8 +1,11 @@
 """End-to-end motion tracking over synchronized CSI streams.
 
-Keeps every AP's sliding window of recent packets in one :class:`~csitrack.aod.WindowBuffer`:
-each packet's CSI is written once, into a buffer row that is also the CSI it is projected
-from, and each AP has its own front, horizon and running sum of x x^H, expired when read.
+Keeps every AP's sliding window of recent packets in one :class:`~csitrack.aod.WindowBuffer`,
+which only the tracker writes. A packet group passes every check (APs, CSI sizes, packet
+index, time) before it touches the window; then its CSI is written once, into a buffer row
+that is also the CSI it is projected from. Each AP has its own front, horizon and running
+sum of x x^H, expired when read (:func:`~csitrack.aod.estimate_paths`, by contrast, takes
+one AP's records and sums afresh).
 Re-estimates the paths of every AP due on a packet in one batch
 (:func:`~csitrack.aod.estimate_aods`: one stacked update of their sums, then
 :func:`continuity_order` and one stacked factorization), projects each packet once onto the
@@ -167,17 +170,18 @@ class Tracker:
 
         Each group must carry a higher packet index and a later timestamp
         (the latest of its records) than the group before it, else
-        :class:`StreamOrderError`; nothing of a group rejected by these checks
-        is kept. A packet whose update raises stays in the windows but pairs
-        with nothing, and sending it again is a :class:`StreamOrderError`.
-        Returns the accepted displacement, or None during warm-up and on
-        dead-reckoned samples.
+        :class:`StreamOrderError`. Every check (APs, CSI sizes, packet index,
+        time) runs before the group touches the window, so nothing of a
+        rejected group is kept. A packet whose update raises stays in the
+        windows but pairs with nothing, and sending it again is a
+        :class:`StreamOrderError`. Returns the accepted displacement, or None
+        during warm-up and on dead-reckoned samples.
         """
         if not records:
             raise ValueError("records must not be empty")
+        num_antennas = self.geometry.num_antennas
         present = [False] * len(self.ap_ids)
         stamps = [-math.inf] * len(self.ap_ids)
-        csi = self._window.row()  # the packet's CSI is written once, into the window
         indices, now = set(), -math.inf
         for ap_id, record in records.items():
             slot = self._slots.get(ap_id)
@@ -185,11 +189,10 @@ class Tracker:
                 raise ValueError(f"unknown AP id {ap_id!r}")
             if record.ap_id != ap_id:
                 raise ValueError(f"record for {record.ap_id!r} filed under {ap_id!r}")
-            if record.csi.size != csi.shape[1]:
+            if record.csi.size != num_antennas:
                 raise ValueError(f"record for {ap_id!r} holds {record.csi.size} CSI entries, "
-                                 f"the array has {csi.shape[1]} antennas")
+                                 f"the array has {num_antennas} antennas")
             present[slot] = True
-            csi[slot] = record.csi
             stamps[slot] = record.timestamp
             indices.add(record.packet_index)
             now = max(now, record.timestamp)
@@ -202,7 +205,11 @@ class Tracker:
             raise StreamOrderError(f"packet {packet_index} at t={now!r} does not follow "
                                    f"t={self._previous_time!r}")
 
-        # the window takes the packet; it is the last whole packet only once it completes
+        # the window takes the packet, its CSI written once into the row it is projected from;
+        # it is the last whole packet only once it completes
+        csi = self._window.row()
+        for ap_id, record in records.items():
+            csi[self._slots[ap_id]] = record.csi
         last, self._last = self._last, self._unpaired
         self._previous_index, self._previous_time = packet_index, now
         self._window.push(stamps, now - self.config.aod.window_seconds)

@@ -9,7 +9,7 @@ import os
 import numpy as np
 from hypothesis import settings
 
-from csitrack.core import TWO_PI, ArrayGeometry
+from csitrack.core import TWO_PI, ArrayGeometry, CsiRecord
 from csitrack.simulator import ChannelSpec, OffsetModel, PropagationPath, SimConfig
 
 # CI runs with HYPOTHESIS_PROFILE=ci: a failing property prints the blob that
@@ -35,6 +35,14 @@ PACKET_INTERVAL = 0.006
 
 def default_geometry() -> ArrayGeometry:
     return ArrayGeometry.circular(3, spacing=0.026)
+
+
+def window_records(window, ap):
+    """The CsiRecords one AP's window of a WindowBuffer holds, oldest first: its timestamps
+    and the columns of its CSI matrix, numbered in window order."""
+    return [CsiRecord(ap, p, timestamp, csi)
+            for p, (timestamp, csi) in enumerate(zip(window.timestamps(ap).tolist(),
+                                                     window.matrix(ap).T))]
 
 
 def random_channel(rng, ap_ids=AP_IDS):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import AP_IDS, default_geometry
+from conftest import AP_IDS, default_geometry, window_records
 
 from csitrack.aod import (
     AodConfig,
@@ -59,18 +59,11 @@ def append(window, csi, timestamp, horizon=-np.inf):
 
 
 class TestConcatWindow:
-    def test_single_record_gives_column(self):
-        csi = np.array([1 + 1j, 2 - 1j, 0.5j])
-        X = WindowBuffer.from_records([CsiRecord("ap0", 0, 0.0, csi)]).matrix("ap0")
-        assert X.shape == (3, 1)
-        np.testing.assert_array_equal(X[:, 0], csi)
-
     def test_noiseless_two_path_window_has_rank_two(self):
         geometry = default_geometry()
         X = synth_window(geometry, [0.8, 2.1], 40, seed=1)
         records = make_records(X)
-        singular = np.linalg.svd(WindowBuffer.from_records(records).matrix("ap0"),
-                                 compute_uv=False)
+        singular = np.linalg.svd(np.array([r.csi for r in records]).T, compute_uv=False)
         assert singular[2] < 1e-8 * singular[0]
         assert singular[1] > 1e-3 * singular[0]
 
@@ -79,13 +72,17 @@ class TestConcatWindow:
             CsiRecord("ap0", 0, 0.0, np.ones(3)),
             CsiRecord("ap1", 1, 0.006, np.ones(3)),
         ]
-        with pytest.raises(ValueError):
-            WindowBuffer.from_records(records)
+        with pytest.raises(ValueError, match="window mixes records from different APs"):
+            estimate_paths(records, default_geometry(), AodConfig(min_packets=1))
 
     def test_underfull_window_raises(self):
         records = [CsiRecord("ap0", 0, 0.0, np.ones(3))]
         with pytest.raises(WindowUnderfullError):
-            WindowBuffer.from_records(records, min_packets=20)
+            estimate_paths(records, default_geometry(), AodConfig(min_packets=20))
+
+    def test_a_window_buffer_is_not_a_window_of_records(self):
+        with pytest.raises(TypeError):
+            estimate_paths(WindowBuffer(["ap0"], 3), default_geometry(), AodConfig(min_packets=1))
 
 
 _WINDOW_READS = ("counts", "matrix", "timestamps", "outer_sums")
@@ -147,21 +144,6 @@ class TestWindowBuffer:
                     assert np.array_equal(getattr(on_read, read)("ap0"),
                                           getattr(on_append, read)("ap0"))
 
-    def test_estimate_paths_reads_a_window_like_its_records(self):
-        geometry = default_geometry()
-        X = synth_window(geometry, [0.8, 2.1], 60, seed=4, snr_db=25)
-        records = make_records(X)
-        window = WindowBuffer(["ap0"], 3)
-        for record in records:
-            append(window, record.csi, record.timestamp)
-        config = AodConfig()
-        from_window = estimate_paths(window, geometry, config)
-        from_records = estimate_paths(records, geometry, config)
-        assert from_window.ap_id == "ap0"
-        np.testing.assert_array_equal(from_window.aods, from_records.aods)
-        with pytest.raises(WindowUnderfullError):
-            estimate_paths(WindowBuffer(["ap0"], 3), geometry, config)
-
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -202,12 +184,12 @@ class TestWindowBuffer:
                 assert window.counts()[slot] == len(records)
                 if records:
                     np.testing.assert_array_equal(window.matrix(ap),
-                                                  WindowBuffer.from_records(records).matrix(ap))
+                                                  np.array([r.csi for r in records]).T)
                     np.testing.assert_array_equal(window.timestamps(ap),
                                                   [r.timestamp for r in records])
                 if len(records) >= aod.min_packets and (p % 37 == 0 or p == packets - 1):
                     expected = estimate_paths(records, geometry, aod)
-                    actual = estimate_paths(window, geometry, aod, ap)
+                    actual = estimate_paths(window_records(window, ap), geometry, aod)
                     np.testing.assert_array_equal(actual.aods, expected.aods)
                     np.testing.assert_array_equal(actual.steering_matrix,
                                                   expected.steering_matrix)
@@ -347,6 +329,21 @@ class TestEstimatePaths:
             # 3 antennas cannot support 3 paths (no noise subspace left)
             estimate_paths(make_records(X), geometry, AodConfig(num_paths=3, min_packets=10))
 
+    @pytest.mark.parametrize("num_paths", [1, 2, 3, 4])
+    def test_grid_step_must_leave_more_than_two_grid_points_per_path(self, num_paths):
+        # a coarser grid holds too few points for num_paths cyclic minima: a 7 rad step
+        # is one point, whose single AoD would fill every path
+        bound = np.pi / num_paths
+        for step in (bound, 7.0, 1e6):
+            with pytest.raises(ValueError, match="^grid_step must be "):
+                AodConfig(num_paths=num_paths, grid_step=step)
+        config = AodConfig(num_paths=num_paths, min_packets=10,
+                           grid_step=np.nextafter(bound, 0.0))
+        assert angle_grid(config.grid_step).size == 2 * num_paths + 1
+        geometry = ArrayGeometry.circular(num_paths + 1)
+        X = synth_window(geometry, np.linspace(0.3, 5.5, num_paths), 40, seed=15)
+        assert estimate_paths(make_records(X), geometry, config).aods.shape == (num_paths,)
+
 
 # -- the batched kernel against one window at a time ------------------------------
 
@@ -440,8 +437,8 @@ def check_batch(geometry, make_window, config):
         np.testing.assert_allclose(sums[a], fresh, rtol=0, atol=1e-13 * np.abs(fresh).max())
         if shared:
             np.testing.assert_array_equal(sums[a], fresh)
-            np.testing.assert_array_equal(estimate_paths(window, geometry, config, ap).aods,
-                                          aods[a])
+            np.testing.assert_array_equal(
+                estimate_paths(window_records(window, ap), geometry, config).aods, aods[a])
         expected, expected_degenerate, _ = reference_aods(sums[a], lengths[a], geometry, config)
         np.testing.assert_allclose(aods[a], expected, rtol=0,
                                    atol=1e-12 * 4.0**config.refine_iterations)

@@ -19,7 +19,6 @@ from csitrack.core import (
     resample_positions,
     steering_matrix,
     steering_vector,
-    wrap_angle,
 )
 
 
@@ -78,14 +77,6 @@ class TestSteeringVector:
 
 
 class TestAngles:
-    def test_wrap_angle_range(self):
-        values = wrap_angle(np.linspace(-20, 20, 1001))
-        assert np.all(values > -np.pi) and np.all(values <= np.pi)
-
-    def test_wrap_angle_identity_inside_range(self):
-        assert wrap_angle(0.3) == pytest.approx(0.3, abs=1e-15)
-        assert wrap_angle(-0.3) == pytest.approx(-0.3, abs=1e-15)
-
     def test_circular_distance_wraps(self):
         assert circular_distance(0.1, 2 * np.pi - 0.1) == pytest.approx(0.2, abs=1e-12)
         assert type(circular_distance(0.1, 0.3)) is float
@@ -97,8 +88,10 @@ class TestAngles:
     def test_circular_distance_is_the_magnitude_of_the_wrapped_difference(self, a, shift):
         # min(d, 2*pi - d) rounds to the same magnitude as d - 2*pi, so the two agree bit for bit
         for b in (np.zeros_like(a), np.full_like(a, shift), a[::-1], a + np.pi, a - 2 * np.pi):
-            assert np.array_equal(circular_distance(a, b), np.abs(wrap_angle(a - b)))
-            assert circular_distance(a[0], b[0]) == abs(wrap_angle(a[0] - b[0]))
+            d = np.mod(a - b, 2 * np.pi)
+            wrapped = np.abs(np.where(d > np.pi, d - 2 * np.pi, d))  # |a - b| wrapped into [0, pi]
+            assert np.array_equal(circular_distance(a, b), wrapped)
+            assert circular_distance(a[0], b[0]) == wrapped[0]
 
 
 class TestGeometryValidation:

@@ -616,6 +616,8 @@ class TestConfigSchema:
                      lambda d: d["tracker"].update(window_seconds=math.inf), id="window-inf"),
         pytest.param("tracker.grid_step", lambda d: d["tracker"].update(grid_step=math.inf),
                      id="grid-step-inf"),
+        pytest.param("tracker.grid_step", lambda d: d["tracker"].update(grid_step=2.0),
+                     id="grid-step-coarse"),  # 4 grid points for 2 paths
         pytest.param("tracker.stride", lambda d: d["tracker"].update(stride=0), id="stride-zero"),
         pytest.param("geometry.wavelength", lambda d: d["geometry"].update(wavelength=-0.06),
                      id="wavelength-negative"),
@@ -730,11 +732,14 @@ class TestConfigSchema:
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+# a grid step below pi / num_paths, which AodConfig requires
+_AODS = st.integers(1, 4).flatmap(lambda num_paths: st.builds(
+    AodConfig, num_paths=st.just(num_paths), window_seconds=_POSITIVE,
+    grid_step=st.floats(1e-6, math.pi / num_paths, exclude_max=True),
+    min_packets=st.integers(1, 100), refine_iterations=st.integers(0, 5)))
 _TRACKERS = st.builds(
     TrackerConfig,
-    aod=st.builds(AodConfig, num_paths=st.integers(1, 4), window_seconds=_POSITIVE,
-                  grid_step=_POSITIVE, min_packets=st.integers(1, 100),
-                  refine_iterations=st.integers(0, 5)),
+    aod=_AODS,
     stride=st.integers(1, 500),
     origin=st.tuples(_FINITE, _FINITE),
     mode=st.sampled_from(MODES),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import AP_IDS, BAD_AP_IDS, default_geometry, make_sim_config
+from conftest import AP_IDS, BAD_AP_IDS, default_geometry, make_sim_config, window_records
 
 from csitrack import aod
 from csitrack.aod import AodConfig
@@ -93,7 +93,8 @@ class TestPathContinuity:
             tracker.ingest({ap: CsiRecord(ap, p, 0.006 * p, rng.normal(size=4) + 1j * rng.normal(size=4))
                             for ap in AP_IDS})
         for ap, paths in tracker.path_sets.items():
-            expected = aod.estimate_paths(tracker._window, geometry, aod_config, ap)
+            records = window_records(tracker._window, ap)
+            expected = aod.estimate_paths(records, geometry, aod_config)
             np.testing.assert_array_equal(paths.aods, expected.aods)
             np.testing.assert_array_equal(paths.steering_matrix, expected.steering_matrix)
             assert paths.degenerate == expected.degenerate
@@ -296,7 +297,7 @@ class TestRunningSums:
                 assert overflowing == (raised[-1:] == [p])
             if raised and raised[-1] == p - 1:  # the first estimate after they left
                 np.testing.assert_array_equal(window._sums[0], fresh_sum(window, "ap0"))
-                expected = aod.estimate_paths(window, geometry, aod_config, "ap0")
+                expected = aod.estimate_paths(window_records(window, "ap0"), geometry, aod_config)
                 np.testing.assert_array_equal(np.sort(tracker.path_sets["ap0"].aods), expected.aods)
                 compared += 1
         assert len(raised) > 10 and compared == 1
