@@ -109,7 +109,7 @@ class WindowBuffer:
             self._move_live_rows()
         return self._csi[len(self._packet_horizons)]
 
-    def push(self, timestamps, horizon: float = -math.inf) -> None:
+    def push(self, timestamps, horizon: float) -> None:
         """Add the packet written into :meth:`row`, its A ``timestamps`` (-inf where
         absent); an AP's rows before its last packet's ``horizon`` (never
         decreasing) expire on the next read."""
@@ -230,28 +230,19 @@ class WindowBuffer:
         self._sums = sums
         return sums if slots == self._slots else sums[slots], [self._counts[a] for a in slots]
 
-    def _window(self, ap_id: str):
-        """One AP's slot, the buffer rows (start, end) of its window and their
-        timestamps for the AP (-inf where it is absent)."""
+    def window(self, ap_id: str):
+        """One AP's window: its timestamps, oldest first, and a read-only M x P view of
+        its CSI, a column per packet it was in (a copy if it missed some)."""
         self._sync()
         a, num_aps = self.ap_ids.index(ap_id), len(self.ap_ids)
         start, end = self._starts[a], len(self._packet_horizons)
-        return a, start, end, np.array(self._stamps[start * num_aps + a:end * num_aps:num_aps])
-
-    def matrix(self, ap_id: str) -> np.ndarray:
-        """Read-only M x P view of one AP's window, column per packet it was in
-        (a copy if it missed some)."""
-        a, start, end, stamps = self._window(ap_id)
+        stamps = np.array(self._stamps[start * num_aps + a:end * num_aps:num_aps])
         rows = self._csi[start:end, a]
         if self._counts[a] < end - start:
-            rows = rows[stamps > -math.inf]
+            held = stamps > -math.inf
+            stamps, rows = stamps[held], rows[held]
         rows.flags.writeable = False
-        return rows.T
-
-    def timestamps(self, ap_id: str) -> np.ndarray:
-        """One AP's window's timestamps, oldest first."""
-        stamps = self._window(ap_id)[3]
-        return stamps[stamps > -math.inf]
+        return stamps, rows.T
 
 
 def _noise_subspaces(covariance: np.ndarray, num_paths: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Command-line entry points: simulate | track | evaluate | ablate | demo.
 
-Every subcommand is deterministic given its flags and seed. Exit codes:
-0 success, 2 configuration/usage error, 3 malformed or unreadable file, 4
-stream-order error, 5 degenerate/unobservable estimation input, 1 anything
-unexpected.
+Every subcommand is deterministic given its flags and seed; ``demo`` tracks the
+trace file it writes as ``track`` does. Exit codes: 0 success, 2 configuration or
+usage error, 3 malformed or unreadable file, 4 stream-order error, 5
+degenerate/unobservable estimation input, 1 anything unexpected.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def _make_waypoints(args, packet_interval):
 
 
 def _simulate(sim: SimConfig, ap_ids, waypoints, trace_path, truth_path=None):
-    """Simulate, pair and write the trace (and truth); returns the groups and the truth."""
+    """Simulate, pair and write the trace (and truth); returns the truth."""
     groups = trace_io.pair_streams(simulate_trajectory(sim, waypoints))
     records = [r for group in groups for r in group.records.values()]
     header = trace_io.TraceHeader(sim.geometry, ap_ids, sim.packet_interval)
@@ -167,7 +167,7 @@ def _simulate(sim: SimConfig, ap_ids, waypoints, trace_path, truth_path=None):
     truth = resample_waypoints(waypoints, sim.packet_interval)
     if truth_path:
         trace_io.write_trajectory(truth_path, truth)
-    return groups, truth
+    return truth
 
 
 def cmd_simulate(args) -> int:
@@ -197,14 +197,19 @@ def _tracker_config(config, geometry: ArrayGeometry) -> TrackerConfig:
     return tracker
 
 
+def _track(trace: trace_io.TraceFile, config, mode=None):
+    """The tracker that consumed ``trace`` under run config ``config`` (None: defaults), in
+    ``mode`` if given, and its trajectory: for ``track``, ``demo`` and the same-clock ablation."""
+    tracker_config = _tracker_config(config, trace.header.geometry)
+    if mode:
+        tracker_config = dataclasses.replace(tracker_config, mode=mode)
+    tracker = Tracker(trace.header.geometry, trace.header.ap_ids, tracker_config)
+    return tracker, tracker.consume(trace_io.pair_streams(trace_io.records_by_ap(trace)))
+
+
 def cmd_track(args) -> int:
     config = trace_io.load_config(args.config) if args.config else None
-    trace = trace_io.read_trace(args.trace)
-    tracker_config = _tracker_config(config, trace.header.geometry)
-    if args.mode:
-        tracker_config = dataclasses.replace(tracker_config, mode=args.mode)
-    tracker = Tracker(trace.header.geometry, trace.header.ap_ids, tracker_config)
-    trajectory = tracker.consume(trace_io.pair_streams(trace_io.records_by_ap(trace)))
+    tracker, trajectory = _track(trace_io.read_trace(args.trace), config, args.mode)
     trace_io.write_trajectory(args.out, trajectory)
     print(f"wrote {args.out}")
     for flag, count in sorted(tracker.flag_summary().items()):
@@ -231,13 +236,7 @@ def _ablate_same_clock(args) -> int:
     config = trace_io.load_config(args.config) if args.config else None
     trace = trace_io.read_trace(args.trace)
     truth = trace_io.read_trajectory(args.truth)
-    base = _tracker_config(config, trace.header.geometry)
-    groups = trace_io.pair_streams(trace_io.records_by_ap(trace))
-    results = {}
-    for mode in MODES:
-        tracker = Tracker(trace.header.geometry, trace.header.ap_ids,
-                          dataclasses.replace(base, mode=mode))
-        results[mode] = error_cdf([align(tracker.consume(groups), truth)])
+    results = {mode: error_cdf([align(_track(trace, config, mode)[1], truth)]) for mode in MODES}
     full, same_clock = results["full"].median, results["assume-same-clock"].median
     ratio = same_clock / full if full else np.inf if same_clock else np.nan
     summary = {f"median {mode}": cdf.median for mode, cdf in results.items()} | {"ratio": ratio}
@@ -283,10 +282,9 @@ def cmd_demo(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     config = indoor_4ap_preset(args.seed)
     trace_io.save_config(outdir / "config.json", config)
-    groups, truth = _simulate(config.sim, config.ap_ids, square_waypoints(side=0.1, speed=0.05),
-                              outdir / "trace.txt", outdir / "truth.txt")
-
-    estimate = Tracker(config.geometry, config.ap_ids, config.tracker).consume(groups)
+    truth = _simulate(config.sim, config.ap_ids, square_waypoints(side=0.1, speed=0.05),
+                      outdir / "trace.txt", outdir / "truth.txt")
+    _, estimate = _track(trace_io.read_trace(outdir / "trace.txt"), config)
     trace_io.write_trajectory(outdir / "estimate.txt", estimate)
 
     cdf = error_cdf([align(estimate, truth)])

@@ -149,7 +149,7 @@ def _parse_trace(handle) -> TraceFile:
     for number, line in lines:
         if line.startswith("#"):
             key, _, rest = line[1:].rstrip("\n").partition(" ")
-            meta[key] = (rest, number)
+            meta.setdefault(key, []).append((rest, number))
         else:
             body = itertools.chain([line], handle)  # from line `number` on
             break
@@ -157,7 +157,9 @@ def _parse_trace(handle) -> TraceFile:
     def parse_header(key, convert):
         if key not in meta:
             raise TraceParseError(f"header is missing #{key}", 1)
-        text, number = meta[key]
+        (text, number), *repeats = meta[key]
+        if repeats:
+            raise TraceParseError(f"#{key}: repeats line {number}", repeats[0][1])
         try:
             return convert(text)
         except ValueError as exc:
@@ -443,10 +445,19 @@ def config_from_dict(data: dict) -> RunConfig:
     return _decode(RunConfig, data, "", {})
 
 
+def _unique_keys(pairs) -> dict:  # json's object_pairs_hook: a key given twice is an error
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            _fail("", f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_config(path) -> RunConfig:
     with open(path, encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid JSON: {exc}") from None
     return config_from_dict(data)

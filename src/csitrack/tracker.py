@@ -125,7 +125,7 @@ class Tracker:
         self._directions = np.zeros((num_aps, num_paths, 2))  # [cos, sin] of each AoD
         self._has_paths = [False] * num_aps
         self._usable = [False] * num_aps  # steering condition gate passed
-        # plan key -> least-squares matrix, or the error it raises; until the next estimate
+        # plan key -> least-squares matrix, None if unobservable; until the next estimate
         self._plans = {}
         # the last whole packet, or after a raise one that holds no AP and so pairs with nothing
         self._unpaired = self._last = self._packet(
@@ -240,15 +240,15 @@ class Tracker:
                               (InsufficientPathsError.__name__, short)):
             if count:
                 self.exclusions[reason] += count
-        plan = self._plans.get(key)
-        if plan is None:
+        plan = self._plans.get(key, False)  # False: not planned yet
+        if plan is False:
             rows = plan_rows(self._directions.tolist(), key, self.geometry.wavelength)
             try:
                 plan = factor_rows(rows, self.config.stacked_condition_limit)
-            except UnobservableDisplacementError as error:
-                plan = error.with_traceback(None)  # keeps no frame alive
+            except UnobservableDisplacementError:
+                plan = None
             self._plans[key] = plan
-        if isinstance(plan, UnobservableDisplacementError):
+        if plan is None:
             self._emit(now, "dead-reckoned")
             return None
         displacement = Displacement(plan @ turns)

@@ -40,9 +40,9 @@ def default_geometry() -> ArrayGeometry:
 def window_records(window, ap):
     """The CsiRecords one AP's window of a WindowBuffer holds, oldest first: its timestamps
     and the columns of its CSI matrix, numbered in window order."""
+    timestamps, matrix = window.window(ap)
     return [CsiRecord(ap, p, timestamp, csi)
-            for p, (timestamp, csi) in enumerate(zip(window.timestamps(ap).tolist(),
-                                                     window.matrix(ap).T))]
+            for p, (timestamp, csi) in enumerate(zip(timestamps.tolist(), matrix.T))]
 
 
 def random_channel(rng, ap_ids=AP_IDS):

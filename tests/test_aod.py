@@ -85,7 +85,7 @@ class TestConcatWindow:
             estimate_paths(WindowBuffer(["ap0"], 3), default_geometry(), AodConfig(min_packets=1))
 
 
-_WINDOW_READS = ("counts", "matrix", "timestamps", "outer_sums")
+_WINDOW_READS = ("counts", "window", "outer_sums")
 
 
 class TestWindowBuffer:
@@ -95,14 +95,15 @@ class TestWindowBuffer:
         views = []
         for p in range(300):
             append(window, X[:, p], 0.006 * p, 0.006 * (p - 39))  # keeps the last 40 packets
-            views.append((p, window.matrix("ap0")))
+            views.append((p, window.window("ap0")[1]))
         # 64 -> 128 rows by growth, then compaction each time the 128 rows fill
-        np.testing.assert_array_equal(window.matrix("ap0"), X[:, 260:])
-        np.testing.assert_array_equal(window.timestamps("ap0"), 0.006 * np.arange(260, 300))
+        timestamps, matrix = window.window("ap0")
+        np.testing.assert_array_equal(matrix, X[:, 260:])
+        np.testing.assert_array_equal(timestamps, 0.006 * np.arange(260, 300))
         for p, view in views:
             np.testing.assert_array_equal(view, X[:, max(p - 39, 0):p + 1])
-        assert window.matrix("ap0").flags.f_contiguous
-        assert not window.matrix("ap0").flags.writeable
+        assert matrix.flags.f_contiguous
+        assert not matrix.flags.writeable
 
     @settings(max_examples=60, deadline=None)
     @given(steps=st.lists(st.tuples(st.sampled_from([0, 1, 1, 1, 1, 1, 2, 7, 40]),
@@ -113,8 +114,8 @@ class TestWindowBuffer:
     # the 65th append moves the rows while a gap's expiry waits for a read:
     # 22 live rows stay in 64, where the 64 unexpired rows would double it
     @example(steps=[(1, 0, 40, [])] * 63 + [(20, 0, 40, []), (1, 0, 40, ["counts"])], seed=0)
-    # a gap, then a read of the timestamps alone
-    @example(steps=[(1, 0, 5, [])] * 10 + [(7, 0, 5, ["timestamps"])], seed=0)
+    # a gap, then a read of the window alone
+    @example(steps=[(1, 0, 5, [])] * 10 + [(7, 0, 5, ["window"])], seed=0)
     def test_expiry_on_read_equals_expiry_after_each_append(self, steps, seed):
         """A window read now and then holds, at every read, what a window
         read after each append holds, bit for bit: across gaps that expire
@@ -141,8 +142,9 @@ class TestWindowBuffer:
                     assert np.array_equal(on_read_sums, on_append_sums)
                     assert on_read_counts == on_append_counts
                 else:
-                    assert np.array_equal(getattr(on_read, read)("ap0"),
-                                          getattr(on_append, read)("ap0"))
+                    for read_array, append_array in zip(on_read.window("ap0"),
+                                                        on_append.window("ap0")):
+                        assert np.array_equal(read_array, append_array)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -183,10 +185,9 @@ class TestWindowBuffer:
                 window, records = tracker._window, reference[ap]
                 assert window.counts()[slot] == len(records)
                 if records:
-                    np.testing.assert_array_equal(window.matrix(ap),
-                                                  np.array([r.csi for r in records]).T)
-                    np.testing.assert_array_equal(window.timestamps(ap),
-                                                  [r.timestamp for r in records])
+                    timestamps, matrix = window.window(ap)
+                    np.testing.assert_array_equal(matrix, np.array([r.csi for r in records]).T)
+                    np.testing.assert_array_equal(timestamps, [r.timestamp for r in records])
                 if len(records) >= aod.min_packets and (p % 37 == 0 or p == packets - 1):
                     expected = estimate_paths(records, geometry, aod)
                     actual = estimate_paths(window_records(window, ap), geometry, aod)
@@ -432,7 +433,7 @@ def check_batch(geometry, make_window, config):
         alone, alone_degenerate = _music_aods(sums[a:a + 1], lengths[a:a + 1], geometry, config)
         np.testing.assert_array_equal(aods[a], alone[0])
         assert degenerate[a] == alone_degenerate[0]
-        X = window.matrix(ap)
+        X = window.window(ap)[1]
         fresh = X @ X.conj().T
         np.testing.assert_allclose(sums[a], fresh, rtol=0, atol=1e-13 * np.abs(fresh).max())
         if shared:

@@ -119,6 +119,14 @@ class TestSimulate:
         assert "either --waypoints or --motion" in capsys.readouterr().err
         assert not trace.exists()
 
+    def test_preset_square_writes_the_demo_trace_and_truth(self, demo_dir, tmp_path):
+        # the demo's scenario at the demo's seed (77, see demo_dir)
+        code, trace, truth = self.simulate(tmp_path, "--motion", "square", "--motion-scale", "0.1",
+                                           "--seed", "77")
+        assert code == 0
+        assert trace.read_bytes() == (demo_dir / "trace.txt").read_bytes()
+        assert truth.read_bytes() == (demo_dir / "truth.txt").read_bytes()
+
     def test_seed_overrides_the_config_seed(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         save_config(config, indoor_4ap_preset(1))
@@ -248,9 +256,7 @@ class TestTrackEvaluate:
             "track", "--trace", demo_dir / "trace.txt",
             "--config", demo_dir / "config.json", "--out", out,
         ]) == 0
-        first = read_trajectory(demo_dir / "estimate.txt")
-        second = read_trajectory(out)
-        np.testing.assert_array_equal(first.positions, second.positions)
+        assert out.read_bytes() == (demo_dir / "estimate.txt").read_bytes()
 
     def test_evaluate_reports_median(self, demo_dir, tmp_path, capsys):
         out = tmp_path / "cdf.txt"
@@ -260,7 +266,11 @@ class TestTrackEvaluate:
         ])
         assert code == 0
         assert "median error" in capsys.readouterr().out
-        assert out.read_text().startswith("#error-cdf")
+        text = out.read_text()
+        assert text.startswith("#error-cdf") and "np." not in text
+        rows = [line.split() for line in text.splitlines() if not line.startswith("#")]
+        assert rows and all(len(row) == 2 for row in rows)
+        [float(value) for row in rows for value in row]  # each a plain float
 
     def test_evaluate_writes_aligned_trajectory(self, demo_dir, tmp_path):
         out = tmp_path / "cdf.txt"
@@ -403,11 +413,12 @@ class TestTrackEvaluate:
         assert run(["track", "--trace", path, "--out", tmp_path / "out.txt"]) == EXIT_PARSE
         assert f"line {number}: #packet_interval" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name, line", [("trace.txt", 3), ("trace.txt", 900),
-                                            ("estimate.txt", 700)])
+    @pytest.mark.parametrize("name, line", [("trace.txt", 3), ("trace.txt", 40),
+                                            ("trace.txt", 900), ("estimate.txt", 700)])
     def test_undecodable_byte_is_parse_error_at_its_line(self, demo_dir, tmp_path, capsys,
                                                          name, line):
-        # line 3 is a header line; the other two lie past the decoder's first chunk
+        # line 3 is a header line, line 40 a record in the decoder's first chunk; the
+        # other two lie past that chunk
         lines = (demo_dir / name).read_bytes().splitlines(keepends=True)
         lines[line - 1] = lines[line - 1][:5] + b"\xff" + lines[line - 1][6:]
         path = tmp_path / name
@@ -419,6 +430,32 @@ class TestTrackEvaluate:
                     "--out", tmp_path / "cdf.txt"]
         assert run(argv) == EXIT_PARSE
         assert f"error: line {line}: byte 0xff is not" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["antennas", "wavelength", "packet_interval", "geometry",
+                                     "aps"])
+    def test_repeated_header_key_is_parse_error_at_its_second_line(self, demo_dir, tmp_path,
+                                                                   capsys, key):
+        # a second #wavelength 0.12 once overrode the first: exit 0, a 92 mm median error
+        lines = (demo_dir / "trace.txt").read_text().splitlines(keepends=True)
+        first = next(n for n, line in enumerate(lines, start=1) if line.startswith(f"#{key} "))
+        repeat = "#wavelength 0.12\n" if key == "wavelength" else lines[first - 1]
+        path, out = tmp_path / "repeated.txt", tmp_path / "out.txt"
+        path.write_text("".join(lines[:first] + [repeat] + lines[first:]))
+        assert run(["track", "--trace", path, "--out", out]) == EXIT_PARSE
+        assert (f"error: line {first + 1}: #{key}: repeats line {first}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_repeated_config_key_is_config_error(self, demo_dir, tmp_path, capsys):
+        # the second "stride" once overrode the first without a word
+        text = (demo_dir / "config.json").read_text()
+        assert text.count('"stride": 1,') == 1
+        config, out = tmp_path / "repeated.json", tmp_path / "out.txt"
+        config.write_text(text.replace('"stride": 1,', '"stride": 1,\n    "stride": 400,'))
+        assert run(["track", "--trace", demo_dir / "trace.txt", "--config", config,
+                    "--out", out]) == EXIT_CONFIG
+        assert "error: config: duplicate key 'stride'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_undecodable_config_is_config_error(self, demo_dir, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -530,6 +567,58 @@ def test_more_paths_than_the_trace_antennas_allow_is_config_error(demo_dir, tmp_
                 "--out", out]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "tracker.num_paths: 3 paths" in err and "the trace has 3" in err, err
+    assert not out.exists()
+
+
+def demo_config(demo_dir, tmp_path, **tracker):
+    """The demo's run config with the ``tracker`` fields changed, written to a file."""
+    data = json.loads((demo_dir / "config.json").read_text())
+    data["tracker"].update(tracker)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("drop, tracker", [
+    (lambda ap, packet: ap == "ap2" and int(packet) % 7 == 0, {"stride": 10}),
+    # ap1's 401-packet gap outlasts the window
+    (lambda ap, packet: ap == "ap1" and 200 <= int(packet) <= 600, {"window_seconds": 1.0}),
+], ids=["every-7th-ap2-at-stride-10", "ap1-gap-past-a-1s-window"])
+def test_a_trace_with_dropped_records_tracks_as_tracker_consume(demo_dir, tmp_path, capsys,
+                                                                drop, tracker):
+    lines = (demo_dir / "trace.txt").read_text().splitlines(keepends=True)
+    trace = tmp_path / "dropped.txt"
+    trace.write_text("".join(line for line in lines
+                             if line.startswith("#") or not drop(*line.split()[:2])))
+    config = demo_config(demo_dir, tmp_path, **tracker)
+    out, expected = tmp_path / "out.txt", tmp_path / "expected.txt"
+    assert run(["track", "--trace", trace, "--config", config, "--out", out]) == 0
+    assert any(line.startswith("excluded:absent: ") for line in capsys.readouterr().out.splitlines())
+    read = read_trace(trace)
+    reference = Tracker(read.header.geometry, read.header.ap_ids, load_config(config).tracker)
+    write_trajectory(expected, reference.consume(pair_streams(records_by_ap(read))))
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_a_non_default_estimator_config_tracks_the_demo_trace(demo_dir, tmp_path, capsys):
+    # 0.7 degrees does not divide 360, so the cyclic grid's last interval is shorter
+    config = demo_config(demo_dir, tmp_path, grid_step=math.radians(0.7),
+                         stacked_condition_limit=1e8)
+    out = tmp_path / "out.txt"
+    assert run(["track", "--trace", demo_dir / "trace.txt", "--config", config,
+                "--out", out]) == 0
+    assert "dead-reckoned" not in capsys.readouterr().out
+    default, step07 = read_trajectory(demo_dir / "estimate.txt"), read_trajectory(out)
+    np.testing.assert_array_equal(step07.timestamps, default.timestamps)
+    assert np.linalg.norm(step07.positions - default.positions, axis=1).max() < 1e-6
+
+
+def test_a_grid_step_too_coarse_for_the_path_count_is_config_error(demo_dir, tmp_path, capsys):
+    config = demo_config(demo_dir, tmp_path, grid_step=2.0)  # 4 grid points for 2 paths
+    out = tmp_path / "out.txt"
+    assert run(["track", "--trace", demo_dir / "trace.txt", "--config", config,
+                "--out", out]) == EXIT_CONFIG
+    assert "error: tracker.grid_step: " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -181,6 +181,27 @@ class TestTraceRoundTrip:
             read_trace(path)
         assert info.value.line_number == number
 
+    @pytest.mark.parametrize("key", ["antennas", "wavelength", "packet_interval", "geometry",
+                                     "aps"])
+    def test_repeated_header_key_names_its_second_line(self, tmp_path, key):
+        path = tmp_path / "trace.txt"
+        write_trace(path, small_trace())
+        lines = path.read_text().splitlines()
+        number = next(n for n, line in enumerate(lines, start=1) if line.startswith(f"#{key} "))
+        lines.insert(number, lines[number - 1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceParseError, match=f"#{key}: repeats line {number}") as info:
+            read_trace(path)
+        assert info.value.line_number == number + 1
+
+    def test_header_lines_the_reader_does_not_use_may_repeat(self, tmp_path):
+        clean, path, again = (tmp_path / name for name in ("clean.txt", "notes.txt", "again.txt"))
+        write_trace(clean, small_trace())
+        lines = clean.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + ["#note a\n", "#note b\n", "#\n"] * 2 + lines[2:]))
+        write_trace(again, read_trace(path))
+        assert again.read_bytes() == clean.read_bytes()
+
     def test_unknown_ap_in_body(self, tmp_path):
         path = tmp_path / "trace.txt"
         trace = small_trace()
@@ -565,6 +586,17 @@ class TestRunConfig:
         loaded = config_from_dict(data)
         assert loaded.tracker == TrackerConfig()
         assert loaded.sim is None
+
+    @pytest.mark.parametrize("where", ["top", "nested"])
+    def test_repeated_key_is_config_error(self, tmp_path, where):
+        text = json.dumps(config_to_dict(self.make_config()))
+        key = "ap_ids" if where == "top" else "frequency_offset"
+        start = text.index(f'"{key}": ')
+        end = text.index(", ", start) if where == "nested" else text.index("], ", start) + 1
+        path = tmp_path / "config.json"
+        path.write_text(text[:end] + ", " + text[start:end] + text[end:])  # the key twice
+        with pytest.raises(ConfigError, match=f"^config: duplicate key '{key}'$"):
+            load_config(path)
 
     def test_invalid_json_is_config_error(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -217,7 +217,7 @@ class TestGridSteeringCache:
 
 
 def fresh_sum(window, ap):
-    X = window.matrix(ap)
+    X = window.window(ap)[1]
     return X @ X.conj().T
 
 
@@ -258,7 +258,7 @@ class TestRunningSums:
             for a, ap in enumerate(AP_IDS):
                 assert counts[a] == len(reference[ap])
                 np.testing.assert_array_equal(
-                    window.matrix(ap), np.reshape([r.csi for r in reference[ap]], (-1, 3)).T)
+                    window.window(ap)[1], np.reshape([r.csi for r in reference[ap]], (-1, 3)).T)
                 end = len(window._packet_horizons)
                 if window._summed[a] == (window._starts[a], end):  # the sum covers it
                     expected = fresh_sum(window, ap)
@@ -293,7 +293,7 @@ class TestRunningSums:
                 raised.append(p)
                 continue
             finally:
-                overflowing = np.count_nonzero(np.abs(window.matrix("ap0")[0]) > 1e100) == len(huge)
+                overflowing = np.count_nonzero(np.abs(window.window("ap0")[1][0]) > 1e100) == len(huge)
                 assert overflowing == (raised[-1:] == [p])
             if raised and raised[-1] == p - 1:  # the first estimate after they left
                 np.testing.assert_array_equal(window._sums[0], fresh_sum(window, "ap0"))
@@ -347,15 +347,16 @@ class TestSharedBuffer:
                             if not (ap == "ap1" and 30 <= p < 80 or ap == "ap3" and p >= 100)})
             if p == 79:
                 assert window.counts() == [21, 21, 21, 21]
-                np.testing.assert_array_equal(window.timestamps("ap1"), np.arange(9, 30) * interval)
-                np.testing.assert_array_equal(window.matrix("ap1"), csi[9:30, 1].T)
-                np.testing.assert_array_equal(window.timestamps("ap0"),
+                timestamps, matrix = window.window("ap1")
+                np.testing.assert_array_equal(timestamps, np.arange(9, 30) * interval)
+                np.testing.assert_array_equal(matrix, csi[9:30, 1].T)
+                np.testing.assert_array_equal(window.window("ap0")[0],
                                               np.arange(59, 80) * interval)
             if p == 80:
                 assert window.counts() == [21, 1, 21, 21]
-                np.testing.assert_array_equal(window.matrix("ap1"), csi[80:81, 1].T)
+                np.testing.assert_array_equal(window.window("ap1")[1], csi[80:81, 1].T)
         assert window.counts() == [21, 21, 21, 21]
-        np.testing.assert_array_equal(window.timestamps("ap3"), np.arange(79, 100) * interval)
+        np.testing.assert_array_equal(window.window("ap3")[0], np.arange(79, 100) * interval)
         assert window._csi.shape[0] == 128  # 41 rows held at the first move, at packet 64
 
 
@@ -426,12 +427,12 @@ class TestRaisingPacket:
             except ValueError as exc:
                 assert str(exc) == "covariance contains non-finite values"
                 break
-        windows = {ap: tracker._window.matrix(ap).copy() for ap in AP_IDS}
+        windows = {ap: tracker._window.window(ap)[1].copy() for ap in AP_IDS}
         flags = list(tracker.flags)
         with pytest.raises(StreamOrderError, match=f"packet {raised} after {raised}"):
             tracker.ingest(groups[raised])
         for ap in AP_IDS:
-            np.testing.assert_array_equal(tracker._window.matrix(ap), windows[ap])
+            np.testing.assert_array_equal(tracker._window.window(ap)[1], windows[ap])
         assert tracker.flags == flags
         for group in groups[raised + 1:]:  # each raises until the 1e200 row leaves the window
             try:
