@@ -127,9 +127,11 @@ def _read_text(path, parse):
 
 
 def read_trace(path) -> TraceFile:
-    """Parse a trace file; errors name the 1-based line. The body is parsed
-    in blocks of BLOCK_LINES lines, each converted by one ``np.array`` call and
-    checked as a whole; a block that fails is checked again line by line."""
+    """Parse a trace file; errors name the 1-based line. The body is parsed in blocks of
+    BLOCK_LINES lines, each block's CSI converted by one ``np.array`` call and the block
+    checked as a whole; a block that fails is checked again line by line. Records share
+    their immutable fields: each holds the header's AP-id string, and the records of a
+    block share one packet index (timestamp) object per distinct token of its text."""
     return _read_text(path, _parse_trace)
 
 
@@ -196,7 +198,8 @@ def _parse_trace(handle) -> TraceFile:
 
 def _parse_block(rows, header: TraceHeader, last: dict) -> list:
     """Records of the split lines ``rows``, checked as a whole (ValueError
-    says which check failed); brings ``last`` up to date."""
+    says which check failed); brings ``last`` up to date. The records hold the header's
+    AP-id strings, and one int (float) per distinct index (timestamp) token."""
     rows = [parts for parts in rows if parts]  # a blank line holds no record
     if not rows:
         return []
@@ -204,9 +207,15 @@ def _parse_block(rows, header: TraceHeader, last: dict) -> list:
     counts = set(map(len, rows))
     if counts != {width}:
         raise ValueError(f"expected {width} fields, found {min(counts - {width})}")
-    values = np.array([parts[2:] for parts in rows], dtype=float)
-    records = checked_records([parts[0] for parts in rows], [int(parts[1]) for parts in rows],
-                              values[:, 0].tolist(), values[:, 1:].copy().view(complex))
+    ap_ids, indices, stamps, *columns = zip(*rows)
+    # float() is how np.array converts a str; keyed by text, -0.0 stays apart from 0.0
+    stamp_of = {token: float(token) for token in set(stamps)}
+    csi = np.array(columns, dtype=float).T.copy().view(complex)
+    index_of = {token: int(token) for token in set(indices)}
+    own = dict(zip(header.ap_ids, header.ap_ids))  # an id the header lacks passes unchanged
+    records = checked_records(list(map(own.get, ap_ids, ap_ids)),
+                              list(map(index_of.__getitem__, indices)),
+                              list(map(stamp_of.__getitem__, stamps)), csi)
     _check_records(header, records, last)
     return records
 

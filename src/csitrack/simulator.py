@@ -200,13 +200,14 @@ def simulate_trajectory(config: SimConfig, waypoints: Trajectory) -> dict:
     jitter walk, the amplitude drift, then the noise. APs draw from
     independent child RNG streams of ``config.rng_seed`` (assigned in sorted
     AP order), so per-AP streams may be regenerated independently and the
-    whole output is reproducible. Each AP's CSI is checked once, as a block.
+    whole output is reproducible. Each AP's CSI is checked once, as a block. Record p of
+    every AP holds the same packet-index and timestamp objects, and its AP's one id string.
     """
     grid = resample_waypoints(waypoints, config.packet_interval)
     offsets_from_start = grid.positions - grid.positions[0]
     num_packets = len(grid)
     packet_indices = np.arange(num_packets)
-    timestamps = grid.timestamps.tolist()
+    indices, timestamps = list(range(num_packets)), grid.timestamps.tolist()
     ap_ids = config.channel.ap_ids
     children = np.random.SeedSequence(config.rng_seed).spawn(len(ap_ids))
     streams = {}
@@ -219,7 +220,7 @@ def simulate_trajectory(config: SimConfig, waypoints: Trajectory) -> dict:
         csi = channel_at(paths, config.geometry, offsets_from_start, drift)
         csi = apply_offset(csi, packet_indices, model, config.packet_interval, walk)
         csi = add_noise_and_quantize(csi, config.snr_db, config.quantize, rng)
-        streams[ap_id] = checked_records([ap_id] * num_packets, range(num_packets), timestamps, csi)
+        streams[ap_id] = checked_records([ap_id] * num_packets, indices, timestamps, csi)
     return streams
 
 

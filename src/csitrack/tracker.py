@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -104,6 +105,8 @@ class Tracker:
     A packet whose update raises stays in the windows but pairs with nothing,
     so the next point is dead-reckoned with each AP that has paths absent.
     ``ap_ids`` that a trace's ``#aps`` cannot hold (see ``check_ap_ids``) raise ValueError.
+    The track is kept as flat floats (the position two floats, the points two ``array('d')``
+    buffers); :meth:`trajectory` and :attr:`position` return fresh copies.
     """
 
     def __init__(self, geometry: ArrayGeometry, ap_ids, config: TrackerConfig = None):
@@ -131,9 +134,8 @@ class Tracker:
         self._unpaired = self._last = self._packet(
             np.zeros((num_aps, num_antennas), dtype=complex), [False] * num_aps)
         self._previous_index = self._previous_time = -math.inf
-        self._position = np.asarray(self.config.origin, dtype=float)
-        self._positions = []
-        self._times = []
+        self._x, self._y = map(float, self.config.origin)  # the position, as plain floats
+        self._points, self._times = array("d"), array("d")  # x0 y0 x1 y1 ..., t0 t1 ...
         self.flags = []
         self.exclusions = Counter()
 
@@ -252,12 +254,13 @@ class Tracker:
             self._emit(now, "dead-reckoned")
             return None
         displacement = Displacement(plan @ turns)
-        self._position = self._position + displacement.delta
+        dx, dy = displacement.delta.tolist()  # a float add is numpy's float64 add
+        self._x, self._y = self._x + dx, self._y + dy
         self._emit(now, "ok")
         return displacement
 
     def _emit(self, timestamp, flag):
-        self._positions.append(self._position)  # replaced, never changed in place
+        self._points.extend((self._x, self._y))
         self._times.append(timestamp)
         self.flags.append(flag)
 
@@ -275,9 +278,9 @@ class Tracker:
         return self.trajectory()
 
     def trajectory(self) -> Trajectory:
-        if not self._positions:
+        if not self._times:
             raise ValueError("tracker has not emitted any points yet")
-        return Trajectory(np.array(self._positions), np.array(self._times))
+        return Trajectory(np.array(self._points).reshape(-1, 2), np.array(self._times))
 
     def flag_summary(self) -> dict:
         summary = dict(Counter(self.flags))
@@ -286,7 +289,7 @@ class Tracker:
 
     @property
     def position(self) -> np.ndarray:
-        return self._position.copy()
+        return np.array([self._x, self._y])
 
     @property
     def path_sets(self) -> dict:

@@ -844,7 +844,8 @@ class FreshRowsTracker(Tracker):
         except UnobservableDisplacementError:
             self._emit(now, "dead-reckoned")
             return None
-        self._position = self._position + displacement.delta
+        dx, dy = displacement.delta.tolist()
+        self._x, self._y = self._x + dx, self._y + dy
         self._emit(now, "ok")
         return displacement
 

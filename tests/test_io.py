@@ -84,6 +84,21 @@ class TestTraceRoundTrip:
             assert (a.ap_id, a.packet_index, a.timestamp) == (b.ap_id, b.packet_index, b.timestamp)
             np.testing.assert_array_equal(a.csi, b.csi)
 
+    def test_a_packets_records_share_their_fields(self, tmp_path):
+        # one packet index and one timestamp object per packet, and the header's AP-id strings
+        path = tmp_path / "trace.txt"
+        write_trace(path, small_trace(packets=300))
+        loaded = read_trace(path)
+        own = dict(zip(loaded.header.ap_ids, loaded.header.ap_ids))
+        groups = pair_streams(records_by_ap(loaded))
+        assert groups[-1].packet_index > 256  # past the small ints Python caches
+        for group in groups:
+            first = next(iter(group.records.values()))
+            for record in group.records.values():
+                assert record.ap_id is own[record.ap_id]
+                assert record.packet_index is first.packet_index
+                assert record.timestamp is first.timestamp
+
     def test_a_trace_that_cannot_be_written_leaves_no_partial_file(self, tmp_path):
         # str() refuses an int of more than 4,300 digits; the writer must find it before it opens
         trace = small_trace()
@@ -310,6 +325,8 @@ def trace_files(draw, max_records=12):
 @given(arguments=trace_arguments())
 @example(arguments=((default_geometry(), ["ap0", ""], 0.006), [("ap0", 1, 0.0, np.ones(3))]))
 @example(arguments=((default_geometry(), ["ap0"], 0.006), [("ap0", 0.5, 0.0, np.ones(3))]))
+@example(arguments=((default_geometry(), ["ap0", "ap1"], 0.006),  # one packet, two signed zeros
+                    [("ap0", 7, 0.0, np.ones(3)), ("ap1", 7, -0.0, np.ones(3))]))
 def test_trace_round_trip_is_lossless(arguments):
     # every trace the constructors accept comes back: its AP ids and integer indices, and
     # every float bit for bit (-0.0, subnormals, +-1e308, 17 digits)

@@ -231,6 +231,16 @@ class TestSimulateTrajectory:
             [r.timestamp for r in records], 0.006 * np.arange(11), atol=1e-12
         )
 
+    def test_record_p_of_every_ap_shares_its_fields(self):
+        streams = simulate_trajectory(make_sim_config(5), stationary_waypoints(0.006 * 299))
+        first, *others = streams.values()
+        assert first[-1].packet_index > 256  # past the small ints Python caches
+        for records in others:
+            for a, b in zip(first, records, strict=True):
+                assert a.packet_index is b.packet_index and a.timestamp is b.timestamp
+        for ap, records in streams.items():
+            assert all(record.ap_id is records[0].ap_id for record in records)
+
     def test_each_record_is_the_composed_pipeline(self):
         # channel_at -> apply_offset -> add_noise_and_quantize, per packet,
         # reproduced here with the same per-AP child RNG stream

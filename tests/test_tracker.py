@@ -21,7 +21,7 @@ from csitrack.simulator import (
     square_waypoints,
     stationary_waypoints,
 )
-from csitrack.tracker import Tracker, TrackerConfig, continuity_order
+from csitrack.tracker import MODES, Tracker, TrackerConfig, continuity_order
 
 
 def run_tracker(streams, config=None, geometry=None, ap_ids=AP_IDS):
@@ -164,16 +164,32 @@ class TestTrackerBasics:
         assert align(trajectory, truth).errors.max() < 1e-4
         assert tracker.flag_summary().get("ok", 0) > 0.9 * len(trajectory)
 
-    def test_telescoping_position_equals_sum_of_deltas(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_telescoping_position_equals_sum_of_deltas(self, mode):
         config = make_sim_config(34, snr_db=25.0, quantize=True)
         streams = simulate_trajectory(config, random_waypoints(0.05, 1.0, seed=34))
-        tracker = Tracker(default_geometry(), AP_IDS)
+        tracker = Tracker(default_geometry(), AP_IDS, TrackerConfig(mode=mode))
         total = np.zeros(2)
         for group in pair_streams(streams):
             displacement = tracker.ingest(group.records)
             if displacement is not None:
                 total = total + displacement.delta
         np.testing.assert_array_equal(tracker.position, total)
+        np.testing.assert_array_equal(tracker.trajectory().positions[-1], total)
+
+    def test_trajectory_and_position_are_copies(self):
+        config = make_sim_config(35)
+        streams = simulate_trajectory(config, square_waypoints(side=0.01, speed=0.05))
+        tracker, trajectory = run_tracker(streams)
+        positions, times, position = (trajectory.positions.copy(), trajectory.timestamps.copy(),
+                                      tracker.position)
+        for array in (trajectory.positions, trajectory.timestamps, tracker.position):
+            array += 1.0
+        again = tracker.trajectory()
+        np.testing.assert_array_equal(again.positions, positions)
+        np.testing.assert_array_equal(again.timestamps, times)
+        np.testing.assert_array_equal(tracker.position, position)
+        np.testing.assert_array_equal(position, positions[-1])
 
     def test_deterministic_given_trace(self):
         config = make_sim_config(35, snr_db=25.0, quantize=True)
