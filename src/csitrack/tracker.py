@@ -1,21 +1,21 @@
 """End-to-end motion tracking over synchronized CSI streams.
 
 Keeps every AP's sliding window of recent packets in one :class:`~csitrack.aod.WindowBuffer`,
-which only the tracker writes. A packet group passes every check (APs, CSI sizes, packet
-index, time) before it touches the window; then its CSI is written once, into a buffer row
-that is also the CSI it is projected from. Each AP has its own front, horizon and running
-sum of x x^H, expired when read (:func:`~csitrack.aod.estimate_paths`, by contrast, takes
-one AP's records and sums afresh).
+which only the tracker writes. One pass over a packet group checks it (APs, CSI sizes, packet
+index, time) and collects its rows; only then is its CSI written once, into a buffer row that
+is also the CSI it is projected from. Each AP has its own front, horizon and running sum of
+x x^H, expired when read (:func:`~csitrack.aod.estimate_paths` takes records and sums afresh).
 Re-estimates the paths of every AP due on a packet in one batch
 (:func:`~csitrack.aod.estimate_aods`: one stacked update of their sums, then
-:func:`continuity_order` and one stacked factorization), projects each packet once onto the
-paths, selects every AP's paths of a packet pair in one pass on plain floats, fuses their
-offset-cancelled rows into one displacement (see :mod:`csitrack.displacement`) and
-integrates it from the origin. The last packet is one record (CSI, APs present, path
-strengths as lists), re-projected only if the paths change; each plan key's least-squares
-matrix lasts until the next estimate. Samples whose displacement is unobservable carry the
-previous position forward with a quality flag, so the trajectory keeps a uniform timebase
-for evaluation.
+:func:`continuity_order` and one stacked factorization). A packet between estimates pays for
+its checks, its row write, one projection onto the paths, one selection pass on plain floats
+over its pair's APs and one solve of their offset-cancelled rows (see
+:mod:`csitrack.displacement`), integrated from the origin. Until the next estimate a plan
+key's least-squares matrix lasts, and until then or a presence change so do the pair's active
+APs and exclusion counts. The last packet is one record (CSI, APs present, path strengths as
+lists), re-projected only if the paths change. Samples whose displacement is unobservable
+carry the previous position forward with a quality flag, so the trajectory keeps a uniform
+timebase for evaluation.
 """
 
 from __future__ import annotations
@@ -128,8 +128,10 @@ class Tracker:
         self._directions = np.zeros((num_aps, num_paths, 2))  # [cos, sin] of each AoD
         self._has_paths = [False] * num_aps
         self._usable = [False] * num_aps  # steering condition gate passed
-        # plan key -> least-squares matrix, None if unobservable; until the next estimate
-        self._plans = {}
+        # until the next estimate: plan key -> least-squares matrix (None if unobservable), and
+        # the active APs and exclusion counts of one (previous presence, presence)
+        self._plans, self._presence, self._active, self._excluded = {}, None, None, None
+        self._same_clock = self.config.mode == "assume-same-clock"
         # the last whole packet, or after a raise one that holds no AP and so pairs with nothing
         self._unpaired = self._last = self._packet(
             np.zeros((num_aps, num_antennas), dtype=complex), [False] * num_aps)
@@ -164,7 +166,7 @@ class Tracker:
         self._directions[at] = np.array([cos, sin]).transpose(1, 2, 0)
         for slot, usable in zip(slots, (cond < self.config.steering_condition_limit).tolist()):
             self._usable[slot], self._has_paths[slot], self._since_estimate[slot] = usable, True, 0
-        self._plans.clear()
+        self._plans, self._presence = {}, None
         return self._packet(*last[:2])
 
     def ingest(self, records) -> Displacement | None:
@@ -181,11 +183,11 @@ class Tracker:
         """
         if not records:
             raise ValueError("records must not be empty")
-        num_antennas = self.geometry.num_antennas
+        num_antennas, since = self.geometry.num_antennas, self._since_estimate
         present = [False] * len(self.ap_ids)
         stamps = [-math.inf] * len(self.ap_ids)
-        indices, now = set(), -math.inf
-        for ap_id, record in records.items():
+        rows, indices, now = [], set(), -math.inf
+        for ap_id, record in records.items():  # every check, before the window is written
             slot = self._slots.get(ap_id)
             if slot is None:
                 raise ValueError(f"unknown AP id {ap_id!r}")
@@ -195,9 +197,10 @@ class Tracker:
                 raise ValueError(f"record for {ap_id!r} holds {record.csi.size} CSI entries, "
                                  f"the array has {num_antennas} antennas")
             present[slot] = True
-            stamps[slot] = record.timestamp
+            stamps[slot] = timestamp = record.timestamp
             indices.add(record.packet_index)
-            now = max(now, record.timestamp)
+            now = timestamp if timestamp > now else now  # the first of equal maxima, as max()
+            rows.append((slot, record.csi))
         if len(indices) != 1:
             raise StreamOrderError(f"group mixes packet indices {sorted(indices)}")
         packet_index = indices.pop()
@@ -210,13 +213,13 @@ class Tracker:
         # the window takes the packet, its CSI written once into the row it is projected from;
         # it is the last whole packet only once it completes
         csi = self._window.row()
-        for ap_id, record in records.items():
-            csi[self._slots[ap_id]] = record.csi
+        for slot, record_csi in rows:
+            csi[slot] = record_csi
+            since[slot] += 1
         last, self._last = self._last, self._unpaired
         self._previous_index, self._previous_time = packet_index, now
         self._window.push(stamps, now - self.config.aod.window_seconds)
-        self._since_estimate = [count + p for count, p in zip(self._since_estimate, present)]
-        if max(self._since_estimate) >= self.config.stride:  # once warm, 1 in stride
+        if max(since) >= self.config.stride:  # once warm, 1 in stride
             last = self._update_paths(last)
         packet = self._packet(csi, present)
 
@@ -232,16 +235,19 @@ class Tracker:
         """Select every AP's paths for the records ``last`` and ``packet`` and
         solve their rows together; count each AP with paths that gives no row."""
         (_, last_present, *first), (_, present, *second) = last, packet
-        pairs = [p and q and h for p, q, h in zip(last_present, present, self._has_paths)]
-        active = [p and usable for p, usable in zip(pairs, self._usable)]
-        key, short, turns = select_rows(first, second, self.config.mode == "assume-same-clock",
-                                        active)
-        num_pairs, num_active = sum(pairs), sum(active)
-        for reason, count in (("absent", sum(self._has_paths) - num_pairs),
-                              (DegenerateGeometryError.__name__, num_pairs - num_active),
-                              (InsufficientPathsError.__name__, short)):
-            if count:
-                self.exclusions[reason] += count
+        presence = last_present, present
+        if presence != self._presence:  # a raise pairs the next packet with no AP: a change
+            pairs = [p and q and h for p, q, h in zip(last_present, present, self._has_paths)]
+            active = [p and usable for p, usable in zip(pairs, self._usable)]
+            excluded = (("absent", sum(self._has_paths) - sum(pairs)),
+                        (DegenerateGeometryError.__name__, sum(pairs) - sum(active)))
+            self._presence, self._active = presence, active
+            self._excluded = [(reason, count) for reason, count in excluded if count]
+        key, short, turns = select_rows(first, second, self._same_clock, self._active)
+        for reason, count in self._excluded:
+            self.exclusions[reason] += count
+        if short:
+            self.exclusions[InsufficientPathsError.__name__] += short
         plan = self._plans.get(key, False)  # False: not planned yet
         if plan is False:
             rows = plan_rows(self._directions.tolist(), key, self.geometry.wavelength)
@@ -253,8 +259,12 @@ class Tracker:
         if plan is None:
             self._emit(now, "dead-reckoned")
             return None
-        displacement = Displacement(plan @ turns)
-        dx, dy = displacement.delta.tolist()  # a float add is numpy's float64 add
+        delta = plan @ turns
+        dx, dy = delta.tolist()  # a float add is numpy's float64 add
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            raise ValueError("delta must be finite")
+        displacement = object.__new__(Displacement)  # what Displacement(delta) checks, checked
+        object.__setattr__(displacement, "delta", delta)
         self._x, self._y = self._x + dx, self._y + dy
         self._emit(now, "ok")
         return displacement

@@ -907,6 +907,48 @@ def test_reused_row_plans_change_no_bit(stride, mode, seed, fade_ap, fade_path, 
     assert np.array_equal(tracker.trajectory().positions, fresh.trajectory().positions)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered",
+                            "ignore:divide by zero encountered")
+@settings(max_examples=15, deadline=None)
+# no drops: only the estimates change which APs are usable, and only the raises which
+# packets pair; masks kept across either fail this example
+@example(stride=3, mode="full", seed=1, steering_limit=2.5, huge_at=40, drop=0.0)
+@given(stride=st.integers(1, 12), mode=st.sampled_from(MODES), seed=st.integers(0, 2**16),
+       steering_limit=st.floats(1.5, 8.0), huge_at=st.integers(25, 60),
+       drop=st.sampled_from([0.0, 0.1]))
+def test_reused_masks_follow_estimates_and_raises(stride, mode, seed, steering_limit, huge_at,
+                                                   drop):
+    # a steering limit among the estimates' condition numbers (about 1.3 to 8) turns
+    # APs usable and unusable from one estimate to the next, and a packet of 1e200 CSI
+    # makes each estimate raise while it is in the 50-packet window, after which the
+    # tracker recovers: its pair masks, kept between estimates, must raise alike and
+    # give every bit the masks made afresh on each packet give
+    streams = flipping_streams(seed, "ap1", 1, 50, 20, drop, 25.0)
+    config = TrackerConfig(aod=tracker_module.AodConfig(num_paths=3, window_seconds=0.3),
+                           stride=stride, mode=mode, steering_condition_limit=steering_limit)
+    tracker, fresh = (cls(ArrayGeometry.circular(4), AP_IDS, config)
+                      for cls in (Tracker, FreshRowsTracker))
+    raised = 0
+    for group in pair_streams(streams):
+        records = {ap: r for ap, r in group.records.items() if r is not None}
+        if group.packet_index == huge_at:
+            records = {ap: CsiRecord(ap, r.packet_index, r.timestamp, 1e200 * r.csi)
+                       for ap, r in records.items()}
+        outcomes = []
+        for each in (tracker, fresh):
+            try:
+                delta = each.ingest(records)
+                outcomes.append(None if delta is None else delta.delta.tobytes())
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        raised += isinstance(outcomes[0], str)
+    assert raised
+    assert tracker.flags == fresh.flags
+    assert tracker.exclusions == fresh.exclusions
+    assert np.array_equal(tracker.trajectory().positions, fresh.trajectory().positions)
+
+
 def test_rows_are_factored_once_per_estimate_while_the_selection_holds():
     # seed 2 keeps each AP's two path strengths apart, so the reference path
     # holds and the selection changes only when the paths are re-estimated

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import AP_IDS, BAD_AP_IDS, default_geometry, make_sim_config, window_records
 
-from csitrack import aod
+from csitrack import aod, tracker as tracker_module
 from csitrack.aod import AodConfig
 from csitrack.core import ArrayGeometry, CsiRecord, circular_distance, steering_matrix
+from csitrack.displacement import factor_rows
 from csitrack.errors import StreamOrderError, WindowUnderfullError
 from csitrack.io import pair_streams
 from csitrack.simulator import (
@@ -458,6 +459,33 @@ class TestRaisingPacket:
                 pass
         assert tracker.flags[-1] == "dead-reckoned" and len(tracker.flags) == len(flags) + 1
 
+    @pytest.mark.parametrize("row", [0, 1], ids=["x", "y"])
+    def test_a_non_finite_delta_raises_before_the_position_moves(self, monkeypatch, row):
+        # a plan whose x or y row holds a NaN, from the first estimate made after the patch
+        def nan_plan(rows, cond_limit):
+            plan = factor_rows(rows, cond_limit)
+            plan[row, 0] = np.nan
+            return plan
+
+        tracker = Tracker(default_geometry(), AP_IDS, TrackerConfig(stride=10))
+        groups = iter(self.groups(1.0, packets=60, at=0))
+        for group in itertools.islice(groups, 25):
+            tracker.ingest(group)
+        monkeypatch.setattr(tracker_module, "factor_rows", nan_plan)
+        for group in groups:
+            position, flags = tracker.position, list(tracker.flags)
+            try:
+                tracker.ingest(group)
+            except ValueError as exc:
+                assert str(exc) == "delta must be finite"
+                break
+        else:
+            pytest.fail("no packet raised")
+        assert np.array_equal(tracker.position, position) and tracker.flags == flags
+        tracker.ingest(next(groups))  # pairs with nothing
+        assert tracker.flags == flags + ["dead-reckoned"]
+        assert np.array_equal(tracker.position, position)
+
 
 class TestStreamValidation:
     def records_at(self, index, timestamp=None):
@@ -500,6 +528,23 @@ class TestStreamValidation:
         group[AP_IDS[1]] = CsiRecord(AP_IDS[1], 3, 0.0, np.ones(3, dtype=complex))
         with pytest.raises(StreamOrderError):
             tracker.ingest(group)
+
+    @pytest.mark.parametrize("first", ["negative", "positive"])
+    def test_a_group_is_stamped_with_its_first_latest_timestamp(self, first):
+        # -0.0 == 0.0: the group's time is the first of them in record order; ap3
+        # holds -0.0, so the order of the tracker's ap_ids would give ap0's 0.0
+        tracker = Tracker(default_geometry(), AP_IDS)
+        rng = np.random.default_rng(4)
+        for p in range(21):
+            stamps = {ap: 0.006 * (p - 20) for ap in AP_IDS}
+            if p == 20:
+                stamps = {"ap3": -0.0, "ap0": 0.0, "ap1": -0.001, "ap2": -0.001}
+                if first == "positive":
+                    stamps = {"ap0": 0.0, "ap3": -0.0, "ap1": -0.001, "ap2": -0.001}
+            tracker.ingest({ap: CsiRecord(ap, p, stamp, rng.normal(size=3) + 1j * rng.normal(size=3))
+                            for ap, stamp in stamps.items()})
+        stamp = tracker.trajectory().timestamps[-1]
+        assert stamp == 0.0 and np.signbit(stamp) == (first == "negative")
 
     def test_unknown_ap_rejected(self):
         tracker = Tracker(default_geometry(), AP_IDS)
