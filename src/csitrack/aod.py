@@ -11,10 +11,12 @@ The tracker keeps every AP's window in one :class:`WindowBuffer`, which only
 it writes, and only with a packet group that passed its checks: a packet's CSI
 is one row of a (capacity, A, M) buffer, zeros where an AP missed it, and each
 AP has its own front row, horizon and running sum of x x^H, expired when read.
-It estimates every AP due on a packet in one batch (:func:`estimate_aods`: one
-stacked product that updates all their sums, one ``eigh``, one grid scan that
-also gives the first refinement round, one refinement loop).
-:func:`estimate_paths` takes one AP's records and sums X X^H afresh.
+It estimates every AP due on a packet in one batch (:func:`estimate_aods`). On
+arrays: one stacked product that updates all their sums, one ``eigh``, one grid
+scan that also gives the first refinement round, the choice of minima, and each
+later round's stencil and null powers. On plain floats: the minima's angles and
+first scan values, and every round's parabola fits. :func:`estimate_paths` takes
+one AP's records and sums X X^H afresh.
 """
 
 from __future__ import annotations
@@ -284,42 +286,34 @@ def _build_grid_steering(geometry: ArrayGeometry, step: float):
     return grid, steering
 
 
-def _cyclic_minima(values: np.ndarray) -> np.ndarray:
-    """Mask of the entries below both neighbors along the last axis, cyclic."""
-    wrapped = np.concatenate((values[..., -1:], values, values[..., :1]), axis=-1)
-    return (values < wrapped[..., :-2]) & (values < wrapped[..., 2:])
-
-
-_STENCIL = np.array([-1.0, 0.0, 1.0])
-
-
-def _refine_minima(adjoint, geometry, thetas, first, step, iterations) -> np.ndarray:
-    """Sharpen (A, L) grid minima by repeated 3-point parabola fits, all at once.
+def _refine_minima(adjoint, geometry, thetas, first, step, iterations) -> list:
+    """Sharpen the A x L grid minima ``thetas`` (a flat list, AP by AP) in place by repeated
+    3-point parabola fits, all at once; returns the list.
 
     Fits the null power (smooth and locally quadratic at a path direction,
     unlike the sharply-peaked reciprocal spectrum) over a stencil that shrinks
     each round, so the grid-step bias that would otherwise swamp
-    millimeter-scale displacement phases is eliminated. Round 1 fits the (A, L, 3)
-    grid-scan values ``first``; each later round evaluates all A x L stencils in
-    one null-power call. A path stops for good where its parabola is not convex.
+    millimeter-scale displacement phases is eliminated. Round 1 fits the grid-scan
+    values ``first`` (a (lower, middle, upper) list per path); each later round builds
+    its A x 3L stencil once, from the plain-float thetas, and evaluates it in one
+    null-power call. A path stops for good where its parabola is not convex.
     """
-    shape, h = thetas.shape, step
-    thetas, active = thetas.ravel().tolist(), [True] * thetas.size
-    g = first.reshape(-1, 3).tolist()  # plain floats cost less than array calls
+    active, g, h = [True] * len(thetas), first, step
     for iteration in range(iterations):
         if iteration:
-            stencil = (np.array(thetas)[:, None] + h * _STENCIL).reshape(shape[0], -1)
+            stencil = np.add.outer(thetas, (-h, 0.0, h)).reshape(len(adjoint), -1)
             steering = steering_vectors(geometry, np.cos(stencil), np.sin(stencil))
             g = _null_power(adjoint, steering).reshape(-1, 3).tolist()
         for k, (lower, middle, upper) in enumerate(g):
             denom = lower - 2.0 * middle + upper
             active[k] = active[k] and denom > 0
-            if active[k]:
-                thetas[k] += min(max(0.5 * (lower - upper) / denom * h, -h), h)
+            if active[k]:  # the vertex's offset, clipped to [-h, h] as min(max(., -h), h)
+                offset = 0.5 * (lower - upper) / denom * h
+                thetas[k] += -h if offset < -h else h if offset > h else offset
         if not any(active):
             break
         h /= 4.0
-    return np.array(thetas).reshape(shape)
+    return thetas
 
 
 def estimate_aods(window, slots, geometry: ArrayGeometry, config: AodConfig):
@@ -346,15 +340,16 @@ def _music_aods(sums, lengths, geometry: ArrayGeometry, config: AodConfig):
     adjoint = _noise_subspaces(covariance, config.num_paths).conj().swapaxes(-1, -2)
     grid, grid_matrix = _build_grid_steering(geometry, config.grid_step)
     scan = _null_power(adjoint, grid_matrix)
-    power = scan[:, 1:-1]  # grid k is scan k + 1
-    minima = _cyclic_minima(power)
+    power = scan[:, 1:-1]  # grid k is scan k + 1; a minimum is below both cyclic neighbors
+    wrapped = np.concatenate((power[:, -1:], power, power[:, :1]), axis=-1)
+    minima = (power < wrapped[:, :-2]) & (power < wrapped[:, 2:])
     degenerate = minima.sum(axis=-1) < config.num_paths
     minima[degenerate] = True  # rank among all grid values instead
-    starts = np.where(minima, power, np.inf).argsort(axis=-1)[:, : config.num_paths]
-    first = scan[np.arange(len(scan))[:, None, None], starts[..., None] + np.arange(3)]
-    aods = _refine_minima(adjoint, geometry, grid[starts], first,
-                          config.grid_step, config.refine_iterations)
-    return np.sort(np.mod(aods, TWO_PI), axis=-1), degenerate
+    starts = np.where(minima, power, np.inf).argsort(axis=-1)[:, : config.num_paths].tolist()
+    first = [scan[a, k:k + 3].tolist() for a, row in enumerate(starts) for k in row]
+    aods = _refine_minima(adjoint, geometry, [grid.item(k) for row in starts for k in row],
+                          first, config.grid_step, config.refine_iterations)
+    return np.sort(np.mod(aods, TWO_PI).reshape(len(starts), -1), axis=-1), degenerate
 
 
 def estimate_paths(records, geometry: ArrayGeometry, config: AodConfig) -> PathSet:

@@ -65,8 +65,9 @@ def factor_steering(matrix: np.ndarray):
     positive = s > 0
     inverse = 1.0 / np.where(positive, s, np.inf)  # 1 / s, and 0 where s is 0
     cond = np.where(positive[..., -1], s[..., 0] * inverse[..., -1], np.inf)
-    pinv = (vh.conj().swapaxes(-1, -2) * inverse[..., None, :]) @ u.conj().swapaxes(-1, -2)
-    return pinv, cond
+    vh = np.conjugate(vh, out=vh)  # V S^-1 U^H in place: no temporaries, the same layouts
+    vh *= inverse[..., :, None]
+    return vh.swapaxes(-1, -2) @ np.conjugate(u, out=u).swapaxes(-1, -2), cond
 
 
 def project(pinv: np.ndarray, csi: np.ndarray) -> np.ndarray:

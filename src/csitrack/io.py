@@ -96,12 +96,15 @@ def write_trace(path, trace: TraceFile) -> None:
     header, geometry, records = trace.header, trace.header.geometry, trace.records
     pairs = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in geometry.antenna_positions)
     csi = np.array([record.csi for record in records], complex).reshape(-1, geometry.num_antennas)
+    names, last, text = [], None, ""
+    for record in records:  # a packet's records share its timestamp: formatted once, by value
+        if record.timestamp != last or not record.timestamp:  # 0.0 == -0.0: zeros every time
+            last, text = record.timestamp, _fmt(record.timestamp)
+        names.append(f"{record.ap_id} {record.packet_index} {text}")
     _write_table(path, [f"{TRACE_MAGIC} {TRACE_VERSION}", f"#antennas {geometry.num_antennas}",
                         f"#wavelength {_fmt(geometry.wavelength)}",
                         f"#packet_interval {_fmt(header.packet_interval)}", f"#geometry {pairs}",
-                        "#aps " + " ".join(header.ap_ids)],
-                 np.column_stack([[record.timestamp for record in records], csi.view(float)]),
-                 [f"{record.ap_id} {record.packet_index}" for record in records])
+                        "#aps " + " ".join(header.ap_ids)], csi.view(float), names)
 
 
 def _positive(text: str) -> float:

@@ -3,19 +3,19 @@
 Keeps every AP's sliding window of recent packets in one :class:`~csitrack.aod.WindowBuffer`,
 which only the tracker writes. One pass over a packet group checks it (APs, CSI sizes, packet
 index, time) and collects its rows; only then is its CSI written once, into a buffer row that
-is also the CSI it is projected from. Each AP has its own front, horizon and running sum of
-x x^H, expired when read (:func:`~csitrack.aod.estimate_paths` takes records and sums afresh).
-Re-estimates the paths of every AP due on a packet in one batch
-(:func:`~csitrack.aod.estimate_aods`: one stacked update of their sums, then
-:func:`continuity_order` and one stacked factorization). A packet between estimates pays for
-its checks, its row write, one projection onto the paths, one selection pass on plain floats
-over its pair's APs and one solve of their offset-cancelled rows (see
-:mod:`csitrack.displacement`), integrated from the origin. Until the next estimate a plan
-key's least-squares matrix lasts, and until then or a presence change so do the pair's active
-APs and exclusion counts. The last packet is one record (CSI, APs present, path strengths as
-lists), re-projected only if the paths change. Samples whose displacement is unobservable
-carry the previous position forward with a quality flag, so the trajectory keeps a uniform
-timebase for evaluation.
+is also the CSI it is projected from. A packet on which APs are due re-estimates their paths
+in one batch (:func:`~csitrack.aod.estimate_aods`), orders them by :func:`continuity_order`,
+factors their steering matrices in one SVD and projects the last packet and itself as one
+(2, A, M) stack. Any other packet pays for its checks, its row write, one projection, one
+selection pass over its pair's APs and one solve of their offset-cancelled rows (see
+:mod:`csitrack.displacement`), integrated from the origin. Arrays: the window and its sums,
+the estimator, the steering matrices, their pseudo-inverses and the projections. Plain
+floats: each AP's AoDs once estimated, their continuity order, the path directions in the
+form :func:`~csitrack.displacement.plan_rows` reads, the path strengths of the last packet
+(one record: CSI, APs present, strengths), the selection and the position. A plan key's
+least-squares matrix lasts until the next estimate, and until then or a presence change so do
+the pair's active APs and exclusion counts. Samples whose displacement is unobservable carry
+the previous position forward with a quality flag, so the trajectory keeps a uniform timebase.
 """
 
 from __future__ import annotations
@@ -30,26 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aod import AodConfig, WindowBuffer, estimate_aods
-from .core import (ArrayGeometry, Displacement, PathSet, Trajectory, check_ap_ids, check_finite,
-                   check_integer, circular_distance, steering_matrix, steering_vectors)
-from .displacement import (
-    A_CONDITION_LIMIT,
-    R_CONDITION_LIMIT,
-    WEAK_PATH_RTOL,
-    factor_rows,
-    factor_steering,
-    path_strengths,
-    plan_rows,
-    project,
-    select_rows,
-)
-from .errors import (
-    DegenerateGeometryError,
-    InsufficientPathsError,
-    StreamOrderError,
-    UnobservableDisplacementError,
-    WindowUnderfullError,
-)
+from .core import (TWO_PI, ArrayGeometry, Displacement, PathSet, Trajectory, check_ap_ids,
+                   check_finite, check_integer, steering_matrix, steering_vectors)
+from .displacement import (A_CONDITION_LIMIT, R_CONDITION_LIMIT, WEAK_PATH_RTOL, factor_rows,
+                           factor_steering, path_strengths, plan_rows, project, select_rows)
+from .errors import (DegenerateGeometryError, InsufficientPathsError, StreamOrderError,
+                     UnobservableDisplacementError, WindowUnderfullError)
 
 MODES = ("full", "assume-same-clock")
 
@@ -79,18 +65,33 @@ class TrackerConfig:
 
 
 @functools.cache
-def _permutations(count: int) -> np.ndarray:  # the identity first, built once per path count
-    return np.array(list(itertools.permutations(range(count))))
+def _permutations(count: int) -> tuple:  # the identity first, built once per path count
+    return tuple(itertools.permutations(range(count)))
 
 
-def continuity_order(previous: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """Per row of the (A, L) AoDs ``current``, the column order that keeps
-    each path the identity it had in ``previous``: the permutation of least
-    total circular distance, by exhaustive assignment (path counts are
-    small); of equal costs the first wins, the identity first."""
-    perms = _permutations(current.shape[-1])
-    distance = circular_distance(previous[:, :, None], current[:, None, :])
-    return perms[distance[:, perms[0], perms].sum(axis=-1).argmin(axis=-1)]
+def continuity_order(previous, current) -> list:
+    """Per row of the A rows of L AoDs ``current`` (plain floats), the column order (a tuple)
+    that keeps each path the identity it had in ``previous``: the permutation of least total
+    circular distance, by exhaustive assignment (path counts are small); of equal costs the
+    first wins, the identity first. A cost is a left fold, numpy's sum bit for bit for L < 8."""
+    perms, orders = _permutations(len(current[0])), []
+    for before, after in zip(previous, current):
+        distance = []  # [i][j]: from path i of previous to column j of current
+        for b in before:
+            row = []
+            for a in after:
+                d = (b - a) % TWO_PI
+                row.append(d if d < TWO_PI - d else TWO_PI - d)
+            distance.append(row)
+        best = None
+        for perm in perms:
+            cost = 0.0
+            for row, k in zip(distance, perm):
+                cost += row[k]
+            if best is None or cost < best:
+                best, order = cost, perm
+        orders.append(order)
+    return orders
 
 
 class Tracker:
@@ -122,10 +123,10 @@ class Tracker:
         self._slots = {ap: slot for slot, ap in enumerate(self.ap_ids)}
         # pushes since the last estimate; stride before the first, so it is due once warm
         self._since_estimate = [self.config.stride] * num_aps
-        self._aods = np.zeros((num_aps, num_paths))
-        self._degenerate = np.zeros(num_aps, dtype=bool)
+        self._aods = [[0.0] * num_paths for _ in range(num_aps)]
+        self._degenerate = [False] * num_aps
         self._pinv = np.zeros((num_aps, num_paths, num_antennas), dtype=complex)
-        self._directions = np.zeros((num_aps, num_paths, 2))  # [cos, sin] of each AoD
+        self._directions = [[[1.0, 0.0]] * num_paths for _ in range(num_aps)]  # [cos, sin] per AoD
         self._has_paths = [False] * num_aps
         self._usable = [False] * num_aps  # steering condition gate passed
         # until the next estimate: plan key -> least-squares matrix (None if unobservable), and
@@ -147,27 +148,36 @@ class Tracker:
         """A packet's record: its CSI, the APs it holds (bools) and its path_strengths (lists)."""
         return csi, present, *path_strengths(project(self._pinv, csi), self.config.weak_path_rtol)
 
-    def _update_paths(self, last):
-        """Re-estimate every due AP's paths as one batch; factor their steering
-        matrices as one. Returns the record ``last``, re-projected if the paths changed."""
+    def _packets(self, last, csi, present):
+        """The record ``last`` and this packet's, on new paths: projected as one (2, A, M) stack."""
+        strengths = path_strengths(project(self._pinv, np.array([last[0], csi])),
+                                   self.config.weak_path_rtol)
+        return [(row, held, *strength)
+                for row, held, strength in zip((last[0], csi), (last[1], present), zip(*strengths))]
+
+    def _update_paths(self) -> bool:
+        """Re-estimate every due AP's paths as one batch and factor their steering matrices
+        as one; whether any AP was due."""
         stride, min_packets = self.config.stride, self.config.aod.min_packets
         slots = [slot for slot, count in enumerate(self._window.counts())
                  if self._since_estimate[slot] >= stride and count >= min_packets]
         if not slots:
-            return last
-        at = slots if len(slots) < len(self.ap_ids) else slice(None)  # all APs: a cheaper slice
+            return False
         aods, degenerate = estimate_aods(self._window, slots, self.geometry, self.config.aod)
+        aods = aods.tolist()
         # a first estimate follows itself, which keeps the estimator's order
-        previous = np.where([[self._has_paths[slot]] for slot in slots], self._aods[at], aods)
-        aods = aods[np.arange(len(slots))[:, None], continuity_order(previous, aods)]
+        previous = [self._aods[s] if self._has_paths[s] else row for s, row in zip(slots, aods)]
+        aods = [[row[k] for k in order] for row, order in zip(aods, continuity_order(previous, aods))]
         cos, sin = np.cos(aods), np.sin(aods)
+        at = slots if len(slots) < len(self.ap_ids) else slice(None)  # all APs: a cheaper slice
         self._pinv[at], cond = factor_steering(steering_vectors(self.geometry, cos, sin))
-        self._aods[at], self._degenerate[at] = aods, degenerate
-        self._directions[at] = np.array([cos, sin]).transpose(1, 2, 0)
-        for slot, usable in zip(slots, (cond < self.config.steering_condition_limit).tolist()):
-            self._usable[slot], self._has_paths[slot], self._since_estimate[slot] = usable, True, 0
+        directions = np.array([cos, sin]).transpose(1, 2, 0).tolist()
+        usable = (cond < self.config.steering_condition_limit).tolist()
+        for slot, row, flag, paths, ok in zip(slots, aods, degenerate.tolist(), directions, usable):
+            self._aods[slot], self._degenerate[slot], self._directions[slot] = row, flag, paths
+            self._usable[slot], self._has_paths[slot], self._since_estimate[slot] = ok, True, 0
         self._plans, self._presence = {}, None
-        return self._packet(*last[:2])
+        return True
 
     def ingest(self, records) -> Displacement | None:
         """Push one packet's records (mapping ap_id -> CsiRecord).
@@ -219,9 +229,10 @@ class Tracker:
         last, self._last = self._last, self._unpaired
         self._previous_index, self._previous_time = packet_index, now
         self._window.push(stamps, now - self.config.aod.window_seconds)
-        if max(since) >= self.config.stride:  # once warm, 1 in stride
-            last = self._update_paths(last)
-        packet = self._packet(csi, present)
+        if max(since) >= self.config.stride and self._update_paths():  # once warm, 1 in stride
+            last, packet = self._packets(last, csi, present)
+        else:
+            packet = self._packet(csi, present)
 
         displacement = None
         if self.flags:  # started: one point per packet from the first on
@@ -250,7 +261,7 @@ class Tracker:
             self.exclusions[InsufficientPathsError.__name__] += short
         plan = self._plans.get(key, False)  # False: not planned yet
         if plan is False:
-            rows = plan_rows(self._directions.tolist(), key, self.geometry.wavelength)
+            rows = plan_rows(self._directions, key, self.geometry.wavelength)
             try:
                 plan = factor_rows(rows, self.config.stacked_condition_limit)
             except UnobservableDisplacementError:
@@ -304,7 +315,7 @@ class Tracker:
     @property
     def path_sets(self) -> dict:
         """Current PathSet per AP (None until the AP's window is warm)."""
-        return {ap: PathSet(ap, self._aods[slot].copy(),
+        return {ap: PathSet(ap, np.array(self._aods[slot]),
                             steering_matrix(self.geometry, self._aods[slot]),
-                            self.geometry.wavelength, bool(self._degenerate[slot]))
+                            self.geometry.wavelength, self._degenerate[slot])
                 if self._has_paths[slot] else None for slot, ap in enumerate(self.ap_ids)}

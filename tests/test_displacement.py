@@ -522,6 +522,30 @@ class TestFactorization:
             np.testing.assert_array_equal(project(pinv[[a]], csi[[a]])[0], together[a])
             np.testing.assert_array_equal(project(pinv[a], csi[a]), together[a])
 
+    @settings(max_examples=200, deadline=None)
+    @given(num_aps=st.integers(1, 6), num_paths=st.integers(1, 3), spare=st.integers(1, 2),
+           seed=st.integers(0, 2**32 - 1), weak_rtol=st.sampled_from([0.0, 1e-9, 0.3]),
+           data=st.data())
+    def test_two_packets_stacked_project_bit_equal_to_each_alone(self, num_aps, num_paths, spare,
+                                                                 seed, weak_rtol, data):
+        """project + path_strengths on a (2, A, M) stack, as the tracker re-projects its last
+        packet with the current one, equal two single-packet calls bit for bit: CSI from
+        1e-150 to 1e150, absent APs (zero CSI), zero weights and paths below the floor."""
+        rng = np.random.default_rng(seed)
+        shape = (num_aps, num_paths, num_paths + spare)
+        pinv = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        kinds = data.draw(hnp.arrays(int, shape[:2], elements=st.integers(0, 2)))
+        pinv[kinds == 1] = 0  # a zero weight
+        pinv[kinds == 2] *= 1e-13  # a path below the floor
+        csi = rng.normal(size=(2, num_aps, shape[2])) + 1j * rng.normal(size=(2, num_aps, shape[2]))
+        csi *= 10.0 ** rng.uniform(-150, 150, (2, num_aps, 1))
+        csi[rng.random((2, num_aps)) < 0.2] = 0
+        together = path_strengths(project(pinv, csi), weak_rtol)
+        for p in range(2):
+            alone = path_strengths(project(pinv, csi[p]), weak_rtol)
+            for stacked, single in zip(together, alone):  # angles, magnitudes, floors
+                assert np.array(stacked[p]).tobytes() == np.array(single).tobytes()
+
 
 def conditioned_rows(num_rows, cond, seed):
     """An (N, 2) stack U diag(s) V^T with random orthonormal U and rotation V,
@@ -832,7 +856,8 @@ class FreshRowsTracker(Tracker):
         keep, ref, short, turn = select_paths(
             array_strengths(first[active], weak_rtol), array_strengths(second[active], weak_rtol),
             self.config.mode == "assume-same-clock", np.ones(np.count_nonzero(active), dtype=bool))
-        rows, index = row_geometry(self._directions[active], keep, ref, self.geometry.wavelength)
+        rows, index = row_geometry(np.array(self._directions)[active], keep, ref,
+                                  self.geometry.wavelength)
         for reason, mask in (("absent", has_paths & ~pairs),
                              (DegenerateGeometryError.__name__, pairs & ~active),
                              (InsufficientPathsError.__name__, short)):

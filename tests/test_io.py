@@ -99,6 +99,22 @@ class TestTraceRoundTrip:
                 assert record.packet_index is first.packet_index
                 assert record.timestamp is first.timestamp
 
+    def test_signed_zero_timestamps_keep_their_own_text(self, tmp_path):
+        # a packet's records share one formatted timestamp, matched by value; 0.0 == -0.0,
+        # so a zero is formatted for each record and both signs are written as they are
+        header = TraceHeader(default_geometry(), ("ap0", "ap1"), 0.006)
+        stamps = [(0, "ap0", -0.0), (0, "ap1", 0.0), (1, "ap0", 0.0), (1, "ap1", -0.0),
+                  (2, "ap0", 0.5), (2, "ap1", 0.5), (3, "ap0", 0.5), (3, "ap1", 1.0)]
+        records = [CsiRecord(ap, index, stamp, np.ones(3)) for index, ap, stamp in stamps]
+        path = tmp_path / "trace.txt"
+        write_trace(path, TraceFile(header, records))
+        lines = path.read_text().splitlines()[6:]
+        assert [line.split()[:3] for line in lines] == [
+            [ap, str(index), repr(stamp)] for index, ap, stamp in stamps]
+        loaded = [record.timestamp for record in read_trace(path).records]
+        assert [math.copysign(1.0, stamp) for stamp in loaded] == [
+            math.copysign(1.0, stamp) for _, _, stamp in stamps]
+
     def test_a_trace_that_cannot_be_written_leaves_no_partial_file(self, tmp_path):
         # str() refuses an int of more than 4,300 digits; the writer must find it before it opens
         trace = small_trace()

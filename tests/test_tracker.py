@@ -11,7 +11,7 @@ from conftest import AP_IDS, BAD_AP_IDS, default_geometry, make_sim_config, wind
 
 from csitrack import aod, tracker as tracker_module
 from csitrack.aod import AodConfig
-from csitrack.core import ArrayGeometry, CsiRecord, circular_distance, steering_matrix
+from csitrack.core import TWO_PI, ArrayGeometry, CsiRecord, circular_distance, steering_matrix
 from csitrack.displacement import factor_rows
 from csitrack.errors import StreamOrderError, WindowUnderfullError
 from csitrack.io import pair_streams
@@ -31,9 +31,19 @@ def run_tracker(streams, config=None, geometry=None, ap_ids=AP_IDS):
     return tracker, trajectory
 
 
+def array_continuity_order(previous: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """The reference: the array form ``continuity_order`` had before it ran on plain floats.
+    Per row of the (A, L) AoDs ``current``, the column order that keeps each path the
+    identity it had in ``previous``: the permutation of least total circular distance
+    (numpy's sum), of equal costs the first, the identity first."""
+    perms = np.array(list(itertools.permutations(range(current.shape[-1]))))
+    distance = circular_distance(previous[:, :, None], current[:, None, :])
+    return perms[distance[:, perms[0], perms].sum(axis=-1).argmin(axis=-1)]
+
+
 class TestPathContinuity:
     def order(self, previous, current):
-        return continuity_order(np.array([previous]), np.array([current]))[0]
+        return list(continuity_order([list(previous)], [list(current)])[0])
 
     def test_identity_when_unchanged(self):
         np.testing.assert_array_equal(self.order([0.5, 2.0], [0.5, 2.0]), [0, 1])
@@ -67,7 +77,7 @@ class TestPathContinuity:
         num_aps = data.draw(st.integers(1, 5))
         previous = np.array(data.draw(st.lists(row, min_size=num_aps, max_size=num_aps)))
         current = np.array(data.draw(st.lists(row, min_size=num_aps, max_size=num_aps)))
-        order = continuity_order(previous, current)
+        order = continuity_order(previous.tolist(), current.tolist())
         perms = list(itertools.permutations(range(num_paths)))
         for a in range(num_aps):
             costs = [circular_distance(previous[a], current[a][list(p)]).sum() for p in perms]
@@ -81,7 +91,26 @@ class TestPathContinuity:
             costs = [circular_distance(previous[a], current[a][list(p)]).sum() for p in perms]
             assert costs.count(min(costs)) == 2
         # the identity, then the first of (1, 2, 0) and (2, 1, 0)
-        np.testing.assert_array_equal(continuity_order(previous, current), [[0, 1, 2], [1, 2, 0]])
+        assert continuity_order(previous.tolist(), current.tolist()) == [(0, 1, 2), (1, 2, 0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(num_paths=st.integers(1, 4), num_aps=st.integers(1, 6), data=st.data())
+    def test_float_order_equals_the_array_order(self, num_paths, num_aps, data):
+        # angles near both ends of [0, 2 pi), and a small pool whose repeats make exact ties
+        angle = st.one_of(st.floats(0.0, TWO_PI, exclude_max=True), st.floats(0.0, 1e-9),
+                          st.floats(TWO_PI - 1e-9, TWO_PI, exclude_max=True),
+                          st.sampled_from([0.0, 5e-324, 0.5, 1.0, np.pi, np.nextafter(TWO_PI, 0)]))
+        rows = st.lists(st.lists(angle, min_size=num_paths, max_size=num_paths),
+                        min_size=num_aps, max_size=num_aps)
+        current = data.draw(rows)
+        # a previous row may repeat the current one, where every tie keeps the identity
+        previous = [row if data.draw(st.booleans()) else list(now)
+                    for row, now in zip(data.draw(rows), current)]
+        expected = array_continuity_order(np.array(previous), np.array(current))
+        assert continuity_order(previous, current) == [tuple(order) for order in expected.tolist()]
+        for before, now, order in zip(previous, current, continuity_order(previous, current)):
+            if before == now:
+                assert order == tuple(range(num_paths))
 
     def test_first_estimate_keeps_the_estimator_order(self):
         # no previous paths to follow: each AP's first path set is the
@@ -207,6 +236,34 @@ class TestTrackerBasics:
         from csitrack.evaluation import align
 
         assert align(strided, truth).errors.max() < 1e-3
+
+
+class SeparateProjectionTracker(Tracker):
+    """The tracker with the last packet and this one projected one at a time on new paths."""
+
+    def _packets(self, last, csi, present):
+        return [self._packet(*last[:2]), self._packet(csi, present)]
+
+
+def test_stacked_reprojection_changes_no_bit():
+    # stride 1: every packet re-estimates and re-projects the last packet with itself; ap2
+    # drops every 7th record and ap1 is absent for packets 200-599
+    config = make_sim_config(41, snr_db=25.0, quantize=True)
+    streams = simulate_trajectory(config, random_waypoints(0.05, 4.8, seed=41))
+    streams["ap2"] = [r for r in streams["ap2"] if r.packet_index % 7]
+    streams["ap1"] = [r for r in streams["ap1"] if not 200 <= r.packet_index < 600]
+    groups = pair_streams(streams)
+    assert len(groups) > 700
+    stacked, separate = Tracker(default_geometry(), AP_IDS), SeparateProjectionTracker(
+        default_geometry(), AP_IDS)
+    for group in groups:
+        delta, reference = stacked.ingest(group.records), separate.ingest(group.records)
+        assert (delta is None) == (reference is None)
+        assert delta is None or delta.delta.tobytes() == reference.delta.tobytes()
+    assert stacked.trajectory().positions.tobytes() == separate.trajectory().positions.tobytes()
+    assert stacked.flags == separate.flags
+    assert list(stacked.exclusions.items()) == list(separate.exclusions.items())
+    assert stacked.flags.count("ok") > 700 and stacked.exclusions["absent"] > 500
 
 
 class TestGridSteeringCache:
